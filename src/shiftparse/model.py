@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,6 +44,19 @@ from .vocab import UNK, Vocab
 
 class ModelIOError(ValueError):
     """A model file that cannot be loaded; the message names the field."""
+
+
+def _validate_config(config, positive: Sequence[str]):
+    """Checks shared by both configs; each error names the field."""
+    if config.layers not in (1, 2):
+        raise ValueError("layers must be 1 or 2")
+    for name in positive:
+        if getattr(config, name) <= 0:
+            raise ValueError("%s must be positive" % name)
+    if not (0.0 <= config.dropout < 1.0):
+        raise ValueError("dropout must lie in [0, 1)")
+    if not (config.word_dropout >= 0.0):
+        raise ValueError("word_dropout must be non-negative")
 
 
 @dataclass
@@ -68,11 +81,8 @@ class DepConfig:
     root_label: str = "root"
 
     def __post_init__(self):
-        if self.layers not in (1, 2):
-            raise ValueError("layers must be 1 or 2")
-        for name in ("word_dims", "tag_dims", "lstm_units", "hidden"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
+        _validate_config(self, ("word_dims", "tag_dims", "lstm_units", "hidden",
+                                "epochs", "minibatch"))
 
 
 @dataclass
@@ -98,11 +108,8 @@ class ConstConfig:
     promote_cap: int = DEFAULT_PROMOTE_CAP
 
     def __post_init__(self):
-        if self.layers not in (1, 2):
-            raise ValueError("layers must be 1 or 2")
-        for name in ("word_dims", "tag_dims", "nonterminal_dims", "lstm_units", "hidden"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
+        _validate_config(self, ("word_dims", "tag_dims", "nonterminal_dims", "lstm_units",
+                                "hidden", "epochs", "minibatch", "promote_cap"))
 
 
 class _EncoderModel:
@@ -737,6 +744,19 @@ def save_best(model: _EncoderModel, path):
     save_model(model, path, params=model.best_params or model.snapshot())
 
 
+def _header_config(cls, values):
+    """Build a config from a model header, naming any key cls lacks."""
+    if not isinstance(values, dict):
+        raise ModelIOError("header config is not an object")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ModelIOError("unknown config key %r in model header" % unknown[0])
+    try:
+        return cls(**values)
+    except TypeError as exc:     # a value of the wrong type, e.g. "epochs": "ten"
+        raise ModelIOError("bad config value in model header: %s" % exc) from None
+
+
 def load_model(path):
     """Rebuild a model from a file; validates magic, version, vocabulary
     hash, and every tensor's shape against the stored config."""
@@ -762,9 +782,9 @@ def load_model(path):
             raise ModelIOError("vocab_sha256 mismatch: vocabulary was modified")
         task = header["task"]
         if task == "dep":
-            model = DepModel(DepConfig(**header["config"]), vocab)
+            model = DepModel(_header_config(DepConfig, header["config"]), vocab)
         elif task == "const":
-            model = ConstModel(ConstConfig(**header["config"]), vocab)
+            model = ConstModel(_header_config(ConstConfig, header["config"]), vocab)
         else:
             raise ModelIOError("unknown task %r" % task)
         arrays = {name: arr for name, arr in _tensor_entries(model)}

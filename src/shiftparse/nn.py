@@ -12,7 +12,19 @@ initialized Glorot-uniform, embeddings uniform in [-0.01, 0.01], LSTM
 forget-gate biases at 1.0.
 
 Gate layout inside the fused LSTM weight matrix is [input, forget,
-output, candidate], each block H wide.
+output, candidate], each block H wide; the first input_size rows act on
+the input and the last H rows on the previous hidden state.
+
+The LSTM keeps only the true recurrence inside its time loop (after
+Appleyard et al. 2016). The forward pass computes the input side
+xs @ W_x + b for the whole sequence as one GEMM, and each step adds
+h @ W_h. The backward pass fills one row of an (n, 4H) matrix dZ of gate
+pre-activation gradients per step, with every gate-derivative factor
+computed beforehand for all steps at once. After the loop, the weight
+and input gradients are GEMMs over dZ:
+dW_x += xs^T dZ, dW_h += H_prev^T dZ, db += sum(dZ), dxs = dZ W_x^T.
+ADADELTA updates each parameter in place through two scratch buffers
+allocated per call, so no per-parameter temporaries are created.
 """
 
 from __future__ import annotations
@@ -80,21 +92,41 @@ class ParamStore:
         dx = -sqrt(E[dx2]+eps)/sqrt(E[g2]+eps) * g;
         E[dx2] <- rho E[dx2] + (1-rho) dx^2; x <- x + dx.
         The update is elementwise, so parameter ordering cannot change it.
+        Every operation is done in place, in the order of the formulas
+        above, so the result is bitwise that of evaluating them directly.
+        With l2 > 0 the gradient buffer itself becomes g + l2 x before it
+        is cleared.
         """
         if not (0.0 < rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
         if eps <= 0.0:
             raise ValueError("eps must be positive")
+        largest = max((p.value.size for p in self), default=0)
+        scratch = np.empty((2, largest), dtype=self.dtype)
         for p in self:
+            a = scratch[0, :p.value.size].reshape(p.value.shape)
+            b = scratch[1, :p.value.size].reshape(p.value.shape)
             g = p.grad
             if l2:
-                g = g + l2 * p.value
+                np.multiply(l2, p.value, out=a)
+                g += a
             p.eg2 *= rho
-            p.eg2 += (1.0 - rho) * g * g
-            dx = -np.sqrt(p.ed2 + eps) / np.sqrt(p.eg2 + eps) * g
+            np.multiply(1.0 - rho, g, out=a)
+            a *= g
+            p.eg2 += a
+            # a <- -dx = sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g; negating
+            # is exact, so dx*dx and x - (-dx) round as in the formulas
+            np.add(p.ed2, eps, out=a)
+            np.sqrt(a, out=a)
+            np.add(p.eg2, eps, out=b)
+            np.sqrt(b, out=b)
+            a /= b
+            a *= g
             p.ed2 *= rho
-            p.ed2 += (1.0 - rho) * dx * dx
-            p.value += dx
+            np.multiply(1.0 - rho, a, out=b)
+            b *= a
+            p.ed2 += b
+            p.value -= a
             _check_finite(p.name, p.value)
             p.grad[...] = 0.0
 
@@ -131,35 +163,11 @@ def lstm_init(rng: np.random.Generator, input_size: int, hidden: int,
 # LSTM
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def lstm_step(w: np.ndarray, b: np.ndarray, x, h_prev, c_prev):
-    """One LSTM step: i,f,o = sigmoid, g = tanh, c = f*c_prev + i*g,
-    h = o*tanh(c). Returns (h, c)."""
-    hidden = b.shape[0] // 4
-    if x.shape[-1] + hidden != w.shape[0]:
-        raise ValueError("input size %d does not match weight matrix %r"
-                         % (x.shape[-1], w.shape))
-    z = np.concatenate([x, h_prev]) @ w + b
-    i = _sigmoid(z[:hidden])
-    f = _sigmoid(z[hidden:2 * hidden])
-    o = _sigmoid(z[2 * hidden:3 * hidden])
-    g = np.tanh(z[3 * hidden:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
-
-
 def lstm_forward(w: np.ndarray, b: np.ndarray, xs: np.ndarray):
     """Run an LSTM over xs (n, input_size) from zero initial state.
 
+    Per step: i,f,o = sigmoid, g = tanh, c = f*c_prev + i*g,
+    h = o*tanh(c), with sigmoid(z) computed as (1 + tanh(z/2)) / 2.
     Returns (hs, cache) with hs of shape (n, H); the cache carries every
     per-step activation the backward pass needs.
     """
@@ -167,27 +175,29 @@ def lstm_forward(w: np.ndarray, b: np.ndarray, xs: np.ndarray):
     hidden = b.shape[0] // 4
     if input_size + hidden != w.shape[0]:
         raise ValueError("input size %d does not match weight matrix %r" % (input_size, w.shape))
-    gates = np.empty((n, 4 * hidden), dtype=xs.dtype)   # activated i,f,o,g
+    s3 = 3 * hidden
+    w_h = w[input_size:]
+    # input-side pre-activations of every step, activated row by row below
+    gates = np.asarray(xs @ w[:input_size] + b, dtype=xs.dtype)   # i,f,o,g
     cs = np.empty((n, hidden), dtype=xs.dtype)
     tanh_cs = np.empty((n, hidden), dtype=xs.dtype)
     hs = np.empty((n, hidden), dtype=xs.dtype)
     h = np.zeros(hidden, dtype=xs.dtype)
     c = np.zeros(hidden, dtype=xs.dtype)
     for t in range(n):
-        z = np.concatenate([xs[t], h]) @ w + b
-        i = _sigmoid(z[:hidden])
-        f = _sigmoid(z[hidden:2 * hidden])
-        o = _sigmoid(z[2 * hidden:3 * hidden])
-        g = np.tanh(z[3 * hidden:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gates[t, :hidden] = i
-        gates[t, hidden:2 * hidden] = f
-        gates[t, 2 * hidden:3 * hidden] = o
-        gates[t, 3 * hidden:] = g
-        cs[t] = c
-        tanh_cs[t] = np.tanh(c)
-        hs[t] = h
+        z = gates[t]
+        z += h @ w_h
+        sig = z[:s3]
+        sig *= 0.5
+        np.tanh(sig, out=sig)
+        sig += 1.0
+        sig *= 0.5
+        np.tanh(z[s3:], out=z[s3:])
+        np.multiply(z[hidden:2 * hidden], c, out=cs[t])
+        cs[t] += z[:hidden] * z[s3:]
+        np.tanh(cs[t], out=tanh_cs[t])
+        np.multiply(z[2 * hidden:s3], tanh_cs[t], out=hs[t])
+        h, c = hs[t], cs[t]
     _check_finite("lstm_forward", hs)
     cache = (xs, gates, cs, tanh_cs, hs)
     return hs, cache
@@ -199,35 +209,39 @@ def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
     xs, gates, cs, tanh_cs, hs = cache
     n, input_size = xs.shape
     hidden = b.shape[0] // 4
-    dxs = np.zeros_like(xs)
+    s3 = 3 * hidden
+    i = gates[:, :hidden]
+    f = gates[:, hidden:2 * hidden]
+    o = gates[:, 2 * hidden:s3]
+    g = gates[:, s3:]
+    c_prev = np.zeros_like(cs)
+    c_prev[1:] = cs[:-1]
+    # dZ[t] = [dc, dc, dh, dc][t] * factors[t], gate block by gate block
+    factors = np.empty((n, 4 * hidden), dtype=xs.dtype)
+    factors[:, :hidden] = g * (i * (1.0 - i))
+    factors[:, hidden:2 * hidden] = c_prev * (f * (1.0 - f))
+    factors[:, 2 * hidden:s3] = tanh_cs * (o * (1.0 - o))
+    factors[:, s3:] = i * (1.0 - g * g)
+    dc_dh = o * (1.0 - tanh_cs * tanh_cs)     # dh/dc of h = o*tanh(c)
+    w_h = w[input_size:]
+    dZ = np.empty((n, 4 * hidden), dtype=xs.dtype)
     dh_next = np.zeros(hidden, dtype=xs.dtype)
     dc_next = np.zeros(hidden, dtype=xs.dtype)
     for t in range(n - 1, -1, -1):
-        i = gates[t, :hidden]
-        f = gates[t, hidden:2 * hidden]
-        o = gates[t, 2 * hidden:3 * hidden]
-        g = gates[t, 3 * hidden:]
         dh = dhs[t] + dh_next
-        do = dh * tanh_cs[t]
-        dc = dc_next + dh * o * (1.0 - tanh_cs[t] ** 2)
-        c_prev = cs[t - 1] if t > 0 else np.zeros(hidden, dtype=xs.dtype)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.empty(4 * hidden, dtype=xs.dtype)
-        dz[:hidden] = di * i * (1.0 - i)
-        dz[hidden:2 * hidden] = df * f * (1.0 - f)
-        dz[2 * hidden:3 * hidden] = do * o * (1.0 - o)
-        dz[3 * hidden:] = dg * (1.0 - g ** 2)
-        h_prev = hs[t - 1] if t > 0 else np.zeros(hidden, dtype=xs.dtype)
-        xh = np.concatenate([xs[t], h_prev])
-        dw += np.outer(xh, dz)
-        db += dz
-        dxh = w @ dz
-        dxs[t] = dxh[:input_size]
-        dh_next = dxh[input_size:]
-        dc_next = dc * f
-    return dxs
+        dc = dh * dc_dh[t]
+        dc += dc_next
+        dz, k = dZ[t], factors[t]
+        np.multiply(dc, k[:hidden], out=dz[:hidden])
+        np.multiply(dc, k[hidden:2 * hidden], out=dz[hidden:2 * hidden])
+        np.multiply(dh, k[2 * hidden:s3], out=dz[2 * hidden:s3])
+        np.multiply(dc, k[s3:], out=dz[s3:])
+        dh_next = w_h @ dz
+        dc_next = dc * f[t]
+    dw[:input_size] += xs.T @ dZ
+    dw[input_size:] += hs[:-1].T @ dZ[1:]     # h_prev of step 0 is zero
+    db += dZ.sum(axis=0)
+    return dZ @ w[:input_size].T
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,23 @@ def test_const_train_and_parse_from_text(tmp_path, const_corpus):
                  "--input", str(text), "--input-format", "text",
                  "--output", str(out)]) == 0
     assert out.read_text().startswith("(")
+
+
+def test_parse_model_with_unknown_config_key_is_data_error(tmp_path, dep_corpus, capsys):
+    import json
+    import struct
+    model = tmp_path / "dep.model"
+    assert main(["train", "--task", "dep", "--train", str(dep_corpus),
+                 "--model", str(model)] + FAST_FLAGS) == 0
+    blob = model.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + header_len])
+    header["config"]["beam_size"] = 8
+    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    model.write_bytes(blob[:4] + struct.pack("<Q", len(payload)) + payload
+                      + blob[12 + header_len:])
+    capsys.readouterr()
+    code = main(["parse", "--task", "dep", "--model", str(model),
+                 "--input", str(dep_corpus)])
+    assert code == 2
+    assert "beam_size" in capsys.readouterr().err

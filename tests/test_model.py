@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,18 @@ def test_default_configs_are_the_documented_training_settings():
     assert const.lstm_units == 200 and const.hidden == 1000
     assert const.epochs == 10 and const.minibatch == 10 and const.dropout == 0.5
     assert const.l2 == 1e-8 and const.rho == 0.99 and const.eps == 1e-7
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (DepConfig, "dropout", 1.5), (ConstConfig, "dropout", 1.0), (DepConfig, "dropout", -0.1),
+    (DepConfig, "word_dropout", -0.25), (ConstConfig, "word_dropout", -1.0),
+    (DepConfig, "epochs", 0), (ConstConfig, "epochs", -1),
+    (DepConfig, "minibatch", 0), (ConstConfig, "minibatch", -10),
+    (ConstConfig, "promote_cap", 0), (ConstConfig, "promote_cap", -3),
+])
+def test_config_rejects_out_of_range_training_fields(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
 
 
 def _force_scores(model, prefix, scores):
@@ -287,21 +302,38 @@ def test_load_rejects_bad_magic(tmp_path):
         load_model(path)
 
 
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    """A model file whose JSON header went through edit(header)."""
+    (header_len,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + header_len])
+    edit(header)
+    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:4] + struct.pack("<Q", len(payload)) + payload + blob[12 + header_len:]
+
+
 def test_load_rejects_shape_mismatch(tmp_path):
-    import json
-    import struct
     model, _trees = small_dep_setup()
     path = tmp_path / "model.bin"
     save_model(model, path)
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[4:12])
-    header = json.loads(blob[12:12 + header_len])
-    header["tensors"][0]["shape"] = [1, 1]
-    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    rebuilt = b"SHPM" + struct.pack("<Q", len(payload)) + payload + blob[12 + header_len:]
     bad = tmp_path / "reshaped.bin"
-    bad.write_bytes(rebuilt)
+    bad.write_bytes(_rewrite_header(path.read_bytes(),
+                                    lambda h: h["tensors"][0].update(shape=[1, 1])))
     with pytest.raises(ModelIOError, match="shape"):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["config"].update(beam_size=8), "unknown config key 'beam_size'"),
+    (lambda h: h["config"].update(epochs="ten"), "bad config value"),
+    (lambda h: h.update(config=[1, 2]), "config is not an object"),
+], ids=["unknown-key", "wrong-type", "not-an-object"])
+def test_load_rejects_malformed_header_config(tmp_path, edit, message):
+    model, _trees = small_dep_setup()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    bad = tmp_path / "bad_config.bin"
+    bad.write_bytes(_rewrite_header(path.read_bytes(), edit))
+    with pytest.raises(ModelIOError, match=message):
         load_model(bad)
 
 

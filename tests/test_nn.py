@@ -17,12 +17,78 @@ def make_store(**arrays):
 # LSTM
 # ---------------------------------------------------------------------------
 
+# Per-step reference cell and BPTT: the straightforward loop that the
+# sequence-level kernels in nn (input GEMM hoisted out of the time loop,
+# weight gradients as GEMMs after it) must reproduce.
+
+def _sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def lstm_step(w, b, x, h_prev, c_prev):
+    """One LSTM step: i,f,o = sigmoid, g = tanh, c = f*c_prev + i*g,
+    h = o*tanh(c). Returns (h, c, activated gates [i, f, o, g])."""
+    hidden = b.shape[0] // 4
+    z = np.concatenate([x, h_prev]) @ w + b
+    gates = np.concatenate([_sigmoid(z[:3 * hidden]), np.tanh(z[3 * hidden:])])
+    i, f, g = gates[:hidden], gates[hidden:2 * hidden], gates[3 * hidden:]
+    c = f * c_prev + i * g
+    h = gates[2 * hidden:3 * hidden] * np.tanh(c)
+    return h, c, gates
+
+
+def reference_lstm_forward(w, b, xs):
+    n, hidden = xs.shape[0], b.shape[0] // 4
+    gates = np.empty((n, 4 * hidden))
+    cs, tanh_cs, hs = (np.empty((n, hidden)) for _ in range(3))
+    h, c = np.zeros(hidden), np.zeros(hidden)
+    for t in range(n):
+        h, c, gates[t] = lstm_step(w, b, xs[t], h, c)
+        cs[t], tanh_cs[t], hs[t] = c, np.tanh(c), h
+    return hs, (xs, gates, cs, tanh_cs, hs)
+
+
+def reference_lstm_backward(w, b, cache, dhs, dw, db):
+    xs, gates, cs, tanh_cs, hs = cache
+    n, input_size = xs.shape
+    hidden = b.shape[0] // 4
+    dxs = np.zeros_like(xs)
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in range(n - 1, -1, -1):
+        i = gates[t, :hidden]
+        f = gates[t, hidden:2 * hidden]
+        o = gates[t, 2 * hidden:3 * hidden]
+        g = gates[t, 3 * hidden:]
+        dh = dhs[t] + dh_next
+        do = dh * tanh_cs[t]
+        dc = dc_next + dh * o * (1.0 - tanh_cs[t] ** 2)
+        c_prev = cs[t - 1] if t > 0 else np.zeros(hidden)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             do * o * (1.0 - o), dc * i * (1.0 - g ** 2)])
+        h_prev = hs[t - 1] if t > 0 else np.zeros(hidden)
+        dw += np.outer(np.concatenate([xs[t], h_prev]), dz)
+        db += dz
+        dxh = w @ dz
+        dxs[t] = dxh[:input_size]
+        dh_next = dxh[input_size:]
+        dc_next = dc * f
+    return dxs
+
+
 def test_lstm_step_zero_weights():
     hidden = 4
     w = np.zeros((3 + hidden, 4 * hidden))
     b = np.zeros(4 * hidden)
-    h, c = nn.lstm_step(w, b, np.array([1.0, -2.0, 3.0]), np.zeros(hidden), np.zeros(hidden))
+    h, c, _ = lstm_step(w, b, np.array([1.0, -2.0, 3.0]), np.zeros(hidden), np.zeros(hidden))
     assert np.allclose(c, 0.0) and np.allclose(h, 0.0)
+    hs, (_, _, cs, _, _) = nn.lstm_forward(w, b, np.array([[1.0, -2.0, 3.0]]))
+    assert np.allclose(cs, 0.0) and np.allclose(hs, 0.0)
 
 
 def test_lstm_step_saturated_forget_gate():
@@ -31,7 +97,7 @@ def test_lstm_step_saturated_forget_gate():
     b = np.zeros(4 * hidden)
     b[hidden:2 * hidden] = 10.0     # forget-gate bias block
     c_prev = np.array([0.3, -0.8, 0.5])
-    h, c = nn.lstm_step(w, b, np.array([0.4, 0.1]), np.zeros(hidden), c_prev)
+    h, c, _ = lstm_step(w, b, np.array([0.4, 0.1]), np.zeros(hidden), c_prev)
     assert np.max(np.abs(c - c_prev)) < 1e-4
 
 
@@ -39,7 +105,57 @@ def test_lstm_step_dimension_mismatch():
     w = np.zeros((7, 12))
     b = np.zeros(12)
     with pytest.raises(ValueError, match="input size"):
-        nn.lstm_step(w, b, np.zeros(2), np.zeros(3), np.zeros(3))
+        nn.lstm_forward(w, b, np.zeros((1, 2)))
+
+
+def _lstm_case(seed, n, input_size, hidden, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    w, b = nn.lstm_init(rng, input_size, hidden)
+    b = b + 0.5 * rng.standard_normal(b.shape)      # every gate off its default
+    xs = 2.0 * rng.standard_normal((n, input_size))
+    dhs = rng.standard_normal((n, hidden))
+    dw0 = rng.standard_normal(w.shape)               # gradients accumulate into
+    db0 = rng.standard_normal(b.shape)               # whatever is already there
+    return [a.astype(dtype) for a in (w, b, xs, dhs, dw0, db0)]
+
+
+@pytest.mark.parametrize("n, input_size, hidden, reverse", [
+    (0, 3, 4, False), (1, 3, 4, False), (25, 7, 5, False), (25, 4, 4, False),
+    (25, 40, 16, False),
+    (25, 7, 5, True),    # the encoder's backward direction runs over reversed views
+])
+def test_lstm_kernels_match_per_step_reference(n, input_size, hidden, reverse):
+    w, b, xs, dhs, dw0, db0 = _lstm_case(n + input_size, n, input_size, hidden)
+    if reverse:
+        xs, dhs = xs[::-1], dhs[::-1]
+    hs_ref, cache_ref = reference_lstm_forward(w, b, xs)
+    hs, cache = nn.lstm_forward(w, b, xs)
+    assert hs.shape == (n, hidden)
+    for got, want in zip(cache, cache_ref):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    dw_ref, db_ref = dw0.copy(), db0.copy()
+    dxs_ref = reference_lstm_backward(w, b, cache_ref, dhs, dw_ref, db_ref)
+    dw, db = dw0.copy(), db0.copy()
+    dxs = nn.lstm_backward(w, b, cache, dhs, dw, db)
+    assert dxs.shape == xs.shape
+    for got, want in ((dxs, dxs_ref), (dw, dw_ref), (db, db_ref)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_lstm_kernels_stay_float32():
+    w, b, xs, dhs, dw0, db0 = _lstm_case(12, 25, 7, 5, dtype=np.float32)
+    hs, cache = nn.lstm_forward(w, b, xs)
+    dw, db = dw0.copy(), db0.copy()
+    dxs = nn.lstm_backward(w, b, cache, dhs, dw, db)
+    assert all(a.dtype == np.float32 for a in (hs, dxs, dw, db) + cache)
+    # against the float64 reference on the same (float32-representable) inputs
+    w64, b64, xs64, dhs64 = (a.astype(np.float64) for a in (w, b, xs, dhs))
+    _, cache_ref = reference_lstm_forward(w64, b64, xs64)
+    dw_ref, db_ref = dw0.astype(np.float64), db0.astype(np.float64)
+    dxs_ref = reference_lstm_backward(w64, b64, cache_ref, dhs64, dw_ref, db_ref)
+    tol = 1e3 * np.finfo(np.float32).eps
+    for got, want in ((hs, cache_ref[4]), (dxs, dxs_ref), (dw, dw_ref), (db, db_ref)):
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 def _fd_check_via_store(store, loss_fn, analytic, tolerance, h=1e-5):
@@ -135,7 +251,7 @@ def test_single_position_encoding_depends_only_on_itself():
     w, b = nn.lstm_init(rng, 3, 4)
     x = rng.standard_normal((1, 3))
     hs, _ = nn.lstm_forward(w, b, x)
-    h_step, _c = nn.lstm_step(w, b, x[0], np.zeros(4), np.zeros(4))
+    h_step, _c, _gates = lstm_step(w, b, x[0], np.zeros(4), np.zeros(4))
     assert np.allclose(hs[0], h_step)
 
 
@@ -274,6 +390,35 @@ def test_adadelta_l2_adds_weighted_value_to_gradient():
     b["x"].grad[...] = 0.2 + 1e-2 * 3.0
     b.adadelta_step(rho=0.99, eps=1e-7, l2=0.0)
     assert a["x"].value[0] == b["x"].value[0]
+
+
+def test_adadelta_in_place_update_is_bitwise_the_formula():
+    # l2 > 0 on tensors of different sizes, so each is updated through a
+    # different slice of the shared scratch buffers, over several steps
+    rng = np.random.default_rng(11)
+    rho, eps, l2 = 0.95, 1e-6, 1e-3
+    values = {"a": rng.standard_normal((30, 7)), "b": rng.standard_normal(11),
+              "c": rng.standard_normal((2, 3, 4))}
+    store = make_store(**{k: v.copy() for k, v in values.items()})
+    expected = {k: [v.copy(), np.zeros_like(v), np.zeros_like(v)] for k, v in values.items()}
+    for _ in range(3):
+        for name, (x, eg2, ed2) in expected.items():
+            grad = rng.standard_normal(x.shape)
+            store[name].grad[...] = grad
+            g = grad + l2 * x
+            eg2 *= rho
+            eg2 += (1.0 - rho) * g * g
+            dx = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+            ed2 *= rho
+            ed2 += (1.0 - rho) * dx * dx
+            x += dx
+        store.adadelta_step(rho=rho, eps=eps, l2=l2)
+    for name, (x, eg2, ed2) in expected.items():
+        p = store[name]
+        assert np.array_equal(p.value, x)
+        assert np.array_equal(p.eg2, eg2)
+        assert np.array_equal(p.ed2, ed2)
+        assert np.all(p.grad == 0.0)
 
 
 def test_adadelta_order_invariance():
