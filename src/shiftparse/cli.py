@@ -172,7 +172,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_parse_input(args, model):
+def _read_parse_input(args):
     fmt = args.input_format
     with open(args.input, encoding="utf-8") as fh:
         if fmt == "conll":
@@ -187,7 +187,7 @@ def cmd_parse(args) -> int:
     if model.task != args.task:
         raise ModelIOError("task mismatch: model is %r but --task is %r"
                            % (model.task, args.task))
-    sentences = _read_parse_input(args, model)
+    sentences = _read_parse_input(args)
     start = time.time()
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -211,7 +211,7 @@ def cmd_eval(args) -> int:
         pred = _load_dep_corpus(args.pred)
         punct = frozenset(args.punct_tags.split(",")) if args.punct_tags else None
         score = score_dep(gold, pred, exclude_punct=args.exclude_punct,
-                          punct_tags=punct, threads=args.threads)
+                          punct_tags=punct)
         print("uas=%.2f" % score.uas)
         print("las=%.2f" % score.las)
         print("correct_heads=%d correct_labeled=%d scored=%d"
@@ -225,8 +225,7 @@ def cmd_eval(args) -> int:
             gold = read_brackets(fh)
         with open(args.pred, encoding="utf-8") as fh:
             pred = read_brackets(fh)
-        score = score_brackets(gold, pred, ignore_root=args.ignore_root,
-                               threads=args.threads)
+        score = score_brackets(gold, pred, ignore_root=args.ignore_root)
         print("precision=%.2f" % score.precision)
         print("recall=%.2f" % score.recall)
         print("f1=%.2f" % score.f1)
@@ -289,7 +288,6 @@ def cmd_gradcheck(args) -> int:
         step = 1e-5
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     tasks = ("dep", "const") if args.task == "both" else (args.task,)
-    worst = 0.0
     failed = False
     for task in tasks:
         if task == "dep":
@@ -316,7 +314,6 @@ def cmd_gradcheck(args) -> int:
         for name, index, analytic, numeric, err in report["failures"][:10]:
             print("  FAIL %s[%d]: analytic %.6e vs numeric %.6e (rel %.3e)"
                   % (name, index, analytic, numeric, err))
-        worst = max(worst, report["max_rel_error"])
         failed = failed or not report["ok"]
     return 3 if failed else 0
 
@@ -359,7 +356,6 @@ def build_parser() -> _Parser:
     evaluate.add_argument("--recall-by-length", dest="recall_by_length",
                           help="write the arc-recall-by-length CSV here")
     evaluate.add_argument("--max-bucket", dest="max_bucket", type=int, default=10)
-    evaluate.add_argument("--threads", type=int, default=1)
     evaluate.set_defaults(func=cmd_eval)
 
     oracle = commands.add_parser("oracle", help="dump gold action sequences")

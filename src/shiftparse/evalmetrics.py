@@ -11,7 +11,6 @@ by default. It deliberately skips evalb's parameter-file machinery
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -52,20 +51,9 @@ def _check_aligned(gold: Sequence, pred: Sequence):
                          % (len(gold), len(pred)))
 
 
-def _map_pairs(fn, gold, pred, threads: int):
-    """Apply fn over aligned sentence pairs, optionally on a thread pool;
-    results come back in corpus order either way, so reductions stay
-    deterministic."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, gold, pred))
-    return [fn(g, p) for g, p in zip(gold, pred)]
-
-
 def score_dep(gold: Sequence[DepTree], pred: Sequence[DepTree],
               exclude_punct: bool = True,
-              punct_tags: Optional[frozenset] = None,
-              threads: int = 1) -> DepScore:
+              punct_tags: Optional[frozenset] = None) -> DepScore:
     """Unlabeled/labeled attachment scores over aligned corpora."""
     _check_aligned(gold, pred)
     punct = DEFAULT_PUNCT_TAGS if punct_tags is None else frozenset(punct_tags)
@@ -85,7 +73,7 @@ def score_dep(gold: Sequence[DepTree], pred: Sequence[DepTree],
                     labeled += 1
         return correct, labeled, scored
 
-    totals = _map_pairs(count, gold, pred, threads)
+    totals = [count(g, p) for g, p in zip(gold, pred)]
     correct = sum(t[0] for t in totals)
     correct_labeled = sum(t[1] for t in totals)
     scored = sum(t[2] for t in totals)
@@ -120,7 +108,7 @@ def tree_brackets(tree: ConstTree, ignore_root: bool = True) -> Counter:
 
 
 def score_brackets(gold: Sequence[ConstTree], pred: Sequence[ConstTree],
-                   ignore_root: bool = True, threads: int = 1) -> BracketScore:
+                   ignore_root: bool = True) -> BracketScore:
     """Labeled bracket precision/recall/F1, duplicates with multiplicity."""
     _check_aligned(gold, pred)
 
@@ -132,7 +120,7 @@ def score_brackets(gold: Sequence[ConstTree], pred: Sequence[ConstTree],
         return (sum(gb.values()), sum(pb.values()),
                 sum(min(n, gb[key]) for key, n in pb.items()))
 
-    totals = _map_pairs(count, gold, pred, threads)
+    totals = [count(g, p) for g, p in zip(gold, pred)]
     gold_total = sum(t[0] for t in totals)
     pred_total = sum(t[1] for t in totals)
     matched = sum(t[2] for t in totals)

@@ -10,6 +10,12 @@ with summed negative log softmax losses, minibatched ADADELTA updates, and
 dropout on every LSTM output connection. Decoding is greedy argmax over
 legality-masked scores; ties break toward the lowest action index.
 
+The two parsers differ only in their feature slots (label slots exist for
+constituency only) and their action inventory, which each describes as an
+ActionSpace table: structural kinds, which of them carry a label, and the
+label names. Flat-head columns and the legality mask derive from it, and
+training, the decision rule and greedy decoding are written once against it.
+
 Absent feature slots use learned vectors, one per slot family (stack
 positions vs. queue position); absent label slots use the reserved NONE
 row of the nonterminal embedding table.
@@ -22,6 +28,7 @@ tensor blocks, optimizer state included, so save/load round-trips bitwise.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Sequence
@@ -36,14 +43,50 @@ from .const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE, C_SHIFT,
 from .dep_system import (LEFT, RIGHT, SHIFT, DepAction, dep_apply,
                          dep_initial, dep_legal, dep_oracle)
 from .evalmetrics import score_brackets, score_dep
-from .features import (CONST_POSITION_FAMILIES, DEP_POSITION_FAMILIES,
-                       extract_const, extract_dep)
+from .features import (CONST_LABEL_SLOTS, CONST_POSITION_FAMILIES,
+                       DEP_POSITION_FAMILIES, extract_const, extract_dep)
 from .trees import ROOT, ConstTree, DepTree, Sentence
 from .vocab import UNK, Vocab
 
 
 class ModelIOError(ValueError):
     """A model file that cannot be loaded; the message names the field."""
+
+
+class DecodeStepLimit(RuntimeError):
+    """Greedy decoding ran past the longest derivation the transition
+    system allows, which legality masking should make impossible."""
+
+
+class ActionSpace:
+    """A transition system's action inventory as classifier columns.
+
+    kinds are the structural kinds in structure-head order, labeled says
+    which of them carry a label, labels are the label names in label-head
+    order, and make(kind, label) builds an action. The flat head's columns
+    are the unlabeled kinds in order, then each labeled kind expanded over
+    the labels.
+    """
+
+    def __init__(self, kinds: Sequence[str], labeled: Sequence[bool],
+                 labels: Sequence[str], make: Callable):
+        self.kinds = tuple(kinds)
+        self.labeled = tuple(labeled)
+        self.labels = tuple(labels)
+        self.make = make
+        self.kind_id = {kind: i for i, kind in enumerate(self.kinds)}
+        self.label_id = {label: i for i, label in enumerate(self.labels)}
+        columns = [(k, None) for k, lab in zip(self.kinds, self.labeled) if not lab]
+        columns += [(k, l) for k, lab in zip(self.kinds, self.labeled) if lab
+                    for l in self.labels]
+        self.columns = columns
+        self.column_id = {column: i for i, column in enumerate(columns)}
+        # structural kind of each flat column, to expand a legality mask
+        self.column_kind = np.array([self.kind_id[k] for k, _ in columns], dtype=np.intp)
+
+    def mask(self, legal) -> np.ndarray:
+        """Legality over the structural kinds, from a set of legal kinds."""
+        return np.array([kind in legal for kind in self.kinds])
 
 
 def _validate_config(config, positive: Sequence[str]):
@@ -57,6 +100,15 @@ def _validate_config(config, positive: Sequence[str]):
         raise ValueError("dropout must lie in [0, 1)")
     if not (config.word_dropout >= 0.0):
         raise ValueError("word_dropout must be non-negative")
+    if not (0.0 < config.rho < 1.0):
+        raise ValueError("rho must lie in (0, 1)")
+    if not (config.eps > 0.0):
+        raise ValueError("eps must be positive")
+    for name in ("l2", "grad_clip"):
+        if not (getattr(config, name) >= 0.0):
+            raise ValueError("%s must be non-negative" % name)
+    if config.precision not in ("float64", "float32"):
+        raise ValueError("precision must be float64 or float32, not %r" % (config.precision,))
 
 
 @dataclass
@@ -113,10 +165,15 @@ class ConstConfig:
 
 
 class _EncoderModel:
-    """Embeddings + Bi-LSTM stack shared by both parsers."""
+    """Embeddings, Bi-LSTM stack, classifier, training and greedy decoding
+    shared by both parsers. A subclass builds its ActionSpace and heads in
+    _build_heads and supplies the transition system through _oracle,
+    _initial, _legal, _apply and _features (a state's position slots and
+    label-slot ids), plus parse and _dev_metric."""
 
     task = ""
     position_families: tuple[str, ...] = ()
+    space: ActionSpace
 
     def __init__(self, config, vocab: Vocab):
         self.config = config
@@ -151,8 +208,16 @@ class _EncoderModel:
             self.store.add("none." + family,
                            nn.embedding_init(rng, 1, self.enc_dims, dtype=dt)[0])
 
-    def _build_heads(self):
-        raise NotImplementedError
+    def _add_heads(self, label_width: int):
+        """The classifier over self.space; its input is the position slots
+        followed by label_width values of label embeddings."""
+        in_dim = len(self.position_families) * self.enc_dims + label_width
+        hidden = self.config.hidden
+        if self.config.hierarchical:
+            self._add_mlp("head.struct", in_dim, hidden, len(self.space.kinds))
+            self._add_mlp("head.label", in_dim, hidden, len(self.space.labels))
+        else:
+            self._add_mlp("head.flat", in_dim, hidden, len(self.space.columns))
 
     def _add_mlp(self, prefix: str, in_dim: int, hidden: int, out_dim: int):
         rng, dt = self.rng, self.store.dtype
@@ -250,28 +315,32 @@ class _EncoderModel:
         if cfg.use_tags:
             np.add.at(st["emb.tag"].grad, cache["tag_ids"], dx1[:, cfg.word_dims:])
 
-    # -- position feature slots ----------------------------------------------
+    # -- feature slots -----------------------------------------------------------
 
-    def _position_matrix(self, enc, position_rows: Sequence[tuple]):
-        families = self.position_families
-        m, d = len(position_rows), self.enc_dims
-        x = np.empty((m, len(families) * d), dtype=self.store.dtype)
-        positions = np.full((m, len(families)), -1, dtype=np.int64)
-        for k, family in enumerate(families):
-            none_vec = self.store["none." + family].value
-            for r, slots in enumerate(position_rows):
-                pos = slots[k]
-                if pos is None:
-                    x[r, k * d:(k + 1) * d] = none_vec
-                else:
-                    x[r, k * d:(k + 1) * d] = enc[pos]
-                    positions[r, k] = pos
-        return x, positions
+    def _assemble(self, enc, rows):
+        """Classifier inputs for feature rows [(positions, label ids)]: each
+        position slot's encoder row, or its family's absent vector, then each
+        label slot's nonterminal embedding. Returns the inputs and the slot
+        indices _assemble_backward needs."""
+        positions = np.array([[-1 if p is None else p for p in pos] for pos, _ in rows],
+                             dtype=np.int64)
+        label_ids = np.array([labels for _, labels in rows], dtype=np.int64)
+        parts = []
+        for k, family in enumerate(self.position_families):
+            slot = enc[positions[:, k]]      # rows of absent slots are overwritten
+            slot[positions[:, k] < 0] = self.store["none." + family].value
+            parts.append(slot)
+        if label_ids.shape[1]:
+            emb = self.store["emb.nonterminal"].value
+            parts.append(emb[label_ids].reshape(len(rows), -1))
+        return np.concatenate(parts, axis=1), (positions, label_ids)
 
-    def _position_backward(self, dx, positions, d_enc):
-        families = self.position_families
+    def _assemble_backward(self, dx, slots, d_enc):
+        """Scatter classifier-input gradients to the encoder rows (into
+        d_enc), the absent vectors and the label embeddings."""
+        positions, label_ids = slots
         d = self.enc_dims
-        for k, family in enumerate(families):
+        for k, family in enumerate(self.position_families):
             dslot = dx[:, k * d:(k + 1) * d]
             here = positions[:, k]
             absent = here < 0
@@ -280,17 +349,49 @@ class _EncoderModel:
             present = ~absent
             if present.any():
                 np.add.at(d_enc, here[present], dslot[present])
+        if label_ids.shape[1]:
+            emb = self.store["emb.nonterminal"]
+            d_label = dx[:, positions.shape[1] * d:].reshape(-1, emb.value.shape[1])
+            np.add.at(emb.grad, label_ids.reshape(-1), d_label)
 
     # -- training --------------------------------------------------------------
 
-    def _oracle(self, tree):
-        raise NotImplementedError
-
     def _forward_backward(self, tree, actions, train: bool, rng) -> float:
-        raise NotImplementedError
+        """Teacher-forced loss of one sentence's gold actions; accumulates
+        the gradient of every parameter it touches."""
+        sentence = tree.sentence
+        word_ids, tag_ids = self._input_ids(sentence, train, rng)
+        enc, cache = self._encode(word_ids, tag_ids, train, rng)
+        feature_rows = []
+        state = self._initial(len(sentence))
+        for action in actions:
+            feature_rows.append(self._features(state))
+            state = self._apply(state, action)
+        x, slots = self._assemble(enc, feature_rows)
 
-    def _dev_metric(self, dev) -> tuple[float, str]:
-        raise NotImplementedError
+        # (head, rows it scores, gold outputs); the label head sees only the
+        # rows of labeled kinds
+        space = self.space
+        if self.config.hierarchical:
+            kinds = [space.kind_id[a.kind] for a in actions]
+            labeled = [r for r, k in enumerate(kinds) if space.labeled[k]]
+            heads = [("head.struct", slice(None), kinds),
+                     ("head.label", labeled, [space.label_id[actions[r].label] for r in labeled])]
+        else:
+            heads = [("head.flat", slice(None),
+                      [space.column_id[(a.kind, a.label)] for a in actions])]
+        loss, dx = 0.0, np.zeros_like(x)
+        for prefix, rows, gold in heads:
+            if gold:
+                scores, mcache = self._mlp_forward(prefix, x[rows])
+                head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
+                loss += head_loss
+                dx[rows] += self._mlp_backward(prefix, mcache, dscores)
+
+        d_enc = np.zeros_like(enc)
+        self._assemble_backward(dx, slots, d_enc)
+        self._encode_backward(cache, d_enc)
+        return loss
 
     def _clip_grads(self):
         limit = self.config.grad_clip
@@ -309,12 +410,6 @@ class _EncoderModel:
             out[p.name + "#eg2"] = p.eg2.copy()
             out[p.name + "#ed2"] = p.ed2.copy()
         return out
-
-    def restore(self, snap: dict[str, np.ndarray]):
-        for p in self.store:
-            p.value[...] = snap[p.name]
-            p.eg2[...] = snap[p.name + "#eg2"]
-            p.ed2[...] = snap[p.name + "#ed2"]
 
     def fit(self, train_trees: Sequence, dev_trees: Optional[Sequence] = None,
             log: Optional[Callable[[str], None]] = None) -> list[str]:
@@ -370,6 +465,44 @@ class _EncoderModel:
             self.best_params = self.snapshot()
         return lines
 
+    # -- decoding --------------------------------------------------------------
+
+    def _decide(self, x, mask):
+        """The best action for one classifier input among those legal under
+        mask, a boolean array over the structural kinds."""
+        space = self.space
+        if self.config.hierarchical:
+            scores, _ = self._mlp_forward("head.struct", x)
+            kind = int(np.argmax(np.where(mask, scores, -np.inf)))
+            if not space.labeled[kind]:
+                return space.make(space.kinds[kind])
+            lscores, _ = self._mlp_forward("head.label", x)
+            return space.make(space.kinds[kind], space.labels[int(np.argmax(lscores))])
+        scores, _ = self._mlp_forward("head.flat", x)
+        column = int(np.argmax(np.where(mask[space.column_kind], scores, -np.inf)))
+        return space.make(*space.columns[column])
+
+    def _decode(self, sentence: Sentence):
+        """Greedy decode of one sentence to its terminal state.
+
+        A derivation makes n shifts and at most n-1 reductions, and an item
+        takes at most promote_cap promotes after it is made (dependency
+        derivations have none), which bounds the steps of any legal run.
+        """
+        n = len(sentence)
+        word_ids, tag_ids = self._input_ids(sentence, False, None)
+        enc, _ = self._encode(word_ids, tag_ids, False, None)
+        bound = (2 * n - 1) * (1 + getattr(self.config, "promote_cap", 0))
+        state = self._initial(n)
+        while not state.is_terminal:
+            if state.step >= bound:
+                raise DecodeStepLimit("decoder exceeded its step bound: sentence length %d, "
+                                      "step %d" % (n, state.step))
+            x, _ = self._assemble(enc, [self._features(state)])
+            action = self._decide(x[0], self.space.mask(self._legal(state)))
+            state = self._apply(state, action)
+        return state
+
 
 class DepModel(_EncoderModel):
     """Greedy arc-standard dependency parser."""
@@ -377,108 +510,30 @@ class DepModel(_EncoderModel):
     task = "dep"
     position_families = DEP_POSITION_FAMILIES
 
-    def __init__(self, config: DepConfig, vocab: Vocab):
-        super().__init__(config, vocab)
-
     def _build_heads(self):
-        in_dim = len(self.position_families) * self.enc_dims
-        n_labels = self.vocab.num_deprels
-        if self.config.hierarchical:
-            self._add_mlp("head.struct", in_dim, self.config.hidden, 3)
-            self._add_mlp("head.label", in_dim, self.config.hidden, n_labels)
-        else:
-            self._add_mlp("head.flat", in_dim, self.config.hidden, 1 + 2 * n_labels)
+        vocab = self.vocab
+        self.space = ActionSpace((SHIFT, LEFT, RIGHT), (False, True, True),
+                                 vocab.deprel_names[:vocab.num_deprels], DepAction)
+        self._add_heads(0)
 
     def _oracle(self, tree: DepTree) -> list[DepAction]:
         return dep_oracle(tree)
 
-    # structural class indices: shift 0, reduce-left 1, reduce-right 2
-    _STRUCT = {SHIFT: 0, LEFT: 1, RIGHT: 2}
+    def _initial(self, n: int):
+        return dep_initial(n)
 
-    def _flat_index(self, action: DepAction) -> int:
-        if action.kind == SHIFT:
-            return 0
-        base = 1 if action.kind == LEFT else 1 + self.vocab.num_deprels
-        return base + self.vocab.deprel_id(action.label)
+    def _legal(self, state) -> set[str]:
+        return dep_legal(state)
 
-    def _gold_rows(self, actions: Sequence[DepAction], n: int):
-        positions = []
-        state = dep_initial(n)
-        for action in actions:
-            positions.append(extract_dep(state).positions)
-            state = dep_apply(state, action)
-        return positions
+    def _apply(self, state, action):
+        return dep_apply(state, action)
 
-    def _forward_backward(self, tree: DepTree, actions, train: bool, rng) -> float:
-        sentence = tree.sentence
-        word_ids, tag_ids = self._input_ids(sentence, train, rng)
-        enc, cache = self._encode(word_ids, tag_ids, train, rng)
-        position_rows = self._gold_rows(actions, len(sentence))
-        x, positions = self._position_matrix(enc, position_rows)
-
-        if self.config.hierarchical:
-            scores, mcache = self._mlp_forward("head.struct", x)
-            gold = np.array([self._STRUCT[a.kind] for a in actions])
-            loss, dscores = nn.nll_softmax_loss(scores, gold)
-            dx = self._mlp_backward("head.struct", mcache, dscores)
-            label_rows = [r for r, a in enumerate(actions) if a.kind != SHIFT]
-            if label_rows:
-                xl = x[label_rows]
-                lscores, lcache = self._mlp_forward("head.label", xl)
-                lgold = np.array([self.vocab.deprel_id(actions[r].label) for r in label_rows])
-                lloss, dl = nn.nll_softmax_loss(lscores, lgold)
-                loss += lloss
-                dx[label_rows] += self._mlp_backward("head.label", lcache, dl)
-        else:
-            scores, mcache = self._mlp_forward("head.flat", x)
-            gold = np.array([self._flat_index(a) for a in actions])
-            loss, dscores = nn.nll_softmax_loss(scores, gold)
-            dx = self._mlp_backward("head.flat", mcache, dscores)
-
-        d_enc = np.zeros_like(enc)
-        self._position_backward(dx, positions, d_enc)
-        self._encode_backward(cache, d_enc)
-        return loss
-
-    def _decide(self, x, legal: set[str]) -> DepAction:
-        n_labels = self.vocab.num_deprels
-        names = self.vocab.deprel_names
-        if self.config.hierarchical:
-            scores, _ = self._mlp_forward("head.struct", x)
-            masked = np.full(3, -np.inf)
-            for kind in legal:
-                masked[self._STRUCT[kind]] = scores[self._STRUCT[kind]]
-            choice = int(np.argmax(masked))
-            if choice == 0:
-                return DepAction(SHIFT)
-            lscores, _ = self._mlp_forward("head.label", x)
-            label = names[int(np.argmax(lscores[:n_labels]))]
-            return DepAction(LEFT if choice == 1 else RIGHT, label)
-        scores, _ = self._mlp_forward("head.flat", x)
-        masked = np.full(scores.shape, -np.inf)
-        if SHIFT in legal:
-            masked[0] = scores[0]
-        if LEFT in legal:
-            masked[1:1 + n_labels] = scores[1:1 + n_labels]
-        if RIGHT in legal:
-            masked[1 + n_labels:] = scores[1 + n_labels:]
-        choice = int(np.argmax(masked))
-        if choice == 0:
-            return DepAction(SHIFT)
-        choice -= 1
-        kind = LEFT if choice < n_labels else RIGHT
-        return DepAction(kind, names[choice % n_labels])
+    def _features(self, state):
+        return extract_dep(state).positions, ()
 
     def parse(self, sentence: Sentence) -> DepTree:
         """Greedy decode; legality masking makes it exactly 2n-1 steps."""
-        n = len(sentence)
-        word_ids, tag_ids = self._input_ids(sentence, False, None)
-        enc, _ = self._encode(word_ids, tag_ids, False, None)
-        state = dep_initial(n)
-        while not state.is_terminal:
-            x, _ = self._position_matrix(enc, [extract_dep(state).positions])
-            action = self._decide(x[0], dep_legal(state))
-            state = dep_apply(state, action)
+        state = self._decode(sentence)
         arcs = set(state.arcs)
         arcs.add((ROOT, state.stack[0], self.config.root_label))
         return DepTree(sentence, frozenset(arcs))
@@ -495,138 +550,37 @@ class ConstModel(_EncoderModel):
     task = "const"
     position_families = CONST_POSITION_FAMILIES
 
-    def __init__(self, config: ConstConfig, vocab: Vocab):
-        super().__init__(config, vocab)
-
     def _build_heads(self):
-        cfg = self.config
-        # 8 label-identity slots share the nonterminal table (NONE included)
+        cfg, vocab = self.config, self.vocab
+        self.space = ActionSpace((C_SHIFT, C_PROMOTE, C_ADJ_LEFT, C_ADJ_RIGHT),
+                                 (False, True, False, False),
+                                 vocab.nonterminal_names[:vocab.num_nonterminals], ConstAction)
+        # the label slots share the nonterminal table (NONE included)
         self.store.add("emb.nonterminal",
-                       nn.embedding_init(self.rng, len(self.vocab.nonterminals),
+                       nn.embedding_init(self.rng, len(vocab.nonterminals),
                                          cfg.nonterminal_dims, dtype=self.store.dtype))
-        in_dim = len(self.position_families) * self.enc_dims + 8 * cfg.nonterminal_dims
-        n_nt = self.vocab.num_nonterminals
-        if cfg.hierarchical:
-            self._add_mlp("head.struct", in_dim, cfg.hidden, 4)
-            self._add_mlp("head.label", in_dim, cfg.hidden, n_nt)
-        else:
-            self._add_mlp("head.flat", in_dim, cfg.hidden, 3 + n_nt)
+        self._add_heads(len(CONST_LABEL_SLOTS) * cfg.nonterminal_dims)
 
     def _oracle(self, tree: ConstTree) -> list[ConstAction]:
         return const_oracle(tree)
 
-    # structural class indices: shift 0, promote 1, adj-left 2, adj-right 3
-    _STRUCT = {C_SHIFT: 0, C_PROMOTE: 1, C_ADJ_LEFT: 2, C_ADJ_RIGHT: 3}
-    # flat composite indices: shift 0, adj-left 1, adj-right 2, promote(X) 3+X
-    _FLAT_FIXED = {C_SHIFT: 0, C_ADJ_LEFT: 1, C_ADJ_RIGHT: 2}
+    def _initial(self, n: int):
+        return const_initial(n)
 
-    def _flat_index(self, action: ConstAction) -> int:
-        if action.kind == C_PROMOTE:
-            return 3 + self.vocab.nonterminal_id(action.label)
-        return self._FLAT_FIXED[action.kind]
+    def _legal(self, state) -> set[str]:
+        return const_legal(state, self.config.promote_cap)
 
-    def _gold_rows(self, actions: Sequence[ConstAction], n: int):
-        position_rows = []
-        label_rows = []
-        state = const_initial(n)
-        for action in actions:
-            feats = extract_const(state)
-            position_rows.append(feats.positions)
-            label_rows.append([self.vocab.nonterminal_id(l) for l in feats.labels])
-            state = const_apply(state, action)
-        return position_rows, label_rows
+    def _apply(self, state, action):
+        return const_apply(state, action)
 
-    def _assemble(self, enc, position_rows, label_rows):
-        x_pos, positions = self._position_matrix(enc, position_rows)
-        label_ids = np.asarray(label_rows, dtype=np.int64)
-        emb = self.store["emb.nonterminal"].value
-        m = len(position_rows)
-        x_label = emb[label_ids.reshape(-1)].reshape(m, -1)
-        return np.concatenate([x_pos, x_label], axis=1), positions, label_ids
-
-    def _disassemble(self, dx, positions, label_ids, d_enc):
-        pos_width = len(self.position_families) * self.enc_dims
-        self._position_backward(dx[:, :pos_width], positions, d_enc)
-        d_label = dx[:, pos_width:].reshape(-1, self.config.nonterminal_dims)
-        np.add.at(self.store["emb.nonterminal"].grad, label_ids.reshape(-1), d_label)
-
-    def _forward_backward(self, tree: ConstTree, actions, train: bool, rng) -> float:
-        sentence = tree.sentence
-        word_ids, tag_ids = self._input_ids(sentence, train, rng)
-        enc, cache = self._encode(word_ids, tag_ids, train, rng)
-        position_rows, label_rows = self._gold_rows(actions, len(sentence))
-        x, positions, label_ids = self._assemble(enc, position_rows, label_rows)
-
-        if self.config.hierarchical:
-            scores, mcache = self._mlp_forward("head.struct", x)
-            gold = np.array([self._STRUCT[a.kind] for a in actions])
-            loss, dscores = nn.nll_softmax_loss(scores, gold)
-            dx = self._mlp_backward("head.struct", mcache, dscores)
-            rows = [r for r, a in enumerate(actions) if a.kind == C_PROMOTE]
-            if rows:
-                xl = x[rows]
-                lscores, lcache = self._mlp_forward("head.label", xl)
-                lgold = np.array([self.vocab.nonterminal_id(actions[r].label) for r in rows])
-                lloss, dl = nn.nll_softmax_loss(lscores, lgold)
-                loss += lloss
-                dx[rows] += self._mlp_backward("head.label", lcache, dl)
-        else:
-            scores, mcache = self._mlp_forward("head.flat", x)
-            gold = np.array([self._flat_index(a) for a in actions])
-            loss, dscores = nn.nll_softmax_loss(scores, gold)
-            dx = self._mlp_backward("head.flat", mcache, dscores)
-
-        d_enc = np.zeros_like(enc)
-        self._disassemble(dx, positions, label_ids, d_enc)
-        self._encode_backward(cache, d_enc)
-        return loss
-
-    def _decide(self, x, legal: set[str]) -> ConstAction:
-        n_nt = self.vocab.num_nonterminals
-        names = self.vocab.nonterminal_names
-        if self.config.hierarchical:
-            scores, _ = self._mlp_forward("head.struct", x)
-            masked = np.full(4, -np.inf)
-            for kind in legal:
-                masked[self._STRUCT[kind]] = scores[self._STRUCT[kind]]
-            choice = int(np.argmax(masked))
-            for kind, index in self._STRUCT.items():
-                if index == choice and kind != C_PROMOTE:
-                    return ConstAction(kind)
-            lscores, _ = self._mlp_forward("head.label", x)
-            return ConstAction(C_PROMOTE, names[int(np.argmax(lscores[:n_nt]))])
-        scores, _ = self._mlp_forward("head.flat", x)
-        masked = np.full(scores.shape, -np.inf)
-        for kind, index in self._FLAT_FIXED.items():
-            if kind in legal:
-                masked[index] = scores[index]
-        if C_PROMOTE in legal:
-            masked[3:] = scores[3:]
-        choice = int(np.argmax(masked))
-        if choice < 3:
-            for kind, index in self._FLAT_FIXED.items():
-                if index == choice:
-                    return ConstAction(kind)
-        return ConstAction(C_PROMOTE, names[choice - 3])
+    def _features(self, state):
+        feats = extract_const(state)
+        return feats.positions, [self.vocab.nonterminal_id(l) for l in feats.labels]
 
     def parse(self, sentence: Sentence) -> ConstTree:
         """Greedy decode; the promote cap plus legality masking bounds the
         number of steps, and a lone un-promoted leaf forces a Promote."""
-        cfg = self.config
-        n = len(sentence)
-        word_ids, tag_ids = self._input_ids(sentence, False, None)
-        enc, _ = self._encode(word_ids, tag_ids, False, None)
-        state = const_initial(n)
-        max_steps = n + (n - 1) + cfg.promote_cap * 2 * n + 8
-        while not state.is_terminal:
-            if state.step > max_steps:
-                raise AssertionError("decoder exceeded its step bound")
-            feats = extract_const(state)
-            label_row = [self.vocab.nonterminal_id(l) for l in feats.labels]
-            x, _, _ = self._assemble(enc, [feats.positions], [label_row])
-            action = self._decide(x[0], const_legal(state, cfg.promote_cap))
-            state = const_apply(state, action)
-        return ConstTree(sentence, state.stack[0].node)
+        return ConstTree(sentence, self._decode(sentence).stack[0].node)
 
     def _dev_metric(self, dev: Sequence[ConstTree]) -> tuple[float, str]:
         pred = [self.parse(t.sentence) for t in dev]
@@ -764,7 +718,14 @@ def load_model(path):
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ModelIOError("bad magic: not a shiftparse model file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        length_field = fh.read(8)
+        if len(length_field) != 8:
+            raise ModelIOError("file ends inside the header length field")
+        (header_len,) = struct.unpack("<Q", length_field)
+        file_size = os.fstat(fh.fileno()).st_size
+        if header_len > file_size - 12:
+            raise ModelIOError("header length %d exceeds the file size %d"
+                               % (header_len, file_size))
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

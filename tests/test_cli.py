@@ -250,6 +250,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["parse", "--task", "bogus"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--task", "dep", "--gold", "g", "--pred", "p", "--threads", "2"])
+    assert exc.value.code == 1
+
+
+def test_config_file_with_unknown_precision_is_data_error(tmp_path, dep_corpus, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("precision=foo\n", encoding="utf-8")
+    code = main(["train", "--task", "dep", "--train", str(dep_corpus),
+                 "--model", str(tmp_path / "m"), "--config", str(config)] + FAST_FLAGS)
+    assert code == 2
+    assert "precision" in capsys.readouterr().err
+
+
+def test_parse_model_with_oversized_header_length_is_data_error(tmp_path, dep_corpus, capsys):
+    import struct
+    model = tmp_path / "huge.model"
+    model.write_bytes(b"SHPM" + struct.pack("<Q", 2 ** 62))
+    code = main(["parse", "--task", "dep", "--model", str(model),
+                 "--input", str(dep_corpus)])
+    assert code == 2
+    assert "header length" in capsys.readouterr().err
 
 
 def test_const_train_and_parse_from_text(tmp_path, const_corpus):

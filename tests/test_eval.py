@@ -160,19 +160,6 @@ def test_recall_csv_format():
     assert lines[1].startswith("root,1,1,1.0000")
 
 
-def test_threaded_scoring_matches_serial():
-    rng = np.random.default_rng(61)
-    gold = [synth.random_projective_tree(rng, int(rng.integers(2, 15)))
-            for _ in range(20)]
-    pred = [synth.random_projective_tree(np.random.default_rng(i), len(t))
-            for i, t in enumerate(gold)]
-    pred = [DepTree.from_heads(g.sentence, p.heads, p.labels)
-            for g, p in zip(gold, pred)]
-    serial = score_dep(gold, pred, exclude_punct=False)
-    threaded = score_dep(gold, pred, exclude_punct=False, threads=4)
-    assert serial == threaded
-
-
 def test_score_invariants_under_permutation():
     rng = np.random.default_rng(59)
     gold = [synth.random_projective_tree(rng, int(rng.integers(2, 10)))

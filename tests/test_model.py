@@ -4,11 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from shiftparse.const_system import C_PROMOTE, C_SHIFT, ConstAction, const_initial
-from shiftparse.dep_system import LEFT, SHIFT, DepAction, dep_initial, dep_legal
+from shiftparse.const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE, C_SHIFT,
+                                     ConstAction, const_initial)
+from shiftparse.dep_system import LEFT, RIGHT, SHIFT, DepAction, dep_initial, dep_legal
 from shiftparse.headrules import HeadRules
-from shiftparse.model import (ConstConfig, ConstModel, DepConfig, DepModel,
-                              ModelIOError, load_model, model_grad_check,
+from shiftparse.model import (ConstConfig, ConstModel, DecodeStepLimit, DepConfig,
+                              DepModel, ModelIOError, load_model, model_grad_check,
                               save_best, save_model)
 from shiftparse.trees import Sentence
 from shiftparse.vocab import build_vocab
@@ -66,6 +67,11 @@ def test_default_configs_are_the_documented_training_settings():
     (DepConfig, "epochs", 0), (ConstConfig, "epochs", -1),
     (DepConfig, "minibatch", 0), (ConstConfig, "minibatch", -10),
     (ConstConfig, "promote_cap", 0), (ConstConfig, "promote_cap", -3),
+    (DepConfig, "rho", 0.0), (ConstConfig, "rho", 1.0), (DepConfig, "rho", float("nan")),
+    (DepConfig, "eps", 0.0), (ConstConfig, "eps", -1e-7),
+    (DepConfig, "l2", -1e-8), (ConstConfig, "l2", float("nan")),
+    (DepConfig, "grad_clip", -1.0), (ConstConfig, "grad_clip", -5.0),
+    (DepConfig, "precision", "foo"), (ConstConfig, "precision", "float16"),
 ])
 def test_config_rejects_out_of_range_training_fields(cls, field, value):
     with pytest.raises(ValueError, match=field):
@@ -88,9 +94,8 @@ def test_masking_forces_shift_when_only_legal():
     _force_scores(model, "head.label", np.zeros(model.vocab.num_deprels))
     state = dep_initial(3)
     enc = np.zeros((3, model.enc_dims))
-    from shiftparse.features import extract_dep
-    x, _ = model._position_matrix(enc, [extract_dep(state).positions])
-    action = model._decide(x[0], dep_legal(state))
+    x, _ = model._assemble(enc, [model._features(state)])
+    action = model._decide(x[0], model.space.mask(dep_legal(state)))
     assert action == DepAction(SHIFT)
 
 
@@ -116,13 +121,10 @@ def test_hierarchical_and_flat_agree_on_consistent_score_table():
         for a in [DepAction(SHIFT), DepAction(SHIFT)]:
             from shiftparse.dep_system import dep_apply
             state_mid = dep_apply(state_mid, a)
-        from shiftparse.features import extract_dep
-        x_h, _ = hier._position_matrix(np.zeros((4, hier.enc_dims)),
-                                       [extract_dep(state_mid).positions])
-        x_f, _ = flat._position_matrix(np.zeros((4, flat.enc_dims)),
-                                       [extract_dep(state_mid).positions])
-        a_h = hier._decide(x_h[0], dep_legal(state_mid))
-        a_f = flat._decide(x_f[0], dep_legal(state_mid))
+        x_h, _ = hier._assemble(np.zeros((4, hier.enc_dims)), [hier._features(state_mid)])
+        x_f, _ = flat._assemble(np.zeros((4, flat.enc_dims)), [flat._features(state_mid)])
+        a_h = hier._decide(x_h[0], hier.space.mask(dep_legal(state_mid)))
+        a_f = flat._decide(x_f[0], flat.space.mask(dep_legal(state_mid)))
         # argmax-consistency requires the same structural choice; when it is
         # a reduce, both pick the same argmax label
         assert a_h == a_f
@@ -134,17 +136,16 @@ def test_hierarchical_choice_invariant_to_label_score_shift():
     struct = np.array([0.3, 1.0, 0.2])
     labels = np.linspace(-1, 1, n_labels)
     from shiftparse.dep_system import dep_apply
-    from shiftparse.features import extract_dep
     state = dep_initial(3)
     for a in (DepAction(SHIFT), DepAction(SHIFT)):
         state = dep_apply(state, a)
-    x, _ = model._position_matrix(np.zeros((3, model.enc_dims)),
-                                  [extract_dep(state).positions])
+    x, _ = model._assemble(np.zeros((3, model.enc_dims)), [model._features(state)])
+    mask = model.space.mask(dep_legal(state))
     _force_scores(model, "head.struct", struct)
     _force_scores(model, "head.label", labels)
-    first = model._decide(x[0], dep_legal(state))
+    first = model._decide(x[0], mask)
     _force_scores(model, "head.label", labels + 100.0)
-    second = model._decide(x[0], dep_legal(state))
+    second = model._decide(x[0], mask)
     assert first.kind == second.kind == LEFT
 
 
@@ -156,15 +157,12 @@ def test_promote_masked_beyond_cap():
     scores[3] = 50.0    # promoting the first nonterminal looks irresistible
     _force_scores(model, "head.flat", scores)
     from shiftparse.const_system import const_apply, const_legal
-    from shiftparse.features import extract_const
     state = const_initial(1)
     state = const_apply(state, ConstAction(C_SHIFT))
     for _ in range(model.config.promote_cap):
-        feats = extract_const(state)
-        label_row = [model.vocab.nonterminal_id(l) for l in feats.labels]
-        x, _, _ = model._assemble(np.zeros((1, model.enc_dims)),
-                                  [feats.positions], [label_row])
-        action = model._decide(x[0], const_legal(state, model.config.promote_cap))
+        x, _ = model._assemble(np.zeros((1, model.enc_dims)), [model._features(state)])
+        legal = const_legal(state, model.config.promote_cap)
+        action = model._decide(x[0], model.space.mask(legal))
         assert action.kind == C_PROMOTE
         state = const_apply(state, action)
     assert state.is_terminal      # j = n, single internal item: decoding stops
@@ -302,6 +300,20 @@ def test_load_rejects_bad_magic(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_file_cut_inside_header_length(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"SHPM\x00\x00")
+    with pytest.raises(ModelIOError, match="header length field"):
+        load_model(path)
+
+
+def test_load_rejects_header_length_beyond_file(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"SHPM" + struct.pack("<Q", 2 ** 62) + b"{}")
+    with pytest.raises(ModelIOError, match="exceeds the file size"):
+        load_model(path)
+
+
 def _rewrite_header(blob: bytes, edit) -> bytes:
     """A model file whose JSON header went through edit(header)."""
     (header_len,) = struct.unpack("<Q", blob[4:12])
@@ -361,7 +373,6 @@ def test_dep_decoding_takes_exactly_2n_minus_1_steps():
     model, _trees = small_dep_setup()
     rng = np.random.default_rng(71)
     from shiftparse.dep_system import dep_apply
-    from shiftparse.features import extract_dep
     for _ in range(20):
         n = int(rng.integers(1, 12))
         sentence = synth.random_projective_tree(rng, max(2, n)).sentence
@@ -370,8 +381,8 @@ def test_dep_decoding_takes_exactly_2n_minus_1_steps():
         state = dep_initial(len(sentence))
         steps = 0
         while not state.is_terminal:
-            x, _ = model._position_matrix(enc, [extract_dep(state).positions])
-            state = dep_apply(state, model._decide(x[0], dep_legal(state)))
+            x, _ = model._assemble(enc, [model._features(state)])
+            state = dep_apply(state, model._decide(x[0], model.space.mask(dep_legal(state))))
             steps += 1
         assert steps == 2 * len(sentence) - 1
 
@@ -387,6 +398,39 @@ def test_const_decoding_terminates_under_promote_greedy_scores():
     sentence = synth.random_const_tree(np.random.default_rng(73), 6).sentence
     parsed = model.parse(sentence)
     assert len(parsed) == len(sentence)
+
+
+def test_decode_step_bound_raises_typed_error(monkeypatch):
+    # a transition that only counts steps never reaches a terminal state
+    from dataclasses import replace
+    import shiftparse.model as model_module
+    model, _trees = small_const_setup()
+    monkeypatch.setattr(model_module, "const_apply",
+                        lambda state, action: replace(state, step=state.step + 1))
+    sentence = synth.random_const_tree(np.random.default_rng(73), 5).sentence
+    bound = (2 * 5 - 1) * (1 + model.config.promote_cap)
+    with pytest.raises(DecodeStepLimit, match="sentence length 5, step %d" % bound):
+        model.parse(sentence)
+
+
+def test_flat_columns_keep_the_saved_model_layout():
+    # head.flat columns in model files: dep shift | left(l) | right(l),
+    # const shift, adj-left, adj-right | promote(X)
+    dep, _ = small_dep_setup(hierarchical=False)
+    labels = dep.vocab.deprel_names[:dep.vocab.num_deprels]
+    n = len(labels)
+    assert dep.store["head.flat.w2"].value.shape[1] == 1 + 2 * n
+    assert dep.space.column_id[(SHIFT, None)] == 0
+    for i, label in enumerate(labels):
+        assert dep.space.column_id[(LEFT, label)] == 1 + i
+        assert dep.space.column_id[(RIGHT, label)] == 1 + n + i
+    const, _ = small_const_setup(hierarchical=False)
+    names = const.vocab.nonterminal_names[:const.vocab.num_nonterminals]
+    assert const.store["head.flat.w2"].value.shape[1] == 3 + len(names)
+    assert [const.space.column_id[(k, None)] for k in (C_SHIFT, C_ADJ_LEFT, C_ADJ_RIGHT)] \
+        == [0, 1, 2]
+    for i, label in enumerate(names):
+        assert const.space.column_id[(C_PROMOTE, label)] == 3 + i
 
 
 def test_word_dropout_rate_matches_formula():

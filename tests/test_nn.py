@@ -187,17 +187,27 @@ def test_lstm_forward_backward_matches_finite_differences():
 
 
 def test_backward_direction_symmetry_with_tied_weights():
-    # running the same cell over the reversed input swaps the roles of the
-    # two directions: fwd(x)[i] == bwd-run-over-reverse(x) at mirrored i
+    # one weight set run both ways: the forward output at i reads xs[:i+1]
+    # only, the backward run (over the reversed input, mirrored back) xs[i:]
+    # only, so perturbing xs[k] leaves forward outputs before k and backward
+    # outputs after k bitwise unchanged and changes both outputs at k
     rng = np.random.default_rng(3)
     w, b = nn.lstm_init(rng, 3, 4)
     xs = rng.standard_normal((6, 3))
-    fwd, _ = nn.lstm_forward(w, b, xs)
-    reversed_input = xs[::-1]
-    bwd_on_reversed, _ = nn.lstm_forward(w, b, reversed_input[::-1])
-    bwd_positions = bwd_on_reversed[::-1]
-    for i in range(6):
-        assert np.allclose(fwd[i], bwd_positions[::-1][i])
+
+    def both_directions(inputs):
+        fwd, _ = nn.lstm_forward(w, b, inputs)
+        bwd, _ = nn.lstm_forward(w, b, inputs[::-1])
+        return fwd, bwd[::-1]
+
+    fwd, bwd = both_directions(xs)
+    for k in range(len(xs)):
+        perturbed = xs.copy()
+        perturbed[k] += 0.5
+        fwd_k, bwd_k = both_directions(perturbed)
+        assert np.array_equal(fwd_k[:k], fwd[:k])
+        assert np.array_equal(bwd_k[k + 1:], bwd[k + 1:])
+        assert np.all(fwd_k[k] != fwd[k]) and np.all(bwd_k[k] != bwd[k])
 
 
 def test_two_layer_bilstm_composition_gradient():
