@@ -25,6 +25,13 @@ and input gradients are GEMMs over dZ:
 dW_x += xs^T dZ, dW_h += H_prev^T dZ, db += sum(dZ), dxs = dZ W_x^T.
 ADADELTA updates each parameter in place through two scratch buffers
 allocated per call, so no per-parameter temporaries are created.
+
+The classifier's input may be dense floats or integer row indices. With
+integer x of shape (m, slots) the first layer is a gather-sum: w1 is then
+a table of precomputed rows (one block per input slot, see model.py) and
+the pre-activation is b1 plus the sum of the selected rows. The backward
+pass accumulates each row's pre-activation gradient into the table
+gradient at the rows it selected, as one counts-matrix GEMM.
 """
 
 from __future__ import annotations
@@ -268,8 +275,16 @@ def dropout(x: np.ndarray, p: float, train: bool, rng: np.random.Generator | Non
 
 
 def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
-    """Affine -> ReLU -> affine. x is (m, in) or (in,)."""
-    pre = x @ w1 + b1
+    """Affine -> ReLU -> affine. x is (m, in) or (in,).
+
+    An integer x, (m, slots) or (slots,), selects rows of w1 instead: the
+    hidden pre-activation is b1 plus the sum of the selected rows, which is
+    x_dense @ w1 + b1 for the 0/1 row x_dense with a one at each index.
+    """
+    if x.dtype.kind in "iu":
+        pre = w1[x].sum(axis=-2) + b1
+    else:
+        pre = x @ w1 + b1
     hid = np.maximum(pre, 0.0)
     scores = hid @ w2 + b2
     _check_finite("mlp_forward", scores)
@@ -277,22 +292,37 @@ def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
 
 
 def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2):
-    """Backward for mlp_forward; accumulates into the d* arrays, returns dx."""
+    """Backward for mlp_forward; accumulates into the d* arrays, returns dx.
+
+    For an integer x, dw1 receives each row's pre-activation gradient at
+    every row of w1 it selected, and there is no input gradient: returns
+    None.
+    """
     x, pre, hid = cache
     if dscores.ndim == 1:
         dw2 += np.outer(hid, dscores)
         db2 += dscores
         dhid = w2 @ dscores
         dpre = dhid * (pre > 0)
-        dw1 += np.outer(x, dpre)
         db1 += dpre
+    else:
+        dw2 += hid.T @ dscores
+        db2 += dscores.sum(axis=0)
+        dhid = dscores @ w2.T
+        dpre = dhid * (pre > 0)
+        db1 += dpre.sum(axis=0)
+    if x.dtype.kind in "iu":
+        # counts[r, i]: how often row i selected row r of w1; as a GEMM this
+        # is far faster than np.add.at over the (m, slots, hidden) scatter
+        ids = x.reshape(-1, x.shape[-1])
+        m = len(ids)
+        counts = np.bincount((ids * m + np.arange(m)[:, None]).ravel(), minlength=len(w1) * m)
+        dw1 += counts.reshape(len(w1), m).astype(dpre.dtype) @ dpre.reshape(m, -1)
+        return None
+    if dscores.ndim == 1:
+        dw1 += np.outer(x, dpre)
         return w1 @ dpre
-    dw2 += hid.T @ dscores
-    db2 += dscores.sum(axis=0)
-    dhid = dscores @ w2.T
-    dpre = dhid * (pre > 0)
     dw1 += x.T @ dpre
-    db1 += dpre.sum(axis=0)
     return dpre @ w1.T
 
 

@@ -274,6 +274,26 @@ def test_parse_model_with_oversized_header_length_is_data_error(tmp_path, dep_co
     assert "header length" in capsys.readouterr().err
 
 
+def test_parse_model_with_negative_tensor_offset_is_data_error(tmp_path, dep_corpus, capsys):
+    import json
+    import struct
+    model = tmp_path / "dep.model"
+    assert main(["train", "--task", "dep", "--train", str(dep_corpus),
+                 "--model", str(model)] + FAST_FLAGS) == 0
+    blob = model.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + header_len])
+    header["tensors"][1]["offset"] = -64
+    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    model.write_bytes(blob[:4] + struct.pack("<Q", len(payload)) + payload
+                      + blob[12 + header_len:])
+    capsys.readouterr()
+    code = main(["parse", "--task", "dep", "--model", str(model),
+                 "--input", str(dep_corpus)])
+    assert code == 2
+    assert "emb.word#eg2" in capsys.readouterr().err
+
+
 def test_const_train_and_parse_from_text(tmp_path, const_corpus):
     model = tmp_path / "const.model"
     assert main(["train", "--task", "const", "--train", str(const_corpus),

@@ -87,6 +87,53 @@ def _force_scores(model, prefix, scores):
     model.store[prefix + ".b2"].value[...] = np.asarray(scores, dtype=np.float64)
 
 
+def _decide_at(model, enc, state, legal):
+    """The model's decision for one state of a sentence encoded as enc."""
+    ids = model._slot_ids(len(enc), [model._features(state)])
+    return model._decide(model._project(enc), ids[0], model.space.mask(legal))
+
+
+def _dense_input(model, enc, features):
+    """The classifier input of one state, materialised: each position slot's
+    encoder row or its family's absent vector, then each label slot's
+    nonterminal embedding."""
+    positions, labels = features
+    parts = [model.store["none." + family].value if p is None else enc[p]
+             for p, family in zip(positions, model.position_families)]
+    parts += [model.store["emb.nonterminal"].value[label] for label in labels]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("setup", [small_dep_setup, small_const_setup], ids=["dep", "const"])
+@pytest.mark.parametrize("hierarchical", [True, False], ids=["hierarchical", "flat"])
+def test_table_scores_match_materialised_first_layer(setup, hierarchical):
+    model, trees = setup(hierarchical=hierarchical)
+    rng = np.random.default_rng(4)
+    for p in model.store:     # move b1 and the absent vectors off their init
+        p.value[...] += rng.standard_normal(p.value.shape) * 0.1
+    absent = none_label = 0
+    for tree in trees:
+        n = len(tree.sentence)
+        enc = rng.standard_normal((n, model.enc_dims))
+        tables = model._project(enc)
+        state = model._initial(n)
+        for action in model._oracle(tree):
+            features = model._features(state)
+            absent += sum(p is None for p in features[0])
+            none_label += sum(l == model.vocab.nonterminal_id(None) for l in features[1])
+            ids = model._slot_ids(n, [features])[0]
+            x = _dense_input(model, enc, features)
+            for prefix in model.heads:
+                w1, b1, w2, b2 = (model.store[prefix + part].value
+                                  for part in (".w1", ".b1", ".w2", ".b2"))
+                scores, _ = model._mlp_forward(prefix, tables, ids)
+                reference = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+                assert np.abs(scores - reference).max() < 1e-12
+            state = model._apply(state, action)
+    assert absent > 0
+    assert none_label > 0 or setup is small_dep_setup
+
+
 def test_masking_forces_shift_when_only_legal():
     model, _trees = small_dep_setup(hierarchical=True)
     # make reduce actions look maximally attractive
@@ -94,8 +141,7 @@ def test_masking_forces_shift_when_only_legal():
     _force_scores(model, "head.label", np.zeros(model.vocab.num_deprels))
     state = dep_initial(3)
     enc = np.zeros((3, model.enc_dims))
-    x, _ = model._assemble(enc, [model._features(state)])
-    action = model._decide(x[0], model.space.mask(dep_legal(state)))
+    action = _decide_at(model, enc, state, dep_legal(state))
     assert action == DepAction(SHIFT)
 
 
@@ -121,10 +167,8 @@ def test_hierarchical_and_flat_agree_on_consistent_score_table():
         for a in [DepAction(SHIFT), DepAction(SHIFT)]:
             from shiftparse.dep_system import dep_apply
             state_mid = dep_apply(state_mid, a)
-        x_h, _ = hier._assemble(np.zeros((4, hier.enc_dims)), [hier._features(state_mid)])
-        x_f, _ = flat._assemble(np.zeros((4, flat.enc_dims)), [flat._features(state_mid)])
-        a_h = hier._decide(x_h[0], hier.space.mask(dep_legal(state_mid)))
-        a_f = flat._decide(x_f[0], flat.space.mask(dep_legal(state_mid)))
+        a_h = _decide_at(hier, np.zeros((4, hier.enc_dims)), state_mid, dep_legal(state_mid))
+        a_f = _decide_at(flat, np.zeros((4, flat.enc_dims)), state_mid, dep_legal(state_mid))
         # argmax-consistency requires the same structural choice; when it is
         # a reduce, both pick the same argmax label
         assert a_h == a_f
@@ -139,13 +183,12 @@ def test_hierarchical_choice_invariant_to_label_score_shift():
     state = dep_initial(3)
     for a in (DepAction(SHIFT), DepAction(SHIFT)):
         state = dep_apply(state, a)
-    x, _ = model._assemble(np.zeros((3, model.enc_dims)), [model._features(state)])
-    mask = model.space.mask(dep_legal(state))
+    enc = np.zeros((3, model.enc_dims))
     _force_scores(model, "head.struct", struct)
     _force_scores(model, "head.label", labels)
-    first = model._decide(x[0], mask)
+    first = _decide_at(model, enc, state, dep_legal(state))
     _force_scores(model, "head.label", labels + 100.0)
-    second = model._decide(x[0], mask)
+    second = _decide_at(model, enc, state, dep_legal(state))
     assert first.kind == second.kind == LEFT
 
 
@@ -160,9 +203,8 @@ def test_promote_masked_beyond_cap():
     state = const_initial(1)
     state = const_apply(state, ConstAction(C_SHIFT))
     for _ in range(model.config.promote_cap):
-        x, _ = model._assemble(np.zeros((1, model.enc_dims)), [model._features(state)])
         legal = const_legal(state, model.config.promote_cap)
-        action = model._decide(x[0], model.space.mask(legal))
+        action = _decide_at(model, np.zeros((1, model.enc_dims)), state, legal)
         assert action.kind == C_PROMOTE
         state = const_apply(state, action)
     assert state.is_terminal      # j = n, single internal item: decoding stops
@@ -349,6 +391,69 @@ def test_load_rejects_malformed_header_config(tmp_path, edit, message):
         load_model(bad)
 
 
+def _edit_tensor(index, **fields):
+    return lambda h: h["tensors"][index].update(fields)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_tensor(0, nbytes=2 ** 62), "tensor 'emb.word' nbytes"),
+    (_edit_tensor(1, offset=-64), "tensor 'emb.word#eg2' offset -64"),
+    (_edit_tensor(-1, offset=10 ** 9), "lies beyond the end of the file"),
+    (_edit_tensor(0, offset=1.5), "tensor 'emb.word' offset 1.5"),
+    (_edit_tensor(0, dtype="|O"), "tensor 'emb.word' dtype '|O'"),
+    (_edit_tensor(0, dtype="no-such-type"), "tensor 'emb.word' dtype"),
+    (_edit_tensor(0, dtype=None), "tensor 'emb.word' dtype None"),
+    (lambda h: h["tensors"][0].pop("name"), "tensor entry 0 has no name"),
+    (lambda h: h["tensors"].__setitem__(2, 7), "tensor entry 2 has no name"),
+    (lambda h: h["tensors"][0].pop("offset"), "tensor 'emb.word' entry lacks 'offset'"),
+    (lambda h: h.update(tensors={}), "tensors is not a list"),
+], ids=["huge-nbytes", "negative-offset", "beyond-file", "float-offset", "object-dtype",
+        "unknown-dtype", "null-dtype", "no-name", "not-an-object", "no-offset", "not-a-list"])
+def test_load_rejects_malformed_tensor_entry(tmp_path, edit, message):
+    model, _trees = small_dep_setup()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    bad = tmp_path / "bad_tensor.bin"
+    bad.write_bytes(_rewrite_header(path.read_bytes(), edit))
+    with pytest.raises(ModelIOError, match=message):
+        load_model(bad)
+
+
+def test_load_rejects_tensor_of_other_precision(tmp_path):
+    # a float32 model's blocks under a float64 config: every entry is a
+    # consistent float32 block, so only the precision check can catch it
+    model, _trees = small_dep_setup()
+    path32 = tmp_path / "model32.bin"
+    from dataclasses import replace
+    save_model(DepModel(replace(model.config, precision="float32"), model.vocab), path32)
+    bad = tmp_path / "mixed.bin"
+    bad.write_bytes(_rewrite_header(path32.read_bytes(),
+                                    lambda h: h["config"].update(precision="float64")))
+    with pytest.raises(ModelIOError, match="tensor 'emb.word' dtype 'float32'"):
+        load_model(bad)
+
+
+def test_load_rejects_nbytes_not_matching_shape(tmp_path):
+    model, _trees = small_dep_setup()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    size = model.store["emb.word"].value.nbytes
+    bad = tmp_path / "short_block.bin"
+    bad.write_bytes(_rewrite_header(path.read_bytes(), _edit_tensor(0, nbytes=size - 8)))
+    with pytest.raises(ModelIOError, match="tensor 'emb.word' nbytes %d" % (size - 8)):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_load_rejects_non_finite_tensor(tmp_path, value):
+    model, _trees = small_dep_setup()
+    model.store["head.struct.b2"].value[1] = value
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    with pytest.raises(ModelIOError, match="tensor 'head.struct.b2' holds non-finite"):
+        load_model(path)
+
+
 def test_const_overfit_reaches_gold_tree():
     # a single-sentence corpus is driven to zero-ish loss and its parse
     # returns the gold tree
@@ -381,8 +486,7 @@ def test_dep_decoding_takes_exactly_2n_minus_1_steps():
         state = dep_initial(len(sentence))
         steps = 0
         while not state.is_terminal:
-            x, _ = model._assemble(enc, [model._features(state)])
-            state = dep_apply(state, model._decide(x[0], model.space.mask(dep_legal(state))))
+            state = dep_apply(state, _decide_at(model, enc, state, dep_legal(state)))
             steps += 1
         assert steps == 2 * len(sentence) - 1
 

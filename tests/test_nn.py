@@ -317,6 +317,62 @@ def test_mlp_gradients():
     assert err < 1e-6
 
 
+def _one_hot_rows(ids, rows):
+    """The dense 0/1 input whose product with a (rows, hidden) table sums
+    the rows that ids selects; a repeated index counts twice."""
+    ids = np.atleast_2d(ids)
+    dense = np.zeros((len(ids), rows))
+    for i, row in enumerate(ids):
+        np.add.at(dense[i], row, 1.0)
+    return dense
+
+
+def test_mlp_integer_input_sums_selected_rows():
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((9, 6))
+    b1 = rng.standard_normal(6) * 0.1
+    w2 = nn.glorot(rng, 6, 3)
+    b2 = rng.standard_normal(3) * 0.1
+    ids = np.array([[0, 4, 8], [3, 3, 5], [8, 1, 2], [7, 7, 7]])
+    scores, (_, pre, _) = nn.mlp_forward(table, b1, w2, b2, ids)
+    dense_scores, (_, dense_pre, _) = nn.mlp_forward(table, b1, w2, b2,
+                                                     _one_hot_rows(ids, len(table)))
+    assert np.abs(pre - dense_pre).max() < 1e-12
+    assert np.abs(scores - dense_scores).max() < 1e-12
+    one, _ = nn.mlp_forward(table, b1, w2, b2, ids[1])
+    assert one.shape == (3,)
+    assert np.abs(one - dense_scores[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("ids", [np.array([[0, 4, 8], [3, 3, 5], [8, 1, 2], [7, 7, 7]]),
+                                 np.array([2, 6, 6])], ids=["rows", "one-row"])
+def test_mlp_integer_input_table_gradient(ids):
+    rng = np.random.default_rng(9)
+    table = rng.standard_normal((9, 6)) + 0.2
+    b1 = rng.standard_normal(6) * 0.1
+    w2 = nn.glorot(rng, 6, 3)
+    b2 = rng.standard_normal(3) * 0.1
+    gold = np.array([0, 2, 1, 2])[:len(ids)] if ids.ndim == 2 else 1
+    store = make_store(w1=table, b1=b1, w2=w2, b2=b2)
+
+    def loss():
+        scores, _ = nn.mlp_forward(store["w1"].value, store["b1"].value,
+                                   store["w2"].value, store["b2"].value, ids)
+        value, _ = nn.nll_softmax_loss(scores, gold)
+        return value
+
+    scores, cache = nn.mlp_forward(table, b1, w2, b2, ids)
+    _, dscores = nn.nll_softmax_loss(scores, gold)
+    grads = {name: np.zeros_like(store[name].value) for name in ("w1", "b1", "w2", "b2")}
+    dx = nn.mlp_backward(table, b1, w2, b2, cache, dscores,
+                         grads["w1"], grads["b1"], grads["w2"], grads["b2"])
+    assert dx is None
+    assert np.any(grads["w1"] != 0.0)
+    unused = np.setdiff1d(np.arange(len(table)), ids)
+    assert np.all(grads["w1"][unused] == 0.0)
+    assert _fd_check_via_store(store, loss, grads, 1e-6) < 1e-6
+
+
 def test_nll_equal_scores_is_log_k():
     for k in (2, 5, 11):
         loss, _ = nn.nll_softmax_loss(np.zeros(k), 0)
