@@ -32,7 +32,8 @@ back to W1 and to the encoder rows as per-slot GEMMs.
 
 Models serialize to a single file: a JSON metadata header (task, config,
 vocabulary and its hash, tensor directory) followed by raw little-endian
-tensor blocks, optimizer state included, so save/load round-trips bitwise.
+blocks of the parameter values only, so values round-trip bitwise; a loaded
+model's gradients and ADADELTA accumulators start at zero, as in a new one.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .evalmetrics import score_brackets, score_dep
 from .features import (CONST_LABEL_SLOTS, CONST_POSITION_FAMILIES,
                        DEP_POSITION_FAMILIES, extract_const, extract_dep)
 from .trees import ROOT, ConstTree, DepTree, Sentence
-from .vocab import UNK, Vocab
+from .vocab import NONE_LABEL, UNK, Vocab
 
 
 class ModelIOError(ValueError):
@@ -274,34 +275,29 @@ class _EncoderModel:
         return np.asarray(word_ids), np.asarray(tag_ids)
 
     def _encode(self, word_ids, tag_ids, train: bool, rng):
+        """Per-position features and the cache (word_ids, tag_ids, layers,
+        feature masks), with one (input mask, forward cache, backward cache)
+        per layer; a mask is None where dropout is off. Layer 1's input is
+        not dropped. Each connection out of a layer, into the next layer and
+        into the features, gets its own mask: the input masks are drawn as
+        the layers run, then the feature masks in layer order."""
         cfg, st = self.config, self.store
-        parts = [st["emb.word"].value[word_ids]]
+        x = st["emb.word"].value[word_ids]
         if cfg.use_tags:
-            parts.append(st["emb.tag"].value[tag_ids])
-        x1 = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-
-        f1, cf1 = nn.lstm_forward(st["lstm1.fwd.w"].value, st["lstm1.fwd.b"].value, x1)
-        b1r, cb1 = nn.lstm_forward(st["lstm1.bwd.w"].value, st["lstm1.bwd.b"].value, x1[::-1])
-        o1 = np.concatenate([f1, b1r[::-1]], axis=1)
-
-        p = cfg.dropout
-        if cfg.layers == 1:
-            feat, mask_feat1 = nn.dropout(o1, p, train, rng)
-            cache = dict(word_ids=word_ids, tag_ids=tag_ids, cf1=cf1, cb1=cb1,
-                         mask_feat1=mask_feat1)
-            return feat, cache
-        # each connection out of layer 1 gets its own mask
-        a, mask_a = nn.dropout(o1, p, train, rng)
-        f2, cf2 = nn.lstm_forward(st["lstm2.fwd.w"].value, st["lstm2.fwd.b"].value, a)
-        b2r, cb2 = nn.lstm_forward(st["lstm2.bwd.w"].value, st["lstm2.bwd.b"].value, a[::-1])
-        o2 = np.concatenate([f2, b2r[::-1]], axis=1)
-        d1, mask_feat1 = nn.dropout(o1, p, train, rng)
-        d2, mask_feat2 = nn.dropout(o2, p, train, rng)
-        feat = np.concatenate([d1, d2], axis=1)
-        cache = dict(word_ids=word_ids, tag_ids=tag_ids, cf1=cf1, cb1=cb1,
-                     cf2=cf2, cb2=cb2, mask_a=mask_a,
-                     mask_feat1=mask_feat1, mask_feat2=mask_feat2)
-        return feat, cache
+            x = np.concatenate([x, st["emb.tag"].value[tag_ids]], axis=1)
+        outputs, layers = [], []
+        for layer in range(1, cfg.layers + 1):
+            mask = None
+            if layer > 1:
+                x, mask = nn.dropout(outputs[-1], cfg.dropout, train, rng)
+            fwd, cf = nn.lstm_forward(st["lstm%d.fwd.w" % layer].value,
+                                      st["lstm%d.fwd.b" % layer].value, x)
+            bwd, cb = nn.lstm_forward(st["lstm%d.bwd.w" % layer].value,
+                                      st["lstm%d.bwd.b" % layer].value, x[::-1])
+            outputs.append(np.concatenate([fwd, bwd[::-1]], axis=1))
+            layers.append((mask, cf, cb))
+        feats, feat_masks = zip(*(nn.dropout(o, cfg.dropout, train, rng) for o in outputs))
+        return np.concatenate(feats, axis=1), (word_ids, tag_ids, layers, feat_masks)
 
     def _lstm_backward(self, name: str, cache, dhs):
         st = self.store
@@ -310,28 +306,24 @@ class _EncoderModel:
 
     def _encode_backward(self, cache, dfeat):
         cfg, st = self.config, self.store
-        h2 = 2 * cfg.lstm_units
-        if cfg.layers == 1:
-            do1 = dfeat if cache["mask_feat1"] is None else dfeat * cache["mask_feat1"]
-        else:
-            do1 = dfeat[:, :h2]
-            if cache["mask_feat1"] is not None:
-                do1 = do1 * cache["mask_feat1"]
-            do2 = dfeat[:, h2:]
-            if cache["mask_feat2"] is not None:
-                do2 = do2 * cache["mask_feat2"]
-            da = self._lstm_backward("lstm2.fwd", cache["cf2"], do2[:, :cfg.lstm_units])
-            da = da + self._lstm_backward(
-                "lstm2.bwd", cache["cb2"], do2[:, cfg.lstm_units:][::-1])[::-1]
-            if cache["mask_a"] is not None:
-                da = da * cache["mask_a"]
-            do1 = do1 + da
-        dx1 = self._lstm_backward("lstm1.fwd", cache["cf1"], do1[:, :cfg.lstm_units])
-        dx1 = dx1 + self._lstm_backward(
-            "lstm1.bwd", cache["cb1"], do1[:, cfg.lstm_units:][::-1])[::-1]
-        np.add.at(st["emb.word"].grad, cache["word_ids"], dx1[:, :cfg.word_dims])
+        word_ids, tag_ids, layers, feat_masks = cache
+        units = cfg.lstm_units
+        dx = None   # gradient of the input of the layer above
+        for layer in range(cfg.layers, 0, -1):
+            in_mask, cf, cb = layers[layer - 1]
+            feat_mask = feat_masks[layer - 1]
+            dout = dfeat[:, 2 * units * (layer - 1):2 * units * layer]
+            if feat_mask is not None:
+                dout = dout * feat_mask
+            if dx is not None:
+                dout = dout + dx
+            dx = (self._lstm_backward("lstm%d.fwd" % layer, cf, dout[:, :units])
+                  + self._lstm_backward("lstm%d.bwd" % layer, cb, dout[:, units:][::-1])[::-1])
+            if in_mask is not None:
+                dx = dx * in_mask
+        np.add.at(st["emb.word"].grad, word_ids, dx[:, :cfg.word_dims])
         if cfg.use_tags:
-            np.add.at(st["emb.tag"].grad, cache["tag_ids"], dx1[:, cfg.word_dims:])
+            np.add.at(st["emb.tag"].grad, tag_ids, dx[:, cfg.word_dims:])
 
     # -- factored first layer -------------------------------------------------
 
@@ -450,12 +442,7 @@ class _EncoderModel:
                 p.grad *= scale
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        out = {}
-        for p in self.store:
-            out[p.name] = p.value.copy()
-            out[p.name + "#eg2"] = p.eg2.copy()
-            out[p.name + "#ed2"] = p.ed2.copy()
-        return out
+        return {p.name: p.value.copy() for p in self.store}
 
     def fit(self, train_trees: Sequence, dev_trees: Optional[Sequence] = None,
             log: Optional[Callable[[str], None]] = None) -> list[str]:
@@ -698,14 +685,7 @@ def model_grad_check(model: _EncoderModel, trees: Sequence, samples_per_param: i
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SHPM"
-_FORMAT_VERSION = 1
-
-
-def _tensor_entries(model: _EncoderModel):
-    for p in model.store:
-        yield p.name, p.value
-        yield p.name + "#eg2", p.eg2
-        yield p.name + "#ed2", p.ed2
+_FORMAT_VERSION = 2
 
 
 def save_model(model: _EncoderModel, path, params: Optional[dict[str, np.ndarray]] = None):
@@ -715,11 +695,10 @@ def save_model(model: _EncoderModel, path, params: Optional[dict[str, np.ndarray
     tensors = []
     blocks = []
     offset = 0
-    for name, value in _tensor_entries(model):
-        if params is not None:
-            value = params[name]
+    for p in model.store:
+        value = p.value if params is None else params[p.name]
         data = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<")).tobytes()
-        tensors.append({"name": name, "shape": list(value.shape),
+        tensors.append({"name": p.name, "shape": list(value.shape),
                         "dtype": str(value.dtype), "offset": offset,
                         "nbytes": len(data)})
         blocks.append(data)
@@ -757,6 +736,28 @@ def _header_config(cls, values):
         return cls(**values)
     except TypeError as exc:     # a value of the wrong type, e.g. "epochs": "ten"
         raise ModelIOError("bad config value in model header: %s" % exc) from None
+
+
+def _header_vocab(data) -> Vocab:
+    """Build the vocabulary from a model header, naming a malformed field."""
+    if not isinstance(data, dict):
+        raise ModelIOError("header vocab is not an object")
+    for key in ("forms", "tags", "deprels", "nonterminals", "form_counts"):
+        pairs = data.get(key)
+        if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                and type(pair[1]) is int for pair in pairs):
+            raise ModelIOError("header vocab %r is not a list of [string, integer] pairs" % key)
+    vocab = Vocab.from_json(data)
+    for key, reserved in (("forms", UNK), ("tags", UNK), ("deprels", NONE_LABEL),
+                          ("nonterminals", NONE_LABEL)):
+        ids = getattr(vocab, key)
+        # where build_vocab puts it; label names are read up to NONE
+        at = 0 if reserved == UNK else len(ids) - 1
+        if sorted(ids.values()) != list(range(len(ids))) or ids.get(reserved) != at:
+            raise ModelIOError("header vocab %r is not ids 0..n-1 with %r at %d"
+                               % (key, reserved, at))
+    return vocab
 
 
 def _tensor_meta(index: int, meta, arrays, dtype: np.dtype, payload_size: int):
@@ -823,7 +824,7 @@ def load_model(path):
             raise ModelIOError("unexpected format %r" % header["format"])
         if header["version"] != _FORMAT_VERSION:
             raise ModelIOError("unsupported version %r" % header["version"])
-        vocab = Vocab.from_json(header["vocab"])
+        vocab = _header_vocab(header["vocab"])
         if vocab.sha256() != header["vocab_sha256"]:
             raise ModelIOError("vocab_sha256 mismatch: vocabulary was modified")
         task = header["task"]
@@ -836,7 +837,7 @@ def load_model(path):
         tensors = header["tensors"]
         if not isinstance(tensors, list):
             raise ModelIOError("header tensors is not a list")
-        arrays = {name: arr for name, arr in _tensor_entries(model)}
+        arrays = {p.name: p.value for p in model.store}
         dtype = np.dtype(model.config.precision).newbyteorder("<")
         seen = set()
         payload_start = fh.tell()

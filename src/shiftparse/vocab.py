@@ -37,9 +37,6 @@ class Vocab:
     def tag_id(self, tag: str) -> int:
         return self.tags.get(tag, self.tags[UNK])
 
-    def deprel_id(self, label: str) -> int:
-        return self.deprels[label]
-
     def nonterminal_id(self, label: Optional[str]) -> int:
         if label is None:
             return self.nonterminals[NONE_LABEL]

@@ -274,7 +274,9 @@ def test_parse_model_with_oversized_header_length_is_data_error(tmp_path, dep_co
     assert "header length" in capsys.readouterr().err
 
 
-def test_parse_model_with_negative_tensor_offset_is_data_error(tmp_path, dep_corpus, capsys):
+def _parse_with_edited_header(tmp_path, dep_corpus, capsys, edit):
+    """Exit code and stderr of parse with a trained dep model whose JSON
+    header went through edit(header)."""
     import json
     import struct
     model = tmp_path / "dep.model"
@@ -283,15 +285,35 @@ def test_parse_model_with_negative_tensor_offset_is_data_error(tmp_path, dep_cor
     blob = model.read_bytes()
     (header_len,) = struct.unpack("<Q", blob[4:12])
     header = json.loads(blob[12:12 + header_len])
-    header["tensors"][1]["offset"] = -64
+    edit(header)
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     model.write_bytes(blob[:4] + struct.pack("<Q", len(payload)) + payload
                       + blob[12 + header_len:])
     capsys.readouterr()
     code = main(["parse", "--task", "dep", "--model", str(model),
                  "--input", str(dep_corpus)])
+    return code, capsys.readouterr().err
+
+
+def test_parse_model_with_negative_tensor_offset_is_data_error(tmp_path, dep_corpus, capsys):
+    code, err = _parse_with_edited_header(tmp_path, dep_corpus, capsys,
+                                          lambda h: h["tensors"][1].update(offset=-64))
     assert code == 2
-    assert "emb.word#eg2" in capsys.readouterr().err
+    assert "emb.tag" in err
+
+
+def test_parse_model_of_format_version_1_is_data_error(tmp_path, dep_corpus, capsys):
+    code, err = _parse_with_edited_header(tmp_path, dep_corpus, capsys,
+                                          lambda h: h.update(version=1))
+    assert code == 2
+    assert "unsupported version 1" in err
+
+
+def test_parse_model_with_malformed_vocab_is_data_error(tmp_path, dep_corpus, capsys):
+    code, err = _parse_with_edited_header(tmp_path, dep_corpus, capsys,
+                                          lambda h: h["vocab"].pop("deprels"))
+    assert code == 2
+    assert "deprels" in err
 
 
 def test_const_train_and_parse_from_text(tmp_path, const_corpus):
@@ -308,20 +330,7 @@ def test_const_train_and_parse_from_text(tmp_path, const_corpus):
 
 
 def test_parse_model_with_unknown_config_key_is_data_error(tmp_path, dep_corpus, capsys):
-    import json
-    import struct
-    model = tmp_path / "dep.model"
-    assert main(["train", "--task", "dep", "--train", str(dep_corpus),
-                 "--model", str(model)] + FAST_FLAGS) == 0
-    blob = model.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[4:12])
-    header = json.loads(blob[12:12 + header_len])
-    header["config"]["beam_size"] = 8
-    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    model.write_bytes(blob[:4] + struct.pack("<Q", len(payload)) + payload
-                      + blob[12 + header_len:])
-    capsys.readouterr()
-    code = main(["parse", "--task", "dep", "--model", str(model),
-                 "--input", str(dep_corpus)])
+    code, err = _parse_with_edited_header(tmp_path, dep_corpus, capsys,
+                                          lambda h: h["config"].update(beam_size=8))
     assert code == 2
-    assert "beam_size" in capsys.readouterr().err
+    assert "beam_size" in err

@@ -304,8 +304,8 @@ def test_save_load_roundtrip(tmp_path):
     for p in model.store:
         q = loaded.store[p.name]
         assert np.array_equal(p.value, q.value)
-        assert np.array_equal(p.eg2, q.eg2)
-        assert np.array_equal(p.ed2, q.ed2)
+        # files hold parameter values only: ADADELTA restarts from zero
+        assert not q.grad.any() and not q.eg2.any() and not q.ed2.any()
     rng = np.random.default_rng(3)
     for _ in range(100):
         sentence = synth.random_projective_tree(rng, int(rng.integers(1, 8))).sentence
@@ -365,6 +365,62 @@ def _rewrite_header(blob: bytes, edit) -> bytes:
     return blob[:4] + struct.pack("<Q", len(payload)) + payload + blob[12 + header_len:]
 
 
+def test_model_file_holds_parameters_only(tmp_path):
+    for model, trees in (small_dep_setup(), small_const_setup()):
+        model.fit(trees)
+        assert list(model.best_params) == model.store.names()
+        path = tmp_path / (model.task + ".bin")
+        save_model(model, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[4:12])
+        header = json.loads(blob[12:12 + header_len])
+        assert [t["name"] for t in header["tensors"]] == model.store.names()
+        assert len(blob) == 12 + header_len + sum(p.value.nbytes for p in model.store)
+
+
+def test_load_rejects_format_version_1(tmp_path):
+    model, _trees = small_dep_setup()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    old = tmp_path / "v1.bin"
+    old.write_bytes(_rewrite_header(path.read_bytes(), lambda h: h.update(version=1)))
+    with pytest.raises(ModelIOError, match="unsupported version 1"):
+        load_model(old)
+
+
+def _edit_vocab(key, value):
+    return lambda h: h["vocab"].update({key: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(vocab=[1, 2]), "header vocab is not an object"),
+    (lambda h: h["vocab"].pop("deprels"), "header vocab 'deprels' is not a list"),
+    (lambda h: h["vocab"].pop("form_counts"), "header vocab 'form_counts' is not a list"),
+    (_edit_vocab("forms", [1, 2]), "header vocab 'forms' is not a list"),
+    (_edit_vocab("tags", {"<unk>": 0}), "header vocab 'tags' is not a list"),
+    (_edit_vocab("nonterminals", [["<none>", 0, 1]]), "header vocab 'nonterminals' is not a list"),
+    (_edit_vocab("deprels", [["root", "0"]]), "header vocab 'deprels' is not a list"),
+    (_edit_vocab("form_counts", [[3, 1]]), "header vocab 'form_counts' is not a list"),
+    (_edit_vocab("deprels", [["root", True], ["<none>", 1]]), "header vocab 'deprels' is not a list"),
+    (_edit_vocab("forms", [["<unk>", 5]]), "header vocab 'forms' is not ids 0..n-1"),
+    (_edit_vocab("tags", [["NN", 0]]), "header vocab 'tags' is not ids 0..n-1 with '<unk>' at 0"),
+    (_edit_vocab("nonterminals", [["<none>", 0], ["<none>", 1]]),
+     "header vocab 'nonterminals' is not ids 0..n-1"),
+    (_edit_vocab("deprels", [["<none>", 0], ["root", 1]]),
+     "header vocab 'deprels' is not ids 0..n-1 with '<none>' at 1"),
+], ids=["list-vocab", "no-deprels", "no-form-counts", "int-forms", "object-tags", "triple",
+        "string-id", "int-name", "bool-id", "sparse-ids", "no-unk", "duplicate-name",
+        "none-not-last"])
+def test_load_rejects_malformed_header_vocab(tmp_path, edit, message):
+    model, _trees = small_dep_setup()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    bad = tmp_path / "bad_vocab.bin"
+    bad.write_bytes(_rewrite_header(path.read_bytes(), edit))
+    with pytest.raises(ModelIOError, match=message):
+        load_model(bad)
+
+
 def test_load_rejects_shape_mismatch(tmp_path):
     model, _trees = small_dep_setup()
     path = tmp_path / "model.bin"
@@ -397,7 +453,7 @@ def _edit_tensor(index, **fields):
 
 @pytest.mark.parametrize("edit, message", [
     (_edit_tensor(0, nbytes=2 ** 62), "tensor 'emb.word' nbytes"),
-    (_edit_tensor(1, offset=-64), "tensor 'emb.word#eg2' offset -64"),
+    (_edit_tensor(1, offset=-64), "tensor 'emb.tag' offset -64"),
     (_edit_tensor(-1, offset=10 ** 9), "lies beyond the end of the file"),
     (_edit_tensor(0, offset=1.5), "tensor 'emb.word' offset 1.5"),
     (_edit_tensor(0, dtype="|O"), "tensor 'emb.word' dtype '|O'"),
@@ -557,11 +613,13 @@ def test_encoder_dropout_masks_are_independent_per_connection():
     model.config.dropout = 0.5
     word_ids, tag_ids = model._input_ids(trees[0].sentence, False, None)
     rng = np.random.default_rng(0)
-    _feat, cache = model._encode(word_ids, tag_ids, True, rng)
+    _feat, (_word_ids, _tag_ids, layers, feat_masks) = model._encode(word_ids, tag_ids,
+                                                                      True, rng)
     # layer-1 output feeds layer 2 and the feature under different masks
-    assert cache["mask_a"] is not None and cache["mask_feat1"] is not None
-    assert not np.array_equal(cache["mask_a"], cache["mask_feat1"])
-    assert cache["mask_feat2"] is not None
+    layer2_input_mask = layers[1][0]
+    assert layer2_input_mask is not None and feat_masks[0] is not None
+    assert not np.array_equal(layer2_input_mask, feat_masks[0])
+    assert feat_masks[1] is not None
 
 
 def test_ablation_switches_all_train():
