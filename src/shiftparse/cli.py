@@ -61,6 +61,16 @@ def _coerce(value: str, target_type):
     return target_type(value)
 
 
+def _foreign_flag(args):
+    """The first hyperparameter flag given that only the other task's
+    config has, spelled as on the command line."""
+    own, other = (DepConfig, ConstConfig) if args.task == "dep" else (ConstConfig, DepConfig)
+    for f in fields(other):
+        if f.name not in own.__dataclass_fields__ and getattr(args, f.name) is not None:
+            return "--" + f.name.replace("_", "-")
+    return None
+
+
 def _build_config(task: str, args) -> object:
     cls = DepConfig if task == "dep" else ConstConfig
     values = {f.name: getattr(cls, "__dataclass_fields__")[f.name].default
@@ -386,6 +396,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flag = _foreign_flag(args) if args.command == "train" else None
+    if flag:
+        parser.error("%s does not apply to --task %s" % (flag, args.task))
     try:
         return args.func(args)
     except (TreeReadError, ModelIOError, OSError, ValueError) as exc:

@@ -227,16 +227,6 @@ def const_replay(sentence: Sentence, actions: Iterable[ConstAction],
     return tree, DepTree(sentence, frozenset(arcs))
 
 
-def max_promote_run(actions: Iterable[ConstAction]) -> int:
-    """Longest run of consecutive promotes in a sequence (training data
-    exceeding the decode cap gets flagged with this)."""
-    run = best = 0
-    for action in actions:
-        run = run + 1 if action.kind == C_PROMOTE else 0
-        best = max(best, run)
-    return best
-
-
 def write_const_actions(sequences: Iterable[Iterable[ConstAction]]) -> str:
     """One action per line, blank line between sentences."""
     blocks = ["\n".join(str(a) for a in seq) for seq in sequences]

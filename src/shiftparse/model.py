@@ -30,9 +30,10 @@ block is the nonterminal table times its W1 block. A decision then sums
 input by W1. Training gathers from the same tables; their gradients go
 back to W1 and to the encoder rows as per-slot GEMMs.
 
-Models serialize to a single file: a JSON metadata header (task, config,
-vocabulary and its hash, tensor directory) followed by raw little-endian
-blocks of the parameter values only, so values round-trip bitwise; a loaded
+A model file is a JSON header (task, config, vocabulary and its hash,
+tensor directory), then the parameter values as raw little-endian blocks,
+so they round-trip bitwise. It must have exactly the layout its config
+implies: blocks back to back in store order and no trailing bytes. A loaded
 model's gradients and ADADELTA accumulators start at zero, as in a new one.
 """
 
@@ -42,6 +43,7 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -652,11 +654,8 @@ def model_grad_check(model: _EncoderModel, trees: Sequence, samples_per_param: i
     """
     data = [(tree, model._oracle(tree)) for tree in trees]
     model.store.zero_grads()
-    total = 0.0
-    for tree, actions in data:
-        total += model._forward_backward(tree, actions, False, None)
-    analytic = {p.name: np.asarray(p.grad, dtype=np.float64).copy()
-                for p in model.store}
+    total = sum(model._forward_backward(tree, actions, False, None) for tree, actions in data)
+    analytic = {p.name: p.grad.astype(np.float64) for p in model.store}
     model.store.zero_grads()
     if inject_error is not None:
         if inject_error not in analytic:
@@ -667,15 +666,14 @@ def model_grad_check(model: _EncoderModel, trees: Sequence, samples_per_param: i
     probe_data = [(tree, probe_model._oracle(tree)) for tree in trees]
 
     def loss_fn():
-        value = 0.0
-        for tree, actions in probe_data:
-            value += probe_model._forward_backward(tree, actions, False, None)
+        value = sum(probe_model._forward_backward(tree, actions, False, None)
+                    for tree, actions in probe_data)
         probe_model.store.zero_grads()  # discard gradients from probe passes
         return value
 
     rng = np.random.default_rng(seed)
     report = nn.grad_check(loss_fn, probe_model.store, rng, samples_per_param, h,
-                           tolerance, analytic)
+                           tolerance, analytic=analytic)
     report["loss"] = total
     return report
 
@@ -688,21 +686,19 @@ _MAGIC = b"SHPM"
 _FORMAT_VERSION = 2
 
 
+def _directory(store: nn.ParamStore, dtype: np.dtype) -> list[dict]:
+    """The tensor directory a model file holds: every parameter in store
+    order, its block of dtype values right after the previous one."""
+    sizes = [p.value.size * dtype.itemsize for p in store]
+    return [{"name": p.name, "shape": list(p.value.shape), "dtype": dtype.name,
+             "offset": offset, "nbytes": nbytes}
+            for p, offset, nbytes in zip(store, accumulate([0] + sizes), sizes)]
+
+
 def save_model(model: _EncoderModel, path, params: Optional[dict[str, np.ndarray]] = None):
-    """Write header + raw little-endian tensor blocks. With params given
-    (e.g. a best-epoch snapshot) those arrays are written instead of the
-    live ones."""
-    tensors = []
-    blocks = []
-    offset = 0
-    for p in model.store:
-        value = p.value if params is None else params[p.name]
-        data = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<")).tobytes()
-        tensors.append({"name": p.name, "shape": list(value.shape),
-                        "dtype": str(value.dtype), "offset": offset,
-                        "nbytes": len(data)})
-        blocks.append(data)
-        offset += len(data)
+    """Write the header, then the little-endian blocks in store order: of
+    params when given (e.g. the best-epoch snapshot), else the live values."""
+    dtype = model.store.dtype.newbyteorder("<")
     header = {
         "format": "shiftparse-model",
         "version": _FORMAT_VERSION,
@@ -710,19 +706,20 @@ def save_model(model: _EncoderModel, path, params: Optional[dict[str, np.ndarray
         "config": asdict(model.config),
         "vocab": model.vocab.to_json(),
         "vocab_sha256": model.vocab.sha256(),
-        "tensors": tensors,
+        "tensors": _directory(model.store, dtype),
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
-        for block in blocks:
-            fh.write(block)
+        for p in model.store:
+            value = p.value if params is None else params[p.name]
+            fh.write(np.ascontiguousarray(value, dtype=dtype).tobytes())
 
 
 def save_best(model: _EncoderModel, path):
-    save_model(model, path, params=model.best_params or model.snapshot())
+    save_model(model, path, params=model.best_params)
 
 
 def _header_config(cls, values):
@@ -760,49 +757,35 @@ def _header_vocab(data) -> Vocab:
     return vocab
 
 
-def _tensor_meta(index: int, meta, arrays, dtype: np.dtype, payload_size: int):
-    """Check one tensor directory entry against the model's arrays, the
-    config's precision and the payload's size; returns its name, offset and
-    byte count."""
-    if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
-        raise ModelIOError("tensor entry %d has no name" % index)
-    name = meta["name"]
-    for key in ("shape", "dtype", "offset", "nbytes"):
-        if key not in meta:
-            raise ModelIOError("tensor %r entry lacks %r" % (name, key))
-    if name not in arrays:
-        raise ModelIOError("unexpected tensor %r" % name)
-    target = arrays[name]
-    if list(target.shape) != meta["shape"]:
-        raise ModelIOError("tensor %r shape %r does not match config shape %r"
-                           % (name, meta["shape"], list(target.shape)))
-    try:
-        same = isinstance(meta["dtype"], str) and np.dtype(meta["dtype"]) == dtype
-    except (TypeError, ValueError):
-        same = False
-    if not same:
-        raise ModelIOError("tensor %r dtype %r is not the config's %s"
-                           % (name, meta["dtype"], dtype.name))
-    offset, nbytes = meta["offset"], meta["nbytes"]
-    for key, value in (("offset", offset), ("nbytes", nbytes)):
-        if type(value) is not int or value < 0:
-            raise ModelIOError("tensor %r %s %r is not a non-negative integer"
-                               % (name, key, value))
-    if nbytes != target.size * dtype.itemsize:
-        raise ModelIOError("tensor %r nbytes %d does not match its shape %r"
-                           % (name, nbytes, list(target.shape)))
-    if offset + nbytes > payload_size:
-        raise ModelIOError("tensor %r lies beyond the end of the file" % name)
-    return name, offset, nbytes
+def _check_directory(tensors, directory: list[dict]):
+    """Require the header's tensor directory to equal the config's, naming the first
+    tensor and field that differ; values compare as JSON, so 0.0 is not 0."""
+    if not isinstance(tensors, list):
+        raise ModelIOError("header tensors is not a list")
+    for index, (entry, want) in enumerate(zip(tensors, directory)):
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ModelIOError("tensor entry %d has no name" % index)
+        for key, value in want.items():
+            if key not in entry:
+                raise ModelIOError("tensor %r entry lacks %r" % (want["name"], key))
+            if json.dumps(entry[key]) != json.dumps(value):
+                raise ModelIOError("tensor %r %s %r is not the config's %r"
+                                   % (want["name"], key, entry[key], value))
+        if len(entry) != len(want):
+            raise ModelIOError("tensor %r entry has keys beyond %s" % (want["name"], list(want)))
+    if len(tensors) < len(directory):
+        raise ModelIOError("tensor %r is missing" % directory[len(tensors)]["name"])
+    if len(tensors) > len(directory):
+        raise ModelIOError("tensor entry %d %r is beyond the config's tensors"
+                           % (len(directory), tensors[len(directory)]))
 
 
 def load_model(path):
-    """Rebuild a model from a file; validates magic, version, vocabulary
-    hash, every tensor's directory entry against the stored config and the
-    file size, and that every loaded value is finite."""
+    """Rebuild a model from a file; validates magic, version and vocabulary
+    hash, that the tensor directory and the file's size are exactly those
+    the stored config implies, and that every loaded value is finite."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
+        if fh.read(4) != _MAGIC:
             raise ModelIOError("bad magic: not a shiftparse model file")
         length_field = fh.read(8)
         if len(length_field) != 8:
@@ -818,7 +801,7 @@ def load_model(path):
             raise ModelIOError("unreadable header: %s" % exc)
         for field_name in ("format", "version", "task", "config", "vocab",
                            "vocab_sha256", "tensors"):
-            if field_name not in header:
+            if not isinstance(header, dict) or field_name not in header:
                 raise ModelIOError("header missing field %r" % field_name)
         if header["format"] != "shiftparse-model":
             raise ModelIOError("unexpected format %r" % header["format"])
@@ -827,30 +810,21 @@ def load_model(path):
         vocab = _header_vocab(header["vocab"])
         if vocab.sha256() != header["vocab_sha256"]:
             raise ModelIOError("vocab_sha256 mismatch: vocabulary was modified")
-        task = header["task"]
-        if task == "dep":
-            model = DepModel(_header_config(DepConfig, header["config"]), vocab)
-        elif task == "const":
-            model = ConstModel(_header_config(ConstConfig, header["config"]), vocab)
-        else:
-            raise ModelIOError("unknown task %r" % task)
-        tensors = header["tensors"]
-        if not isinstance(tensors, list):
-            raise ModelIOError("header tensors is not a list")
-        arrays = {p.name: p.value for p in model.store}
-        dtype = np.dtype(model.config.precision).newbyteorder("<")
-        seen = set()
-        payload_start = fh.tell()
-        payload_size = file_size - payload_start
-        for index, meta in enumerate(tensors):
-            name, offset, nbytes = _tensor_meta(index, meta, arrays, dtype, payload_size)
-            fh.seek(payload_start + offset)
-            loaded = np.frombuffer(fh.read(nbytes), dtype=dtype)
+        if header["task"] not in ("dep", "const"):
+            raise ModelIOError("unknown task %r" % header["task"])
+        cls, config_cls = {"dep": (DepModel, DepConfig),
+                           "const": (ConstModel, ConstConfig)}[header["task"]]
+        model = cls(_header_config(config_cls, header["config"]), vocab)
+        dtype = model.store.dtype.newbyteorder("<")
+        directory = _directory(model.store, dtype)
+        _check_directory(header["tensors"], directory)
+        size, end = file_size - fh.tell(), directory[-1]["offset"] + directory[-1]["nbytes"]
+        if size != end:
+            raise ModelIOError("tensor blocks up to %r take %d bytes but the file holds %d"
+                               % (directory[-1]["name"], end, size))
+        for p in model.store:
+            loaded = np.frombuffer(fh.read(p.value.nbytes), dtype=dtype)
             if not np.all(np.isfinite(loaded)):
-                raise ModelIOError("tensor %r holds non-finite values" % name)
-            arrays[name][...] = loaded.reshape(arrays[name].shape)
-            seen.add(name)
-        missing = set(arrays) - seen
-        if missing:
-            raise ModelIOError("tensors missing from file: %s" % ", ".join(sorted(missing)))
+                raise ModelIOError("tensor %r holds non-finite values" % p.name)
+            p.value[...] = loaded.reshape(p.value.shape)
     return model

@@ -345,6 +345,11 @@ def write_conll(trees: Iterable[DepTree]) -> str:
 
 _PAREN_ESCAPES = {"(": "-LRB-", ")": "-RRB-"}
 _PAREN_UNESCAPES = {"-LRB-": "(", "-RRB-": ")"}
+# Deepest bracket nesting read_brackets accepts, the preterminal included.
+# Reading, head assignment, scoring, writing and tree comparison recurse per
+# level (comparison takes four frames a level), so a much deeper tree ends
+# in a RecursionError; treebank trees stay far below this.
+MAX_BRACKET_DEPTH = 150
 
 
 def _lex_brackets(stream) -> Iterator[tuple[str, str, int]]:
@@ -373,7 +378,8 @@ def read_brackets(stream) -> list[ConstTree]:
 
     Accepts one tree per line or pretty-printed trees. A label-less outer
     wrapper "( (S ...) )" around a single tree is unwrapped. head_child is
-    left unset; apply head rules afterwards.
+    left unset; apply head rules afterwards. Nesting deeper than
+    MAX_BRACKET_DEPTH is an error.
     """
     tokens = list(_lex_brackets(stream))
     pos = 0
@@ -381,11 +387,13 @@ def read_brackets(stream) -> list[ConstTree]:
     def peek():
         return tokens[pos] if pos < len(tokens) else (None, None, tokens[-1][2] if tokens else 1)
 
-    def parse_node(token_acc: list[Token]):
+    def parse_node(token_acc: list[Token], depth: int = 1):
         nonlocal pos
         kind, text, line = peek()
         if kind != "(":
             raise TreeReadError("expected '(', got %r" % (text,), line)
+        if depth > MAX_BRACKET_DEPTH:
+            raise TreeReadError("brackets nested deeper than %d" % MAX_BRACKET_DEPTH, line)
         pos += 1
         kind, text, line = peek()
         label = None
@@ -412,7 +420,7 @@ def read_brackets(stream) -> list[ConstTree]:
         while True:
             kind, text, line = peek()
             if kind == "(":
-                children.append(parse_node(token_acc))
+                children.append(parse_node(token_acc, depth + 1))
             elif kind == ")":
                 pos += 1
                 break

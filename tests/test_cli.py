@@ -2,7 +2,7 @@ import pytest
 
 from shiftparse.cli import main
 from shiftparse.evalmetrics import score_dep
-from shiftparse.trees import read_conll, write_brackets, write_conll
+from shiftparse.trees import MAX_BRACKET_DEPTH, read_conll, write_brackets, write_conll
 from shiftparse import synth
 
 FAST_FLAGS = ["--word-dims", "8", "--tag-dims", "6", "--lstm-units", "8",
@@ -334,3 +334,43 @@ def test_parse_model_with_unknown_config_key_is_data_error(tmp_path, dep_corpus,
                                           lambda h: h["config"].update(beam_size=8))
     assert code == 2
     assert "beam_size" in err
+
+
+@pytest.mark.parametrize("task, flags, named", [
+    ("dep", ["--promote-cap", "7", "--nonterminal-dims", "9"], "--nonterminal-dims"),
+    ("dep", ["--promote-cap", "7"], "--promote-cap"),
+    ("const", ["--root-label", "top"], "--root-label"),
+], ids=["dep-const-flags", "dep-promote-cap", "const-root-label"])
+def test_train_flag_of_the_other_task_is_usage_error(tmp_path, dep_corpus, task, flags,
+                                                      named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--task", task, "--train", str(dep_corpus),
+              "--model", str(tmp_path / "m")] + flags + FAST_FLAGS)
+    assert exc.value.code == 1
+    assert "%s does not apply to --task %s" % (named, task) in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def _unary_chain(depth: int) -> str:
+    """A bracketed tree whose brackets nest depth deep, preterminal included."""
+    return "(X " * (depth - 2) + "(S (NN w))" + ")" * (depth - 2) + "\n"
+
+
+def test_tree_nested_to_the_bound_passes_oracle_train_and_eval(tmp_path):
+    path = tmp_path / "deep.brackets"
+    path.write_text(_unary_chain(MAX_BRACKET_DEPTH), encoding="utf-8")
+    assert main(["oracle", "--task", "const", "--input", str(path), "--replay"]) == 0
+    assert main(["train", "--task", "const", "--train", str(path),
+                 "--model", str(tmp_path / "m"), "--nonterminal-dims", "4"] + FAST_FLAGS) == 0
+    assert main(["eval", "--task", "const", "--gold", str(path), "--pred", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["oracle", "train", "eval"])
+def test_tree_nested_past_the_bound_is_data_error(tmp_path, command, capsys):
+    path = tmp_path / "deep.brackets"
+    path.write_text(_unary_chain(MAX_BRACKET_DEPTH + 1), encoding="utf-8")
+    argv = {"oracle": ["--input", str(path), "--replay"],
+            "train": ["--train", str(path), "--model", str(tmp_path / "m")] + FAST_FLAGS,
+            "eval": ["--gold", str(path), "--pred", str(path)]}[command]
+    assert main([command, "--task", "const"] + argv) == 2
+    assert "line 1: brackets nested deeper than %d" % MAX_BRACKET_DEPTH in capsys.readouterr().err

@@ -5,8 +5,7 @@ from shiftparse.const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE,
                                      C_SHIFT, ConstAction, IllegalAction,
                                      NotDerivable, const_apply, const_initial,
                                      const_legal, const_oracle, const_replay,
-                                     max_promote_run, read_const_actions,
-                                     write_const_actions)
+                                     read_const_actions, write_const_actions)
 from shiftparse.headrules import HeadRules, assign_heads
 from shiftparse.trees import (ConstTree, Internal, Leaf, Sentence,
                               iter_internal, read_brackets)
@@ -196,11 +195,6 @@ def test_forced_promote_when_last_item_is_leaf():
     state = apply_all(const_initial(1), [SH])
     assert state.j == state.n and len(state.stack) == 1
     assert const_legal(state) == {C_PROMOTE}
-
-
-def test_max_promote_run():
-    assert max_promote_run(EXAMPLE_SEQUENCE) == 1
-    assert max_promote_run([SH, pro("A"), pro("B"), pro("C")]) == 3
 
 
 def test_coderived_dependencies():

@@ -356,6 +356,13 @@ def test_load_rejects_header_length_beyond_file(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "number.bin"
+    path.write_bytes(b"SHPM" + struct.pack("<Q", 1) + b"5")
+    with pytest.raises(ModelIOError, match="header missing field 'format'"):
+        load_model(path)
+
+
 def _rewrite_header(blob: bytes, edit) -> bytes:
     """A model file whose JSON header went through edit(header)."""
     (header_len,) = struct.unpack("<Q", blob[4:12])
@@ -451,10 +458,15 @@ def _edit_tensor(index, **fields):
     return lambda h: h["tensors"][index].update(fields)
 
 
+def _swap_first_entries(header):
+    tensors = header["tensors"]
+    tensors[0], tensors[1] = tensors[1], tensors[0]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_edit_tensor(0, nbytes=2 ** 62), "tensor 'emb.word' nbytes"),
     (_edit_tensor(1, offset=-64), "tensor 'emb.tag' offset -64"),
-    (_edit_tensor(-1, offset=10 ** 9), "lies beyond the end of the file"),
+    (_edit_tensor(-1, offset=10 ** 9), "tensor 'head.label.b2' offset 1000000000 is not"),
     (_edit_tensor(0, offset=1.5), "tensor 'emb.word' offset 1.5"),
     (_edit_tensor(0, dtype="|O"), "tensor 'emb.word' dtype '|O'"),
     (_edit_tensor(0, dtype="no-such-type"), "tensor 'emb.word' dtype"),
@@ -463,8 +475,20 @@ def _edit_tensor(index, **fields):
     (lambda h: h["tensors"].__setitem__(2, 7), "tensor entry 2 has no name"),
     (lambda h: h["tensors"][0].pop("offset"), "tensor 'emb.word' entry lacks 'offset'"),
     (lambda h: h.update(tensors={}), "tensors is not a list"),
+    # the directory must be exactly the one the config implies, even where
+    # its offsets still point at the right blocks
+    (_swap_first_entries, "tensor 'emb.word' name 'emb.tag' is not the config's 'emb.word'"),
+    (lambda h: h["tensors"].insert(1, dict(h["tensors"][0])),
+     "tensor 'emb.tag' name 'emb.word' is not"),
+    (lambda h: h["tensors"].append(dict(h["tensors"][-1])),
+     "tensor entry 20 .*'head.label.b2'.* is beyond the config's tensors"),
+    (lambda h: h["tensors"].pop(), "tensor 'head.label.b2' is missing"),
+    (_edit_tensor(0, offset=0.0), "tensor 'emb.word' offset 0.0 is not the config's 0"),
+    (_edit_tensor(0, note="x"), "tensor 'emb.word' entry has keys beyond"),
 ], ids=["huge-nbytes", "negative-offset", "beyond-file", "float-offset", "object-dtype",
-        "unknown-dtype", "null-dtype", "no-name", "not-an-object", "no-offset", "not-a-list"])
+        "unknown-dtype", "null-dtype", "no-name", "not-an-object", "no-offset", "not-a-list",
+        "swapped", "duplicated", "extra-entry", "missing-entry", "float-zero-offset",
+        "extra-key"])
 def test_load_rejects_malformed_tensor_entry(tmp_path, edit, message):
     model, _trees = small_dep_setup()
     path = tmp_path / "model.bin"
@@ -472,6 +496,20 @@ def test_load_rejects_malformed_tensor_entry(tmp_path, edit, message):
     bad = tmp_path / "bad_tensor.bin"
     bad.write_bytes(_rewrite_header(path.read_bytes(), edit))
     with pytest.raises(ModelIOError, match=message):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("delta", [8, -8], ids=["trailing-bytes", "truncated"])
+def test_load_requires_the_payload_to_end_with_the_file(tmp_path, delta):
+    model, _trees = small_dep_setup()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    blob = path.read_bytes()
+    bad = tmp_path / "resized.bin"
+    bad.write_bytes(blob + b"\0" * delta if delta > 0 else blob[:delta])
+    payload = sum(p.value.nbytes for p in model.store)
+    with pytest.raises(ModelIOError, match="'head.label.b2' take %d bytes but the file holds %d"
+                       % (payload, payload + delta)):
         load_model(bad)
 
 
