@@ -175,10 +175,12 @@ def cmd_train(args) -> int:
         print("warning: %d/%d training sentences were not derivable" % (skipped, total),
               file=sys.stderr)
     save_model(model, args.model)
-    save_best(model, args.model + ".best")
-    print("trained in %.1fs; wrote %s and %s.best" % (time.time() - start,
-                                                      args.model, args.model),
-          file=sys.stderr)
+    written = args.model
+    # without a dev set there is no best epoch: the best copy would be the model
+    if dev:
+        save_best(model, args.model + ".best")
+        written += " and %s.best" % args.model
+    print("trained in %.1fs; wrote %s" % (time.time() - start, written), file=sys.stderr)
     return 0
 
 

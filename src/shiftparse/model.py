@@ -23,12 +23,16 @@ row of the nonterminal embedding table.
 The classifier's first layer is factored by slot (the precomputation of
 Chen & Manning 2014). W1 is a stack of row blocks, one per slot, so the
 hidden pre-activation of a state is b1 plus one row per slot from a table
-built once per sentence and head: each position slot's block is
-[encoder rows; absent vectors] times its W1 block, and each label slot's
-block is the nonterminal table times its W1 block. A decision then sums
-3 (dep) or 13 (const) rows instead of multiplying a 2400- or 4800-wide
-input by W1. Training gathers from the same tables; their gradients go
-back to W1 and to the encoder rows as per-slot GEMMs.
+built per head: each position slot's block is [encoder rows; absent
+vectors] times its W1 block, and each label slot's block is the
+nonterminal table times its W1 block. A decision then sums 3 (dep) or 13
+(const) rows instead of multiplying a 2400- or 4800-wide input by W1.
+Decoding builds the tables once per sentence. Training builds them once
+per minibatch over the stacked encoder rows of all its sentences (the
+operation batching of Neubig et al. 2017), so the projection and its
+backward pass, the gradients into W1 and into the encoder rows, are one
+set of per-slot GEMMs per minibatch; the classifier above the table still
+runs sentence by sentence.
 
 A model file is a JSON header (task, config, vocabulary and its hash,
 tensor directory), then the parameter values as raw little-endian blocks,
@@ -383,54 +387,69 @@ class _EncoderModel:
             self.store["emb.nonterminal"].grad += dinputs[1]
         return dinputs[0][:n]
 
-    def _slot_ids(self, n: int, rows):
-        """Table rows selected by feature rows [(positions, label ids)] of an
-        n-word sentence, as an (m, slots) integer array."""
+    def _slot_ids(self, n: int, rows, offset: int = 0):
+        """Table rows selected by feature rows [(positions, label ids)] of a
+        sentence whose first word is encoder row offset of a table built
+        over n encoder rows, as an (m, slots) integer array."""
         stride = n + len(self.families)
         label_at = len(self.position_families) * stride
         n_labels = len(self.vocab.nonterminals)
-        return np.array([[k * stride + (n + self.absent_row[k] if p is None else p)
+        return np.array([[k * stride + (n + self.absent_row[k] if p is None else offset + p)
                           for k, p in enumerate(positions)]
                          + [label_at + j * n_labels + label for j, label in enumerate(labels)]
                          for positions, labels in rows], dtype=np.intp)
 
     # -- training --------------------------------------------------------------
 
-    def _forward_backward(self, tree, actions, train: bool, rng) -> float:
-        """Teacher-forced loss of one sentence's gold actions; accumulates
-        the gradient of every parameter it touches."""
-        sentence = tree.sentence
-        word_ids, tag_ids = self._input_ids(sentence, train, rng)
-        enc, cache = self._encode(word_ids, tag_ids, train, rng)
-        feature_rows = []
-        state = self._initial(len(sentence))
-        for action in actions:
-            feature_rows.append(self._features(state))
-            state = self._apply(state, action)
+    def _forward_backward(self, batch, train: bool, rng) -> float:
+        """Teacher-forced loss of a minibatch's gold actions, batch being
+        [(tree, actions)]; accumulates the gradient of every parameter it
+        touches. The sentences are encoded in order, then share one
+        first-layer table per head over their stacked encoder rows; each
+        sentence's states are scored and backpropagated into it on their own."""
+        encs, caches, feature_rows = [], [], []
+        for tree, actions in batch:
+            sentence = tree.sentence
+            word_ids, tag_ids = self._input_ids(sentence, train, rng)
+            enc, cache = self._encode(word_ids, tag_ids, train, rng)
+            encs.append(enc)
+            caches.append(cache)
+            rows = []
+            state = self._initial(len(sentence))
+            for action in actions:
+                rows.append(self._features(state))
+                state = self._apply(state, action)
+            feature_rows.append(rows)
+        offsets = list(accumulate([0] + [len(enc) for enc in encs]))
+        enc = np.concatenate(encs)
         tables = self._project(enc)
-        ids = self._slot_ids(len(sentence), feature_rows)
 
-        # (head, rows it scores, gold outputs); the label head sees only the
-        # rows of labeled kinds
         space = self.space
-        if self.config.hierarchical:
-            kinds = [space.kind_id[a.kind] for a in actions]
-            labeled = [r for r, k in enumerate(kinds) if space.labeled[k]]
-            heads = [("head.struct", slice(None), kinds),
-                     ("head.label", labeled, [space.label_id[actions[r].label] for r in labeled])]
-        else:
-            heads = [("head.flat", slice(None),
-                      [space.column_id[(a.kind, a.label)] for a in actions])]
-        loss, dtables = 0.0, {}
-        for prefix, rows, gold in heads:
-            if gold:
-                scores, mcache = self._mlp_forward(prefix, tables, ids[rows])
-                head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
-                loss += head_loss
-                dtables[prefix] = np.zeros_like(tables[prefix])
-                self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
+        loss = 0.0
+        dtables = {prefix: np.zeros_like(table) for prefix, table in tables.items()}
+        for (_, actions), rows, offset in zip(batch, feature_rows, offsets):
+            ids = self._slot_ids(len(enc), rows, offset)
+            # (head, rows it scores, gold outputs); the label head sees only
+            # the rows of labeled kinds
+            if self.config.hierarchical:
+                kinds = [space.kind_id[a.kind] for a in actions]
+                labeled = [r for r, k in enumerate(kinds) if space.labeled[k]]
+                heads = [("head.struct", slice(None), kinds),
+                         ("head.label", labeled,
+                          [space.label_id[actions[r].label] for r in labeled])]
+            else:
+                heads = [("head.flat", slice(None),
+                          [space.column_id[(a.kind, a.label)] for a in actions])]
+            for prefix, head_rows, gold in heads:
+                if gold:
+                    scores, mcache = self._mlp_forward(prefix, tables, ids[head_rows])
+                    head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
+                    loss += head_loss
+                    self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
 
-        self._encode_backward(cache, self._project_backward(enc, dtables))
+        d_enc = self._project_backward(enc, dtables)
+        for cache, d in zip(caches, np.split(d_enc, offsets[1:-1])):
+            self._encode_backward(cache, d)
         return loss
 
     def _clip_grads(self):
@@ -480,9 +499,8 @@ class _EncoderModel:
             order = self.rng.permutation(len(data))
             epoch_loss = 0.0
             for start in range(0, len(order), cfg.minibatch):
-                for idx in order[start:start + cfg.minibatch]:
-                    tree, actions = data[idx]
-                    epoch_loss += self._forward_backward(tree, actions, True, self.rng)
+                batch = [data[idx] for idx in order[start:start + cfg.minibatch]]
+                epoch_loss += self._forward_backward(batch, True, self.rng)
                 self._clip_grads()
                 self.store.adadelta_step(cfg.rho, cfg.eps, cfg.l2)
             line = "epoch=%d loss=%.6f" % (epoch, epoch_loss)
@@ -654,7 +672,7 @@ def model_grad_check(model: _EncoderModel, trees: Sequence, samples_per_param: i
     """
     data = [(tree, model._oracle(tree)) for tree in trees]
     model.store.zero_grads()
-    total = sum(model._forward_backward(tree, actions, False, None) for tree, actions in data)
+    total = model._forward_backward(data, False, None)
     analytic = {p.name: p.grad.astype(np.float64) for p in model.store}
     model.store.zero_grads()
     if inject_error is not None:
@@ -666,8 +684,7 @@ def model_grad_check(model: _EncoderModel, trees: Sequence, samples_per_param: i
     probe_data = [(tree, probe_model._oracle(tree)) for tree in trees]
 
     def loss_fn():
-        value = sum(probe_model._forward_backward(tree, actions, False, None)
-                    for tree, actions in probe_data)
+        value = probe_model._forward_backward(probe_data, False, None)
         probe_model.store.zero_grads()  # discard gradients from probe passes
         return value
 

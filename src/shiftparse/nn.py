@@ -23,15 +23,19 @@ pre-activation gradients per step, with every gate-derivative factor
 computed beforehand for all steps at once. After the loop, the weight
 and input gradients are GEMMs over dZ:
 dW_x += xs^T dZ, dW_h += H_prev^T dZ, db += sum(dZ), dxs = dZ W_x^T.
-ADADELTA updates each parameter in place through two scratch buffers
-allocated per call, so no per-parameter temporaries are created.
+ADADELTA updates each parameter in place, one cache-sized chunk of its
+flattened arrays at a time, through one two-chunk scratch buffer allocated
+per call: no per-parameter temporaries are created, and each chunk is read
+from main memory once for the whole op sequence instead of once per op.
 
 The classifier's input may be dense floats or integer row indices. With
 integer x of shape (m, slots) the first layer is a gather-sum: w1 is then
 a table of precomputed rows (one block per input slot, see model.py) and
 the pre-activation is b1 plus the sum of the selected rows. The backward
 pass accumulates each row's pre-activation gradient into the table
-gradient at the rows it selected, as one counts-matrix GEMM.
+gradient at the rows it selected, as one counts-matrix GEMM over the
+distinct selected rows only, so a large table (e.g. one stacked over a
+minibatch) costs no more than the rows actually used.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ import numpy as np
 # When enabled, key ops assert their outputs are finite. Cheap insurance
 # while training without gradient clipping.
 debug_checks = False
+
+# ADADELTA updates each parameter in chunks of this many bytes: a chunk of
+# its four arrays plus the two scratch rows (1.5 MB) stay in a 2 MB L2.
+ADADELTA_CHUNK_BYTES = 256 * 1024
 
 
 def _check_finite(name, arr):
@@ -110,34 +118,38 @@ class ParamStore:
             raise ValueError("rho must lie in (0, 1)")
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        largest = max((p.value.size for p in self), default=0)
-        scratch = np.empty((2, largest), dtype=self.dtype)
+        chunk = ADADELTA_CHUNK_BYTES // self.dtype.itemsize
+        scratch = np.empty((2, chunk), dtype=self.dtype)
         for p in self:
-            a = scratch[0, :p.value.size].reshape(p.value.shape)
-            b = scratch[1, :p.value.size].reshape(p.value.shape)
-            g = p.grad
-            if l2:
-                np.multiply(l2, p.value, out=a)
-                g += a
-            p.eg2 *= rho
-            np.multiply(1.0 - rho, g, out=a)
-            a *= g
-            p.eg2 += a
-            # a <- -dx = sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g; negating
-            # is exact, so dx*dx and x - (-dx) round as in the formulas
-            np.add(p.ed2, eps, out=a)
-            np.sqrt(a, out=a)
-            np.add(p.eg2, eps, out=b)
-            np.sqrt(b, out=b)
-            a /= b
-            a *= g
-            p.ed2 *= rho
-            np.multiply(1.0 - rho, a, out=b)
-            b *= a
-            p.ed2 += b
-            p.value -= a
+            # views of the C-contiguous arrays, walked a chunk at a time so
+            # that the whole op sequence runs on data held in cache
+            flats = [arr.reshape(-1) for arr in (p.value, p.grad, p.eg2, p.ed2)]
+            for start in range(0, p.value.size, chunk):
+                x, g, eg2, ed2 = (flat[start:start + chunk] for flat in flats)
+                a, b = scratch[0, :len(x)], scratch[1, :len(x)]
+                if l2:
+                    np.multiply(l2, x, out=a)
+                    g += a
+                eg2 *= rho
+                np.multiply(1.0 - rho, g, out=a)
+                a *= g
+                eg2 += a
+                # a <- -dx = sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g;
+                # negating is exact, so dx*dx and x - (-dx) round as in the
+                # formulas
+                np.add(ed2, eps, out=a)
+                np.sqrt(a, out=a)
+                np.add(eg2, eps, out=b)
+                np.sqrt(b, out=b)
+                a /= b
+                a *= g
+                ed2 *= rho
+                np.multiply(1.0 - rho, a, out=b)
+                b *= a
+                ed2 += b
+                x -= a
+                g[...] = 0.0
             _check_finite(p.name, p.value)
-            p.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +326,16 @@ def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2):
         dpre = dhid * (pre > 0)
         db1 += dpre.sum(axis=0)
     if x.dtype.kind in "iu":
-        # counts[r, i]: how often row i selected row r of w1; as a GEMM this
-        # is far faster than np.add.at over the (m, slots, hidden) scatter
+        # counts[r, i]: how often row i selected the r-th distinct selected
+        # row of w1; as a GEMM this is far faster than np.add.at over the
+        # (m, slots, hidden) scatter, and it spans only the selected rows,
+        # so its cost does not grow with the table
         ids = x.reshape(-1, x.shape[-1])
         m = len(ids)
-        counts = np.bincount((ids * m + np.arange(m)[:, None]).ravel(), minlength=len(w1) * m)
-        dw1 += counts.reshape(len(w1), m).astype(dpre.dtype) @ dpre.reshape(m, -1)
+        used, inverse = np.unique(ids.ravel(), return_inverse=True)
+        counts = np.bincount((inverse.reshape(ids.shape) * m + np.arange(m)[:, None]).ravel(),
+                             minlength=len(used) * m)
+        dw1[used] += counts.reshape(len(used), m).astype(dpre.dtype) @ dpre.reshape(m, -1)
         return None
     if dscores.ndim == 1:
         dw1 += np.outer(x, dpre)

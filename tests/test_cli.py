@@ -25,13 +25,16 @@ def const_corpus(tmp_path):
     return path
 
 
-def test_train_writes_model_and_log(tmp_path, dep_corpus):
+def test_train_writes_model_and_log(tmp_path, dep_corpus, capsys):
     model = tmp_path / "dep.model"
     log = tmp_path / "train.log"
     code = main(["train", "--task", "dep", "--train", str(dep_corpus),
                  "--model", str(model), "--log", str(log)] + FAST_FLAGS)
     assert code == 0
-    assert model.exists() and (tmp_path / "dep.model.best").exists()
+    assert model.exists()
+    # no --dev, so no best epoch and no .best copy
+    assert not (tmp_path / "dep.model.best").exists()
+    assert capsys.readouterr().err.endswith("; wrote %s\n" % model)
     content = log.read_text()
     assert "config epochs=2" in content
     assert "epoch=2 loss=" in content

@@ -242,13 +242,47 @@ def test_training_reduces_loss():
     data = [(t, model._oracle(t)) for t in train]
 
     def corpus_loss():
-        total = sum(model._forward_backward(t, a, False, None) for t, a in data)
+        total = model._forward_backward(data, False, None)
         model.store.zero_grads()
         return total
 
     initial = corpus_loss()
     model.fit(train)
     assert corpus_loss() < initial
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+@pytest.mark.parametrize("hierarchical", [True, False], ids=["hierarchical", "flat"])
+def test_minibatch_gradients_equal_sum_of_sentences(task, hierarchical):
+    # sentences of different lengths, so each one's rows sit at a different
+    # offset of the stacked tables; dropout and word dropout on
+    rng = np.random.default_rng(12)
+    if task == "dep":
+        trees = [synth.random_projective_tree(rng, n) for n in (1, 6, 3, 9)]
+        vocab = build_vocab([t.sentence for t in trees], dep_trees=trees, min_form_count=1)
+        model = DepModel(DepConfig(word_dims=8, tag_dims=6, lstm_units=8, hidden=12,
+                                   dropout=0.3, word_dropout=0.25,
+                                   hierarchical=hierarchical, seed=3), vocab)
+    else:
+        trees = [synth.random_const_tree(rng, n) for n in (2, 7, 4, 9)]
+        vocab = build_vocab([t.sentence for t in trees], const_trees=trees, min_form_count=1)
+        model = ConstModel(ConstConfig(word_dims=8, tag_dims=6, nonterminal_dims=6,
+                                       lstm_units=8, hidden=12, dropout=0.3,
+                                       word_dropout=0.25, hierarchical=hierarchical,
+                                       seed=3), vocab)
+    batch = [(t, model._oracle(t)) for t in trees]
+
+    def run(calls):
+        rng = np.random.default_rng(4)
+        model.store.zero_grads()
+        loss = sum(model._forward_backward(items, True, rng) for items in calls)
+        return loss, {p.name: p.grad.copy() for p in model.store}
+
+    batch_loss, batch_grads = run([batch])
+    loss, grads = run([[item] for item in batch])
+    assert abs(batch_loss - loss) <= 1e-12 * abs(loss)
+    for name, grad in grads.items():
+        assert np.abs(batch_grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
 
 
 def test_fit_skips_nonderivable_sentences_with_count():

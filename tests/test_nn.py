@@ -344,11 +344,15 @@ def test_mlp_integer_input_sums_selected_rows():
     assert np.abs(one - dense_scores[1]).max() < 1e-12
 
 
-@pytest.mark.parametrize("ids", [np.array([[0, 4, 8], [3, 3, 5], [8, 1, 2], [7, 7, 7]]),
-                                 np.array([2, 6, 6])], ids=["rows", "one-row"])
-def test_mlp_integer_input_table_gradient(ids):
+@pytest.mark.parametrize("ids, table_rows", [
+    (np.array([[0, 4, 8], [3, 3, 5], [8, 1, 2], [7, 7, 7]]), 9),
+    (np.array([2, 6, 6]), 9),
+    # a table far larger than the rows selected, as one stacked over a minibatch
+    (np.array([[350, 4, 17], [17, 17, 399], [0, 350, 250]]), 400),
+], ids=["rows", "one-row", "large-table"])
+def test_mlp_integer_input_table_gradient(ids, table_rows):
     rng = np.random.default_rng(9)
-    table = rng.standard_normal((9, 6)) + 0.2
+    table = rng.standard_normal((table_rows, 6)) + 0.2
     b1 = rng.standard_normal(6) * 0.1
     w2 = nn.glorot(rng, 6, 3)
     b2 = rng.standard_normal(3) * 0.1
@@ -370,6 +374,12 @@ def test_mlp_integer_input_table_gradient(ids):
     assert np.any(grads["w1"] != 0.0)
     unused = np.setdiff1d(np.arange(len(table)), ids)
     assert np.all(grads["w1"][unused] == 0.0)
+    # the dense reference: the same rows as a 0/1 input times w1
+    _, dense_cache = nn.mlp_forward(table, b1, w2, b2, _one_hot_rows(ids, len(table)))
+    dense = {name: np.zeros_like(store[name].value) for name in ("w1", "b1", "w2", "b2")}
+    nn.mlp_backward(table, b1, w2, b2, dense_cache, np.atleast_2d(dscores),
+                    dense["w1"], dense["b1"], dense["w2"], dense["b2"])
+    assert np.abs(grads["w1"] - dense["w1"]).max() < 1e-12
     assert _fd_check_via_store(store, loss, grads, 1e-6) < 1e-6
 
 
@@ -460,31 +470,37 @@ def test_adadelta_l2_adds_weighted_value_to_gradient():
 
 def test_adadelta_in_place_update_is_bitwise_the_formula():
     # l2 > 0 on tensors of different sizes, so each is updated through a
-    # different slice of the shared scratch buffers, over several steps
+    # different slice of the shared scratch buffers, over several steps; "d"
+    # spans two full chunks and a ragged third of 3 values
     rng = np.random.default_rng(11)
     rho, eps, l2 = 0.95, 1e-6, 1e-3
-    values = {"a": rng.standard_normal((30, 7)), "b": rng.standard_normal(11),
-              "c": rng.standard_normal((2, 3, 4))}
-    store = make_store(**{k: v.copy() for k, v in values.items()})
-    expected = {k: [v.copy(), np.zeros_like(v), np.zeros_like(v)] for k, v in values.items()}
-    for _ in range(3):
+    for dtype in (np.float64, np.float32):
+        chunk = nn.ADADELTA_CHUNK_BYTES // np.dtype(dtype).itemsize
+        shapes = {"a": (30, 7), "b": (11,), "c": (2, 3, 4), "d": (2 * chunk + 3,)}
+        values = {k: rng.standard_normal(shape).astype(dtype) for k, shape in shapes.items()}
+        store = nn.ParamStore(dtype)
+        for name, value in values.items():
+            store.add(name, value.copy())
+        expected = {k: [v.copy(), np.zeros_like(v), np.zeros_like(v)] for k, v in values.items()}
+        for _ in range(3):
+            for name, (x, eg2, ed2) in expected.items():
+                grad = rng.standard_normal(x.shape).astype(dtype)
+                store[name].grad[...] = grad
+                g = grad + l2 * x
+                eg2 *= rho
+                eg2 += (1.0 - rho) * g * g
+                dx = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+                ed2 *= rho
+                ed2 += (1.0 - rho) * dx * dx
+                x += dx
+            store.adadelta_step(rho=rho, eps=eps, l2=l2)
         for name, (x, eg2, ed2) in expected.items():
-            grad = rng.standard_normal(x.shape)
-            store[name].grad[...] = grad
-            g = grad + l2 * x
-            eg2 *= rho
-            eg2 += (1.0 - rho) * g * g
-            dx = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
-            ed2 *= rho
-            ed2 += (1.0 - rho) * dx * dx
-            x += dx
-        store.adadelta_step(rho=rho, eps=eps, l2=l2)
-    for name, (x, eg2, ed2) in expected.items():
-        p = store[name]
-        assert np.array_equal(p.value, x)
-        assert np.array_equal(p.eg2, eg2)
-        assert np.array_equal(p.ed2, ed2)
-        assert np.all(p.grad == 0.0)
+            p = store[name]
+            assert p.value.dtype == dtype
+            assert np.array_equal(p.value, x)
+            assert np.array_equal(p.eg2, eg2)
+            assert np.array_equal(p.ed2, ed2)
+            assert np.all(p.grad == 0.0)
 
 
 def test_adadelta_order_invariance():
