@@ -34,6 +34,12 @@ backward pass, the gradients into W1 and into the encoder rows, are one
 set of per-slot GEMMs per minibatch; the classifier above the table still
 runs sentence by sentence.
 
+The encoder batches the same way. Training runs it once per minibatch:
+each layer and direction is one LSTM call over all the minibatch's
+sentences as a packed batch (nn.Packed: sorted longest first, time-major),
+so every step advances only the sentences still running with one GEMM.
+Decoding packs its one sentence.
+
 A model file is a JSON header (task, config, vocabulary and its hash,
 tensor directory), then the parameter values as raw little-endian blocks,
 so they round-trip bitwise. It must have exactly the layout its config
@@ -181,6 +187,21 @@ class ConstConfig:
                                 "hidden", "epochs", "minibatch", "promote_cap"))
 
 
+def _packing(lengths: Sequence[int]):
+    """How sentences of these lengths, stacked in order, run as one packed
+    LSTM batch: the batch sizes of the sentences sorted longest first (a
+    stable sort), and per direction the stacked row each packed row takes;
+    the backward direction runs each sentence from its last word."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.count_nonzero(lengths > np.arange(lengths.max())[:, None], axis=1)
+    steps = np.repeat(np.arange(len(sizes)), sizes)
+    # the sentence of each packed row: block t holds order[:sizes[t]]
+    sentence = order[np.arange(len(steps)) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
+    first = (np.cumsum(lengths) - lengths)[sentence]
+    return sizes, (first + steps, first + lengths[sentence] - 1 - steps)
+
+
 class _EncoderModel:
     """Embeddings, Bi-LSTM stack, classifier, training and greedy decoding
     shared by both parsers. A subclass builds its ActionSpace and heads in
@@ -280,30 +301,49 @@ class _EncoderModel:
         tag_ids = [self.vocab.tag_id(t.tag) for t in sentence.tokens]
         return np.asarray(word_ids), np.asarray(tag_ids)
 
-    def _encode(self, word_ids, tag_ids, train: bool, rng):
-        """Per-position features and the cache (word_ids, tag_ids, layers,
-        feature masks), with one (input mask, forward cache, backward cache)
-        per layer; a mask is None where dropout is off. Layer 1's input is
-        not dropped. Each connection out of a layer, into the next layer and
-        into the features, gets its own mask: the input masks are drawn as
-        the layers run, then the feature masks in layer order."""
+    def _encode(self, sentences: Sequence[Sentence], train: bool, rng):
+        """Per-position features of sentences, their rows stacked in order,
+        and the cache (word ids, tag ids, (forward, backward) packing,
+        layers, feature masks), with one (input mask, forward cache,
+        backward cache) per layer; a mask is None where dropout is off.
+        Layer 1's input is not dropped. Each connection out of a layer, into
+        the next layer and into the features, gets its own mask. Sentence by
+        sentence, word dropout is drawn first, then the layer-2 input mask,
+        then the feature masks in layer order. Each layer and direction then
+        runs all sentences as one packed LSTM batch."""
         cfg, st = self.config, self.store
+        units, width = cfg.lstm_units, 2 * cfg.lstm_units
+        connections = 2 * cfg.layers - 1    # into layers 2.., then into the features
+        ids, masks = [], []
+        for sentence in sentences:
+            ids.append(self._input_ids(sentence, train, rng))
+            if train and cfg.dropout > 0.0:
+                masks.append([nn.dropout_mask(rng, (len(sentence), width), cfg.dropout, st.dtype)
+                              for _ in range(connections)])
+        word_ids, tag_ids = (np.concatenate(column) for column in zip(*ids))
+        masks = [np.concatenate(column) for column in zip(*masks)] if masks else [None] * connections
+        in_masks, feat_masks = [None] + masks[:cfg.layers - 1], masks[cfg.layers - 1:]
+        sizes, packing = _packing([len(sentence) for sentence in sentences])
         x = st["emb.word"].value[word_ids]
         if cfg.use_tags:
             x = np.concatenate([x, st["emb.tag"].value[tag_ids]], axis=1)
         outputs, layers = [], []
-        for layer in range(1, cfg.layers + 1):
-            mask = None
+        for layer, mask in enumerate(in_masks, 1):
             if layer > 1:
-                x, mask = nn.dropout(outputs[-1], cfg.dropout, train, rng)
-            fwd, cf = nn.lstm_forward(st["lstm%d.fwd.w" % layer].value,
-                                      st["lstm%d.fwd.b" % layer].value, x)
-            bwd, cb = nn.lstm_forward(st["lstm%d.bwd.w" % layer].value,
-                                      st["lstm%d.bwd.b" % layer].value, x[::-1])
-            outputs.append(np.concatenate([fwd, bwd[::-1]], axis=1))
-            layers.append((mask, cf, cb))
-        feats, feat_masks = zip(*(nn.dropout(o, cfg.dropout, train, rng) for o in outputs))
-        return np.concatenate(feats, axis=1), (word_ids, tag_ids, layers, feat_masks)
+                x = outputs[-1] if mask is None else outputs[-1] * mask
+            out = np.empty((len(x), width), dtype=st.dtype)
+            caches = []
+            for direction, index, cols in zip(("fwd", "bwd"), packing,
+                                              (slice(None, units), slice(units, None))):
+                hs, cache = nn.lstm_forward(st["lstm%d.%s.w" % (layer, direction)].value,
+                                            st["lstm%d.%s.b" % (layer, direction)].value,
+                                            nn.Packed(x[index], sizes))
+                out[index, cols] = hs
+                caches.append(cache)
+            outputs.append(out)
+            layers.append((mask, *caches))
+        feats = [o if m is None else o * m for o, m in zip(outputs, feat_masks)]
+        return np.concatenate(feats, axis=1), (word_ids, tag_ids, packing, layers, feat_masks)
 
     def _lstm_backward(self, name: str, cache, dhs):
         st = self.store
@@ -312,7 +352,7 @@ class _EncoderModel:
 
     def _encode_backward(self, cache, dfeat):
         cfg, st = self.config, self.store
-        word_ids, tag_ids, layers, feat_masks = cache
+        word_ids, tag_ids, (fwd, bwd), layers, feat_masks = cache
         units = cfg.lstm_units
         dx = None   # gradient of the input of the layer above
         for layer in range(cfg.layers, 0, -1):
@@ -323,8 +363,10 @@ class _EncoderModel:
                 dout = dout * feat_mask
             if dx is not None:
                 dout = dout + dx
-            dx = (self._lstm_backward("lstm%d.fwd" % layer, cf, dout[:, :units])
-                  + self._lstm_backward("lstm%d.bwd" % layer, cb, dout[:, units:][::-1])[::-1])
+            dpacked = self._lstm_backward("lstm%d.fwd" % layer, cf, dout[fwd, :units])
+            dx = np.empty_like(dpacked)
+            dx[fwd] = dpacked
+            dx[bwd] += self._lstm_backward("lstm%d.bwd" % layer, cb, dout[bwd, units:])
             if in_mask is not None:
                 dx = dx * in_mask
         np.add.at(st["emb.word"].grad, word_ids, dx[:, :cfg.word_dims])
@@ -404,30 +446,22 @@ class _EncoderModel:
     def _forward_backward(self, batch, train: bool, rng) -> float:
         """Teacher-forced loss of a minibatch's gold actions, batch being
         [(tree, actions)]; accumulates the gradient of every parameter it
-        touches. The sentences are encoded in order, then share one
-        first-layer table per head over their stacked encoder rows; each
+        touches. The sentences are encoded as one packed batch, then share
+        one first-layer table per head over their stacked encoder rows; each
         sentence's states are scored and backpropagated into it on their own."""
-        encs, caches, feature_rows = [], [], []
-        for tree, actions in batch:
-            sentence = tree.sentence
-            word_ids, tag_ids = self._input_ids(sentence, train, rng)
-            enc, cache = self._encode(word_ids, tag_ids, train, rng)
-            encs.append(enc)
-            caches.append(cache)
-            rows = []
-            state = self._initial(len(sentence))
-            for action in actions:
-                rows.append(self._features(state))
-                state = self._apply(state, action)
-            feature_rows.append(rows)
-        offsets = list(accumulate([0] + [len(enc) for enc in encs]))
-        enc = np.concatenate(encs)
+        enc, cache = self._encode([tree.sentence for tree, _ in batch], train, rng)
+        offsets = accumulate([0] + [len(tree.sentence) for tree, _ in batch])
         tables = self._project(enc)
 
         space = self.space
         loss = 0.0
         dtables = {prefix: np.zeros_like(table) for prefix, table in tables.items()}
-        for (_, actions), rows, offset in zip(batch, feature_rows, offsets):
+        for (tree, actions), offset in zip(batch, offsets):
+            rows = []
+            state = self._initial(len(tree.sentence))
+            for action in actions:
+                rows.append(self._features(state))
+                state = self._apply(state, action)
             ids = self._slot_ids(len(enc), rows, offset)
             # (head, rows it scores, gold outputs); the label head sees only
             # the rows of labeled kinds
@@ -447,9 +481,7 @@ class _EncoderModel:
                     loss += head_loss
                     self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
 
-        d_enc = self._project_backward(enc, dtables)
-        for cache, d in zip(caches, np.split(d_enc, offsets[1:-1])):
-            self._encode_backward(cache, d)
+        self._encode_backward(cache, self._project_backward(enc, dtables))
         return loss
 
     def _clip_grads(self):
@@ -544,8 +576,7 @@ class _EncoderModel:
         derivations have none), which bounds the steps of any legal run.
         """
         n = len(sentence)
-        word_ids, tag_ids = self._input_ids(sentence, False, None)
-        enc, _ = self._encode(word_ids, tag_ids, False, None)
+        enc, _ = self._encode([sentence], False, None)
         bound = (2 * n - 1) * (1 + getattr(self.config, "promote_cap", 0))
         tables = self._project(enc)
         state = self._initial(n)

@@ -15,14 +15,18 @@ Gate layout inside the fused LSTM weight matrix is [input, forget,
 output, candidate], each block H wide; the first input_size rows act on
 the input and the last H rows on the previous hidden state.
 
-The LSTM keeps only the true recurrence inside its time loop (after
-Appleyard et al. 2016). The forward pass computes the input side
-xs @ W_x + b for the whole sequence as one GEMM, and each step adds
-h @ W_h. The backward pass fills one row of an (n, 4H) matrix dZ of gate
-pre-activation gradients per step, with every gate-derivative factor
-computed beforehand for all steps at once. After the loop, the weight
-and input gradients are GEMMs over dZ:
-dW_x += xs^T dZ, dW_h += H_prev^T dZ, db += sum(dZ), dxs = dZ W_x^T.
+The LSTM runs one sequence or a packed batch of them (Packed: rows stored
+time-major, longest sequence first, as in PyTorch's PackedSequence) and
+keeps only the true recurrence inside its time loop (after Appleyard et
+al. 2016). The forward pass computes the input side xs @ W_x + b for all
+rows as one GEMM; step t then adds h[:a_t] @ W_h to its contiguous block
+of a_t rows, where h is the previous step's block, whose first a_t rows
+are the sequences still running. The backward pass fills one block of an
+(n, 4H) matrix dZ of gate pre-activation gradients per step, with every
+gate-derivative factor computed beforehand for all rows at once. After
+the loop, the weight and input gradients are GEMMs over dZ:
+dW_x += xs^T dZ, dW_h += H_prev^T dZ (H_prev gathers each row's
+previous-step row), db += sum(dZ), dxs = dZ W_x^T.
 ADADELTA updates each parameter in place, one cache-sized chunk of its
 flattened arrays at a time, through one two-chunk scratch buffer allocated
 per call: no per-parameter temporaries are created, and each chunk is read
@@ -184,50 +188,98 @@ def lstm_init(rng: np.random.Generator, input_size: int, hidden: int,
 # LSTM
 # ---------------------------------------------------------------------------
 
-def lstm_forward(w: np.ndarray, b: np.ndarray, xs: np.ndarray):
-    """Run an LSTM over xs (n, input_size) from zero initial state.
+class Packed:
+    """Variable-length sequences packed time-major for one LSTM call.
+
+    rows holds step 0 of every sequence, then step 1 of the sequences still
+    running, and so on, with the sequences sorted longest first (the layout
+    of PyTorch's PackedSequence). batch_sizes[t] is how many sequences run at
+    step t, so step t is one contiguous block of rows, and the sequences that
+    run on at step t+1 are the first batch_sizes[t+1] rows of that block.
+    shape is that of rows.
+    """
+
+    __slots__ = ("rows", "batch_sizes")
+
+    def __init__(self, rows: np.ndarray, batch_sizes):
+        sizes = np.asarray(batch_sizes, dtype=np.intp)
+        if np.any(sizes <= 0):
+            raise ValueError("batch_sizes must be positive")
+        if np.any(sizes[1:] > sizes[:-1]):
+            raise ValueError("batch_sizes must be non-increasing")
+        if sizes.sum() != len(rows):
+            raise ValueError("batch_sizes sum to %d, not to len(rows) %d"
+                             % (sizes.sum(), len(rows)))
+        self.rows = rows
+        self.batch_sizes = sizes
+
+    @property
+    def shape(self):
+        return self.rows.shape
+
+
+def _block(start: int, size: int):
+    """Index of size rows from start: a lone row as an int, so that a step
+    of a single sequence works on 1-D rows, where each numpy call costs
+    less than on a (1, n) block."""
+    return start if size == 1 else slice(start, start + size)
+
+
+def lstm_forward(w: np.ndarray, b: np.ndarray, xs):
+    """Run an LSTM from zero initial state over xs: one sequence as an
+    (n, input_size) array, or a Packed batch of sequences.
 
     Per step: i,f,o = sigmoid, g = tanh, c = f*c_prev + i*g,
     h = o*tanh(c), with sigmoid(z) computed as (1 + tanh(z/2)) / 2.
-    Returns (hs, cache) with hs of shape (n, H); the cache carries every
-    per-step activation the backward pass needs.
+    Returns (hs, cache) with hs of shape (n, H), row for row with the
+    input; the cache carries every per-step activation the backward pass
+    needs and the batch sizes.
     """
+    if isinstance(xs, Packed):
+        xs, sizes = xs.rows, xs.batch_sizes
+    else:
+        sizes = np.ones(len(xs), dtype=np.intp)
     n, input_size = xs.shape
     hidden = b.shape[0] // 4
     if input_size + hidden != w.shape[0]:
         raise ValueError("input size %d does not match weight matrix %r" % (input_size, w.shape))
     s3 = 3 * hidden
     w_h = w[input_size:]
-    # input-side pre-activations of every step, activated row by row below
+    # input-side pre-activations of every row, activated block by block below
     gates = np.asarray(xs @ w[:input_size] + b, dtype=xs.dtype)   # i,f,o,g
     cs = np.empty((n, hidden), dtype=xs.dtype)
     tanh_cs = np.empty((n, hidden), dtype=xs.dtype)
     hs = np.empty((n, hidden), dtype=xs.dtype)
-    h = np.zeros(hidden, dtype=xs.dtype)
-    c = np.zeros(hidden, dtype=xs.dtype)
-    for t in range(n):
-        z = gates[t]
-        z += h @ w_h
-        sig = z[:s3]
+    # h and c of the previous step's block, from its row at; the first
+    # step's is the zero state
+    h = c = np.zeros((sizes[0] if len(sizes) else 0, hidden), dtype=xs.dtype)
+    at = start = 0
+    for size in sizes.tolist():
+        rows, prev = _block(start, size), _block(at, size)
+        z = gates[rows]
+        z += h[prev] @ w_h
+        sig = z[..., :s3]
         sig *= 0.5
         np.tanh(sig, out=sig)
         sig += 1.0
         sig *= 0.5
-        np.tanh(z[s3:], out=z[s3:])
-        np.multiply(z[hidden:2 * hidden], c, out=cs[t])
-        cs[t] += z[:hidden] * z[s3:]
-        np.tanh(cs[t], out=tanh_cs[t])
-        np.multiply(z[2 * hidden:s3], tanh_cs[t], out=hs[t])
-        h, c = hs[t], cs[t]
+        np.tanh(z[..., s3:], out=z[..., s3:])
+        np.multiply(z[..., hidden:2 * hidden], c[prev], out=cs[rows])
+        cs[rows] += z[..., :hidden] * z[..., s3:]
+        np.tanh(cs[rows], out=tanh_cs[rows])
+        np.multiply(z[..., 2 * hidden:s3], tanh_cs[rows], out=hs[rows])
+        h, c, at = hs, cs, start
+        start += size
     _check_finite("lstm_forward", hs)
-    cache = (xs, gates, cs, tanh_cs, hs)
+    cache = (xs, gates, cs, tanh_cs, hs, sizes)
     return hs, cache
 
 
 def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
                   dw: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Exact BPTT for lstm_forward. Accumulates into dw/db, returns dxs."""
-    xs, gates, cs, tanh_cs, hs = cache
+    """Exact BPTT for lstm_forward. Accumulates into dw/db, returns dxs
+    row for row with the forward input."""
+    xs, gates, cs, tanh_cs, hs, sizes = cache
     n, input_size = xs.shape
     hidden = b.shape[0] // 4
     s3 = 3 * hidden
@@ -235,9 +287,14 @@ def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
     f = gates[:, hidden:2 * hidden]
     o = gates[:, 2 * hidden:s3]
     g = gates[:, s3:]
+    # row of each step-t row's own sequence at step t-1, for the rows of
+    # steps 1.. (the first block's previous state is zero): the first
+    # sizes[t] rows of block t-1
+    first = sizes[0] if len(sizes) else 0
+    prev = np.arange(first, n) - np.repeat(sizes[:-1], sizes[1:])
     c_prev = np.zeros_like(cs)
-    c_prev[1:] = cs[:-1]
-    # dZ[t] = [dc, dc, dh, dc][t] * factors[t], gate block by gate block
+    c_prev[first:] = cs[prev]
+    # dZ[r] = [dc, dc, dh, dc][r] * factors[r], gate block by gate block
     factors = np.empty((n, 4 * hidden), dtype=xs.dtype)
     factors[:, :hidden] = g * (i * (1.0 - i))
     factors[:, hidden:2 * hidden] = c_prev * (f * (1.0 - f))
@@ -246,21 +303,26 @@ def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
     dc_dh = o * (1.0 - tanh_cs * tanh_cs)     # dh/dc of h = o*tanh(c)
     w_h = w[input_size:]
     dZ = np.empty((n, 4 * hidden), dtype=xs.dtype)
-    dh_next = np.zeros(hidden, dtype=xs.dtype)
-    dc_next = np.zeros(hidden, dtype=xs.dtype)
-    for t in range(n - 1, -1, -1):
-        dh = dhs[t] + dh_next
-        dc = dh * dc_dh[t]
-        dc += dc_next
-        dz, k = dZ[t], factors[t]
-        np.multiply(dc, k[:hidden], out=dz[:hidden])
-        np.multiply(dc, k[hidden:2 * hidden], out=dz[hidden:2 * hidden])
-        np.multiply(dh, k[2 * hidden:s3], out=dz[2 * hidden:s3])
-        np.multiply(dc, k[s3:], out=dz[s3:])
-        dh_next = w_h @ dz
-        dc_next = dc * f[t]
+    # gradients into the next step's previous state, in its first rows; the
+    # rows past the sequences that run on stay zero
+    dh_next = np.zeros((first, hidden), dtype=xs.dtype)
+    dc_next = np.zeros((first, hidden), dtype=xs.dtype)
+    stop = n
+    for size in sizes[::-1].tolist():
+        rows, nxt = _block(stop - size, size), _block(0, size)
+        dh = dhs[rows] + dh_next[nxt]
+        dc = dh * dc_dh[rows]
+        dc += dc_next[nxt]
+        dz, k = dZ[rows], factors[rows]
+        np.multiply(dc, k[..., :hidden], out=dz[..., :hidden])
+        np.multiply(dc, k[..., hidden:2 * hidden], out=dz[..., hidden:2 * hidden])
+        np.multiply(dh, k[..., 2 * hidden:s3], out=dz[..., 2 * hidden:s3])
+        np.multiply(dc, k[..., s3:], out=dz[..., s3:])
+        np.matmul(dz, w_h.T, out=dh_next[nxt])
+        np.multiply(dc, f[rows], out=dc_next[nxt])
+        stop -= size
     dw[:input_size] += xs.T @ dZ
-    dw[input_size:] += hs[:-1].T @ dZ[1:]     # h_prev of step 0 is zero
+    dw[input_size:] += hs[prev].T @ dZ[first:]
     db += dZ.sum(axis=0)
     return dZ @ w[:input_size].T
 

@@ -255,16 +255,17 @@ def test_training_reduces_loss():
 @pytest.mark.parametrize("hierarchical", [True, False], ids=["hierarchical", "flat"])
 def test_minibatch_gradients_equal_sum_of_sentences(task, hierarchical):
     # sentences of different lengths, so each one's rows sit at a different
-    # offset of the stacked tables; dropout and word dropout on
+    # offset of the stacked tables, and two of equal length, which the
+    # encoder's packing sorts stably; dropout and word dropout on
     rng = np.random.default_rng(12)
     if task == "dep":
-        trees = [synth.random_projective_tree(rng, n) for n in (1, 6, 3, 9)]
+        trees = [synth.random_projective_tree(rng, n) for n in (1, 6, 3, 9, 6)]
         vocab = build_vocab([t.sentence for t in trees], dep_trees=trees, min_form_count=1)
         model = DepModel(DepConfig(word_dims=8, tag_dims=6, lstm_units=8, hidden=12,
                                    dropout=0.3, word_dropout=0.25,
                                    hierarchical=hierarchical, seed=3), vocab)
     else:
-        trees = [synth.random_const_tree(rng, n) for n in (2, 7, 4, 9)]
+        trees = [synth.random_const_tree(rng, n) for n in (2, 7, 4, 9, 7)]
         vocab = build_vocab([t.sentence for t in trees], const_trees=trees, min_form_count=1)
         model = ConstModel(ConstConfig(word_dims=8, tag_dims=6, nonterminal_dims=6,
                                        lstm_units=8, hidden=12, dropout=0.3,
@@ -609,8 +610,7 @@ def test_dep_decoding_takes_exactly_2n_minus_1_steps():
     for _ in range(20):
         n = int(rng.integers(1, 12))
         sentence = synth.random_projective_tree(rng, max(2, n)).sentence
-        word_ids, tag_ids = model._input_ids(sentence, False, None)
-        enc, _ = model._encode(word_ids, tag_ids, False, None)
+        enc, _ = model._encode([sentence], False, None)
         state = dep_initial(len(sentence))
         steps = 0
         while not state.is_terminal:
@@ -683,10 +683,9 @@ def test_word_dropout_rate_matches_formula():
 def test_encoder_dropout_masks_are_independent_per_connection():
     model, trees = small_dep_setup()
     model.config.dropout = 0.5
-    word_ids, tag_ids = model._input_ids(trees[0].sentence, False, None)
     rng = np.random.default_rng(0)
-    _feat, (_word_ids, _tag_ids, layers, feat_masks) = model._encode(word_ids, tag_ids,
-                                                                      True, rng)
+    _feat, (_word_ids, _tag_ids, _packing, layers, feat_masks) = model._encode(
+        [trees[0].sentence], True, rng)
     # layer-1 output feeds layer 2 and the feature under different masks
     layer2_input_mask = layers[1][0]
     assert layer2_input_mask is not None and feat_masks[0] is not None

@@ -87,7 +87,7 @@ def test_lstm_step_zero_weights():
     b = np.zeros(4 * hidden)
     h, c, _ = lstm_step(w, b, np.array([1.0, -2.0, 3.0]), np.zeros(hidden), np.zeros(hidden))
     assert np.allclose(c, 0.0) and np.allclose(h, 0.0)
-    hs, (_, _, cs, _, _) = nn.lstm_forward(w, b, np.array([[1.0, -2.0, 3.0]]))
+    hs, (_, _, cs, _, _, _) = nn.lstm_forward(w, b, np.array([[1.0, -2.0, 3.0]]))
     assert np.allclose(cs, 0.0) and np.allclose(hs, 0.0)
 
 
@@ -131,7 +131,7 @@ def test_lstm_kernels_match_per_step_reference(n, input_size, hidden, reverse):
     hs_ref, cache_ref = reference_lstm_forward(w, b, xs)
     hs, cache = nn.lstm_forward(w, b, xs)
     assert hs.shape == (n, hidden)
-    for got, want in zip(cache, cache_ref):
+    for got, want in zip(cache[:5], cache_ref):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     dw_ref, db_ref = dw0.copy(), db0.copy()
     dxs_ref = reference_lstm_backward(w, b, cache_ref, dhs, dw_ref, db_ref)
@@ -147,7 +147,7 @@ def test_lstm_kernels_stay_float32():
     hs, cache = nn.lstm_forward(w, b, xs)
     dw, db = dw0.copy(), db0.copy()
     dxs = nn.lstm_backward(w, b, cache, dhs, dw, db)
-    assert all(a.dtype == np.float32 for a in (hs, dxs, dw, db) + cache)
+    assert all(a.dtype == np.float32 for a in (hs, dxs, dw, db) + cache[:5])
     # against the float64 reference on the same (float32-representable) inputs
     w64, b64, xs64, dhs64 = (a.astype(np.float64) for a in (w, b, xs, dhs))
     _, cache_ref = reference_lstm_forward(w64, b64, xs64)
@@ -156,6 +156,61 @@ def test_lstm_kernels_stay_float32():
     tol = 1e3 * np.finfo(np.float32).eps
     for got, want in ((hs, cache_ref[4]), (dxs, dxs_ref), (dw, dw_ref), (db, db_ref)):
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+def _pack(seqs):
+    """Rows of sequences given longest first, time-major: step 0 of each,
+    then step 1 of those still running, and so on."""
+    steps = max(len(s) for s in seqs)
+    return np.concatenate([np.stack([s[t] for s in seqs if len(s) > t])
+                           for t in range(steps)])
+
+
+@pytest.mark.parametrize("lengths, reverse, dtype", [
+    ((5, 5, 3, 1), False, np.float64),
+    ((8, 5, 5, 3, 1), False, np.float64),   # the longest runs on alone
+    ((9,), False, np.float64),
+    ((1, 1, 1), False, np.float64),
+    ((5, 5, 3, 1), True, np.float64),    # each sequence reversed, as the
+                                         # encoder's backward direction feeds it
+    ((5, 5, 3, 1), False, np.float32),
+], ids=["ragged", "lone-tail", "single", "all-length-1", "reversed", "float32"])
+def test_packed_lstm_matches_per_sequence_reference(lengths, reverse, dtype):
+    w, b, _, _, dw0, db0 = _lstm_case(len(lengths), 1, 7, 5, dtype=dtype)
+    rng = np.random.default_rng(sum(lengths))
+    xs = [(2.0 * rng.standard_normal((n, 7))).astype(dtype) for n in lengths]
+    dhs = [rng.standard_normal((n, 5)).astype(dtype) for n in lengths]
+    if reverse:
+        xs, dhs = [x[::-1] for x in xs], [d[::-1] for d in dhs]
+    sizes = [sum(n > t for n in lengths) for t in range(max(lengths))]
+    hs, cache = nn.lstm_forward(w, b, nn.Packed(_pack(xs), sizes))
+    dw, db = dw0.copy(), db0.copy()
+    dxs = nn.lstm_backward(w, b, cache, _pack(dhs), dw, db)
+    if dtype == np.float32:
+        assert all(a.dtype == np.float32 for a in (hs, dxs, dw, db) + cache[:5])
+        rtol = atol = 1e3 * np.finfo(np.float32).eps
+    else:
+        rtol, atol = 0, 1e-12
+    w64, b64 = w.astype(np.float64), b.astype(np.float64)
+    dw_ref, db_ref = dw0.astype(np.float64), db0.astype(np.float64)
+    hs_ref, dxs_ref = [], []
+    for x, dh in zip(xs, dhs):
+        h, c = reference_lstm_forward(w64, b64, x.astype(np.float64))
+        hs_ref.append(h)
+        dxs_ref.append(reference_lstm_backward(w64, b64, c, dh.astype(np.float64),
+                                               dw_ref, db_ref))
+    for got, want in ((hs, _pack(hs_ref)), (dxs, _pack(dxs_ref)), (dw, dw_ref), (db, db_ref)):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("sizes, rows, message", [
+    ([2, 0, 1], 3, "batch_sizes must be positive"),
+    ([1, 2], 3, "batch_sizes must be non-increasing"),
+    ([2, 1], 4, "batch_sizes sum to 3, not to len\\(rows\\) 4"),
+], ids=["zero", "increasing", "wrong-sum"])
+def test_packed_rejects_bad_batch_sizes(sizes, rows, message):
+    with pytest.raises(ValueError, match=message):
+        nn.Packed(np.zeros((rows, 3)), sizes)
 
 
 def _fd_check_via_store(store, loss_fn, analytic, tolerance, h=1e-5):
