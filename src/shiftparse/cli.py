@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands: train, parse, eval, oracle, gradcheck. Hyperparameter
-defaults match the library's config dataclasses; a flat key=value config
-file can override them and command-line flags override both. Every
-command is deterministic given --seed.
+Subcommands: train, parse, eval, oracle, gradcheck. The training flags
+are the fields of the library's config dataclasses spelled with dashes
+(--word-dims for word_dims), typed by their defaults; the bool fields are
+set with --hierarchical, --flat and --no-tags. A flat key=value config
+file can override the defaults and flags override both. A bad value exits
+2 with the field named, whether it came from a flag, a config file or a
+model header. Every command is deterministic given --seed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -37,28 +39,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_config_file(path) -> dict:
-    overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError("%s line %d: expected key=value" % (path, lineno))
-            key, value = line.split("=", 1)
-            overrides[key.strip()] = value.strip()
-    return overrides
-
-
-def _coerce(value: str, target_type):
-    if target_type is bool:
+def _coerce(value: str, kind):
+    if kind is bool:
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError("cannot parse boolean %r" % value)
-    return target_type(value)
+    return kind(value)
+
+
+def _read_config_file(path, task: str, cls) -> dict:
+    """The values a flat key=value file sets for task, each coerced to the
+    type of its cls field's default; an error names the file, and the line
+    and key where it has them."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError("%s: not UTF-8 text: %s" % (path, exc)) from None
+    overrides = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError("%s line %d: expected key=value" % (path, lineno))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "task":
+            continue
+        if key not in kinds:
+            raise ValueError("%s line %d: unknown config key %r for task %s"
+                             % (path, lineno, key, task))
+        try:
+            overrides[key] = _coerce(value, kinds[key])
+        except ValueError as exc:
+            raise ValueError("%s line %d: bad value for %s: %s"
+                             % (path, lineno, key, exc)) from None
+    return overrides
 
 
 def _foreign_flag(args):
@@ -73,43 +92,21 @@ def _foreign_flag(args):
 
 def _build_config(task: str, args) -> object:
     cls = DepConfig if task == "dep" else ConstConfig
-    values = {f.name: getattr(cls, "__dataclass_fields__")[f.name].default
-              for f in fields(cls)}
-    if args.config:
-        file_overrides = _read_config_file(args.config)
-        for key, raw in file_overrides.items():
-            if key == "task":
-                continue
-            if key not in values:
-                raise ValueError("unknown config key %r for task %s" % (key, task))
-            values[key] = _coerce(raw, type(values[key]))
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = _read_config_file(args.config, task, cls) if args.config else {}
+    for f in fields(cls):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     return cls(**values)
 
 
 def _add_hyper_flags(sub):
+    """One --field-name flag per non-bool field of either config, typed by
+    its default; the bool fields have the spellings below."""
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--word-dims", dest="word_dims", type=int, default=None)
-    sub.add_argument("--tag-dims", dest="tag_dims", type=int, default=None)
-    sub.add_argument("--nonterminal-dims", dest="nonterminal_dims", type=int, default=None)
-    sub.add_argument("--lstm-units", dest="lstm_units", type=int, default=None)
-    sub.add_argument("--layers", type=int, choices=(1, 2), default=None)
-    sub.add_argument("--hidden", type=int, default=None)
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--minibatch", type=int, default=None)
-    sub.add_argument("--dropout", type=float, default=None)
-    sub.add_argument("--l2", type=float, default=None)
-    sub.add_argument("--rho", type=float, default=None)
-    sub.add_argument("--eps", type=float, default=None)
-    sub.add_argument("--word-dropout", dest="word_dropout", type=float, default=None)
-    sub.add_argument("--grad-clip", dest="grad_clip", type=float, default=None)
-    sub.add_argument("--promote-cap", dest="promote_cap", type=int, default=None)
-    sub.add_argument("--root-label", dest="root_label", default=None)
-    sub.add_argument("--precision", choices=("float64", "float32"), default=None)
+    flags = {f.name: type(f.default) for cls in (DepConfig, ConstConfig) for f in fields(cls)}
+    for name, kind in flags.items():
+        if kind is not bool:
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
     sub.add_argument("--hierarchical", dest="hierarchical", action="store_const",
                      const=True, default=None, help="factor structure and label decisions")
     sub.add_argument("--flat", dest="hierarchical", action="store_const", const=False,
@@ -201,11 +198,7 @@ def cmd_parse(args) -> int:
                            % (model.task, args.task))
     sentences = _read_parse_input(args)
     start = time.time()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parsed = list(pool.map(model.parse, sentences))
-    else:
-        parsed = [model.parse(s) for s in sentences]
+    parsed = [model.parse(s) for s in sentences]
     text = write_conll(parsed) if args.task == "dep" else write_brackets(parsed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -352,7 +345,6 @@ def build_parser() -> _Parser:
     parse.add_argument("--input-format", dest="input_format",
                        choices=("conll", "text", "brackets"), default="conll")
     parse.add_argument("--output")
-    parse.add_argument("--threads", type=int, default=1)
     parse.set_defaults(func=cmd_parse)
 
     evaluate = commands.add_parser("eval", help="score predictions against gold")

@@ -112,30 +112,12 @@ class ActionSpace:
         return np.array([kind in legal for kind in self.kinds])
 
 
-def _validate_config(config, positive: Sequence[str]):
-    """Checks shared by both configs; each error names the field."""
-    if config.layers not in (1, 2):
-        raise ValueError("layers must be 1 or 2")
-    for name in positive:
-        if getattr(config, name) <= 0:
-            raise ValueError("%s must be positive" % name)
-    if not (0.0 <= config.dropout < 1.0):
-        raise ValueError("dropout must lie in [0, 1)")
-    if not (config.word_dropout >= 0.0):
-        raise ValueError("word_dropout must be non-negative")
-    if not (0.0 < config.rho < 1.0):
-        raise ValueError("rho must lie in (0, 1)")
-    if not (config.eps > 0.0):
-        raise ValueError("eps must be positive")
-    for name in ("l2", "grad_clip"):
-        if not (getattr(config, name) >= 0.0):
-            raise ValueError("%s must be non-negative" % name)
-    if config.precision not in ("float64", "float32"):
-        raise ValueError("precision must be float64 or float32, not %r" % (config.precision,))
-
-
 @dataclass
-class DepConfig:
+class _Config:
+    """The hyperparameters both parsers share, at the dependency parser's
+    defaults. Each field takes values of its default's type (an int where
+    that is a float, never a bool for a number; floats finite); every value
+    is checked on construction, and an error names the field."""
     word_dims: int = 50
     tag_dims: int = 20
     lstm_units: int = 200
@@ -153,38 +135,49 @@ class DepConfig:
     grad_clip: float = 0.0       # global-norm clip; 0 disables
     seed: int = 1
     precision: str = "float64"
-    root_label: str = "root"
 
     def __post_init__(self):
-        _validate_config(self, ("word_dims", "tag_dims", "lstm_units", "hidden",
-                                "epochs", "minibatch"))
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if not (type(value) is kind or kind is float and type(value) is int):
+                raise ValueError("%s must be %s, not %r" % (f.name, kind.__name__, value))
+            if kind is int and f.name not in ("layers", "seed") and value <= 0:
+                raise ValueError("%s must be positive" % f.name)
+            if kind is float and not np.isfinite(value):
+                raise ValueError("%s must be finite" % f.name)
+        if self.layers not in (1, 2):
+            raise ValueError("layers must be 1 or 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ValueError("dropout must lie in [0, 1)")
+        if not (self.word_dropout >= 0.0):
+            raise ValueError("word_dropout must be non-negative")
+        if not (0.0 < self.rho < 1.0):
+            raise ValueError("rho must lie in (0, 1)")
+        if not (self.eps > 0.0):
+            raise ValueError("eps must be positive")
+        for name in ("l2", "grad_clip"):
+            if not (getattr(self, name) >= 0.0):
+                raise ValueError("%s must be non-negative" % name)
+        if self.precision not in ("float64", "float32"):
+            raise ValueError("precision must be float64 or float32, not %r" % (self.precision,))
 
 
 @dataclass
-class ConstConfig:
+class DepConfig(_Config):
+    root_label: str = "root"
+
+
+@dataclass
+class ConstConfig(_Config):
     word_dims: int = 100
     tag_dims: int = 100
-    nonterminal_dims: int = 100
-    lstm_units: int = 200
-    layers: int = 2
     hidden: int = 1000
-    epochs: int = 10
-    minibatch: int = 10
-    dropout: float = 0.5
     l2: float = 1e-8
-    rho: float = 0.99
-    eps: float = 1e-7
     hierarchical: bool = False
-    use_tags: bool = True
-    word_dropout: float = 0.25
-    grad_clip: float = 0.0
-    seed: int = 1
-    precision: str = "float64"
+    nonterminal_dims: int = 100
     promote_cap: int = DEFAULT_PROMOTE_CAP
-
-    def __post_init__(self):
-        _validate_config(self, ("word_dims", "tag_dims", "nonterminal_dims", "lstm_units",
-                                "hidden", "epochs", "minibatch", "promote_cap"))
 
 
 def _packing(lengths: Sequence[int]):
@@ -219,8 +212,11 @@ class _EncoderModel:
         self.rng = np.random.default_rng(config.seed)
         self.store = nn.ParamStore(np.dtype(config.precision))
         self.best_params: Optional[dict[str, np.ndarray]] = None
-        self._build_encoder()
-        self._build_heads()
+        try:
+            self._build_encoder()
+            self._build_heads()
+        except (MemoryError, ValueError) as exc:   # ValueError: numpy's "array is too big"
+            raise ValueError("the config's parameters cannot be allocated: %s" % exc) from None
 
     # feature vector width per sentence position
     @property
@@ -770,16 +766,17 @@ def save_best(model: _EncoderModel, path):
     save_model(model, path, params=model.best_params)
 
 
-def _header_config(cls, values):
-    """Build a config from a model header, naming any key cls lacks."""
+def _header_model(cls, config_cls, values, vocab):
+    """Build the model a header's config describes, naming any key
+    config_cls lacks and any value it or the allocation rejects."""
     if not isinstance(values, dict):
         raise ModelIOError("header config is not an object")
-    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    unknown = sorted(set(values) - {f.name for f in fields(config_cls)})
     if unknown:
         raise ModelIOError("unknown config key %r in model header" % unknown[0])
     try:
-        return cls(**values)
-    except TypeError as exc:     # a value of the wrong type, e.g. "epochs": "ten"
+        return cls(config_cls(**values), vocab)
+    except ValueError as exc:
         raise ModelIOError("bad config value in model header: %s" % exc) from None
 
 
@@ -862,7 +859,7 @@ def load_model(path):
             raise ModelIOError("unknown task %r" % header["task"])
         cls, config_cls = {"dep": (DepModel, DepConfig),
                            "const": (ConstModel, ConstConfig)}[header["task"]]
-        model = cls(_header_config(config_cls, header["config"]), vocab)
+        model = _header_model(cls, config_cls, header["config"], vocab)
         dtype = model.store.dtype.newbyteorder("<")
         directory = _directory(model.store, dtype)
         _check_directory(header["tensors"], directory)

@@ -342,14 +342,6 @@ def dropout_mask(rng: np.random.Generator, shape, p: float, dtype=np.float64) ->
     return keep.astype(dtype) / (1.0 - p)
 
 
-def dropout(x: np.ndarray, p: float, train: bool, rng: np.random.Generator | None = None):
-    """Returns (y, mask); eval mode is the identity with a ones mask."""
-    if not train or p == 0.0:
-        return x, None
-    mask = dropout_mask(rng, x.shape, p, dtype=x.dtype)
-    return x * mask, mask
-
-
 def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
     """Affine -> ReLU -> affine. x is (m, in) or (in,).
 

@@ -292,13 +292,21 @@ def test_criterion_07_metric_oracles():
 
 def test_criterion_08_dropout_expectation():
     rng = np.random.default_rng(1008)
-    x = np.full(1_000_000, 2.5)
-    y, _mask = nn.dropout(x, 0.5, True, rng)
-    assert abs(y.mean() - 2.5) / 2.5 < 0.01
-    z, mask = nn.dropout(x, 0.5, False, None)
-    assert z is x and mask is None
-    ok(8, "train-mode inverted dropout preserves the mean within 1%% over 1e6 "
-          "samples (got %.4f for input 2.5); eval mode is the identity" % y.mean())
+    mask = nn.dropout_mask(rng, (1_000_000,), 0.5)
+    assert abs(mask.mean() - 1.0) < 0.01
+    # the encoder draws its masks only in training: at evaluation it takes
+    # no draw from the generator and every mask in its cache is None
+    train = synth.toy_dep_corpus(2, seed=8)
+    vocab = build_vocab([t.sentence for t in train], dep_trees=train, min_form_count=1)
+    model = DepModel(DepConfig(word_dims=6, tag_dims=4, lstm_units=6, hidden=8,
+                               dropout=0.5, seed=1), vocab)
+    state = rng.bit_generator.state
+    _feat, (_w, _t, _packing, layers, feat_masks) = model._encode(
+        [t.sentence for t in train], False, rng)
+    assert rng.bit_generator.state == state
+    assert all(m is None for m in feat_masks) and all(l[0] is None for l in layers)
+    ok(8, "the encoder's inverted-dropout mask keeps the mean within 1%% over 1e6 "
+          "samples (mask mean %.4f); evaluation-mode encoding draws no mask" % mask.mean())
 
 
 def test_criterion_09_ablation_switches():

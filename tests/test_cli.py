@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
-from shiftparse.cli import main
+from shiftparse.cli import _build_config, build_parser, main
+from shiftparse.model import ConstConfig, DepConfig
 from shiftparse.evalmetrics import score_dep
 from shiftparse.trees import MAX_BRACKET_DEPTH, read_conll, write_brackets, write_conll
 from shiftparse import synth
@@ -120,20 +123,6 @@ def test_parse_task_mismatch(tmp_path, dep_corpus, capsys):
                  "--input", str(dep_corpus)])
     assert code == 2
     assert "task mismatch" in capsys.readouterr().err
-
-
-def test_parse_threads_preserve_order(tmp_path, dep_corpus):
-    model = tmp_path / "dep.model"
-    assert main(["train", "--task", "dep", "--train", str(dep_corpus),
-                 "--model", str(model)] + FAST_FLAGS) == 0
-    serial = tmp_path / "serial.conll"
-    threaded = tmp_path / "threaded.conll"
-    assert main(["parse", "--task", "dep", "--model", str(model),
-                 "--input", str(dep_corpus), "--output", str(serial)]) == 0
-    assert main(["parse", "--task", "dep", "--model", str(model),
-                 "--input", str(dep_corpus), "--output", str(threaded),
-                 "--threads", "4"]) == 0
-    assert serial.read_text() == threaded.read_text()
 
 
 def test_eval_identical_files(tmp_path, dep_corpus, capsys):
@@ -256,6 +245,90 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--task", "dep", "--gold", "g", "--pred", "p", "--threads", "2"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--task", "dep", "--model", "m", "--input", "i", "--threads", "2"])
+    assert exc.value.code == 1
+
+
+def _other_value(name, default):
+    """A valid value of a config field that differs from its default."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return 1 if default != 1 else 2
+    if isinstance(default, float):
+        return default / 2 if default else 0.5
+    return {"precision": "float32"}.get(name, default + "-x")
+
+
+CONFIGS = {"dep": DepConfig, "const": ConstConfig}
+
+
+@pytest.mark.parametrize("task, name", [
+    (task, f.name) for task, cls in CONFIGS.items() for f in fields(cls)
+    if not isinstance(f.default, bool)])
+def test_every_config_field_reaches_the_config_from_its_flag(task, name):
+    default = CONFIGS[task].__dataclass_fields__[name].default
+    value = _other_value(name, default)
+    args = build_parser().parse_args(["train", "--task", task, "--train", "t", "--model", "m",
+                                      "--" + name.replace("_", "-"), str(value)])
+    config = _build_config(task, args)
+    assert getattr(config, name) == value
+    assert type(getattr(config, name)) is type(default)
+
+
+# each spelling sets the value its task does not default to
+@pytest.mark.parametrize("task, flag, field, value", [
+    ("const", "--hierarchical", "hierarchical", True),
+    ("dep", "--flat", "hierarchical", False),
+    ("dep", "--no-tags", "use_tags", False),
+    ("const", "--no-tags", "use_tags", False),
+])
+def test_bool_spellings_reach_the_config(task, flag, field, value):
+    args = build_parser().parse_args(["train", "--task", task, "--train", "t",
+                                      "--model", "m", flag])
+    config = _build_config(task, args)
+    assert getattr(config, field) is value
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--layers", "3"], "layers must be 1 or 2"),
+    (["--precision", "float16"], "precision must be float64 or float32"),
+    (["--seed", "-1"], "seed must be non-negative"),
+])
+def test_out_of_range_flag_is_data_error_naming_the_field(tmp_path, flags, named, capsys):
+    code = main(["train", "--task", "dep", "--train", str(tmp_path / "missing"),
+                 "--model", str(tmp_path / "m")] + flags)
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, named", [
+    (b"hidden=4\nepochs=ten\n", "run.cfg line 2: bad value for epochs"),
+    (b"hierarchical=maybe\n", "run.cfg line 1: bad value for hierarchical"),
+    (b"hidden=4\xff\n", "run.cfg: not UTF-8 text"),
+], ids=["int", "bool", "not-utf8"])
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, dep_corpus, content, named,
+                                                      capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(content)
+    code = main(["train", "--task", "dep", "--train", str(dep_corpus),
+                 "--model", str(tmp_path / "m"), "--config", str(config)] + FAST_FLAGS)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+def test_train_config_too_large_to_allocate_is_data_error(tmp_path, dep_corpus, const_corpus,
+                                                          task, capsys):
+    # 10**12 hidden units ask for hundreds of TiB, past the 128 TiB user
+    # address space, so the allocation fails under any overcommit policy
+    corpus = dep_corpus if task == "dep" else const_corpus
+    code = main(["train", "--task", task, "--train", str(corpus),
+                 "--model", str(tmp_path / "m")] + FAST_FLAGS + ["--hidden", str(10 ** 12)])
+    assert code == 2
+    assert "config's parameters cannot be allocated" in capsys.readouterr().err
 
 
 def test_config_file_with_unknown_precision_is_data_error(tmp_path, dep_corpus, capsys):

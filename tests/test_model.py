@@ -72,6 +72,14 @@ def test_default_configs_are_the_documented_training_settings():
     (DepConfig, "l2", -1e-8), (ConstConfig, "l2", float("nan")),
     (DepConfig, "grad_clip", -1.0), (ConstConfig, "grad_clip", -5.0),
     (DepConfig, "precision", "foo"), (ConstConfig, "precision", "float16"),
+    (DepConfig, "layers", 3), (ConstConfig, "layers", 0), (DepConfig, "seed", -1),
+    (DepConfig, "word_dims", 0), (ConstConfig, "nonterminal_dims", 0),
+    (DepConfig, "hidden", 4.0), (ConstConfig, "epochs", "10"), (DepConfig, "minibatch", True),
+    (DepConfig, "dropout", False), (ConstConfig, "l2", "0"),
+    (ConstConfig, "hierarchical", "no"), (DepConfig, "use_tags", 1),
+    (DepConfig, "precision", None), (DepConfig, "root_label", 0),
+    (DepConfig, "l2", float("inf")), (ConstConfig, "grad_clip", float("inf")),
+    (DepConfig, "word_dropout", float("inf")),
 ])
 def test_config_rejects_out_of_range_training_fields(cls, field, value):
     with pytest.raises(ValueError, match=field):
@@ -478,7 +486,15 @@ def test_load_rejects_shape_mismatch(tmp_path):
     (lambda h: h["config"].update(beam_size=8), "unknown config key 'beam_size'"),
     (lambda h: h["config"].update(epochs="ten"), "bad config value"),
     (lambda h: h.update(config=[1, 2]), "config is not an object"),
-], ids=["unknown-key", "wrong-type", "not-an-object"])
+    (lambda h: h["config"].update(hidden=4.0), "bad config value in model header: hidden"),
+    (lambda h: h["config"].update(hierarchical="no"),
+     "bad config value in model header: hierarchical"),
+    (lambda h: h["config"].update(layers=3), "bad config value in model header: layers"),
+    # hundreds of TiB, past the 128 TiB user address space
+    (lambda h: h["config"].update(hidden=10 ** 12),
+     "bad config value in model header: the config's parameters cannot be allocated"),
+], ids=["unknown-key", "wrong-type", "not-an-object", "float-int", "str-bool", "layers",
+        "too-large"])
 def test_load_rejects_malformed_header_config(tmp_path, edit, message):
     model, _trees = small_dep_setup()
     path = tmp_path / "model.bin"

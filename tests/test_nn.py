@@ -594,31 +594,21 @@ def test_param_store_rejects_duplicates():
 # ---------------------------------------------------------------------------
 
 def test_dropout_p_zero_is_identity():
-    x = np.arange(5.0)
-    rng = np.random.default_rng(0)
-    for train in (True, False):
-        y, mask = nn.dropout(x, 0.0, train, rng)
-        assert np.array_equal(y, x)
-
-
-def test_dropout_eval_mode_is_identity():
-    x = np.arange(8.0)
-    y, mask = nn.dropout(x, 0.5, False, None)
-    assert y is x and mask is None
+    mask = nn.dropout_mask(np.random.default_rng(0), (5,), 0.0)
+    assert np.array_equal(mask, np.ones(5))
 
 
 def test_dropout_train_mean_preserved():
     rng = np.random.default_rng(12)
-    x = np.full(200_000, 3.0)
-    y, _ = nn.dropout(x, 0.5, True, rng)
-    assert abs(y.mean() - 3.0) / 3.0 < 0.01
+    mask = nn.dropout_mask(rng, (200_000,), 0.5)
+    assert abs(mask.mean() - 1.0) < 0.01
 
 
 def test_dropout_validates_probability():
     with pytest.raises(ValueError):
-        nn.dropout(np.ones(3), 1.0, True, np.random.default_rng(0))
+        nn.dropout_mask(np.random.default_rng(0), (3,), 1.0)
     with pytest.raises(ValueError):
-        nn.dropout(np.ones(3), -0.1, True, np.random.default_rng(0))
+        nn.dropout_mask(np.random.default_rng(0), (3,), -0.1)
 
 
 # ---------------------------------------------------------------------------
