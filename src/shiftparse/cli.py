@@ -217,12 +217,14 @@ def cmd_eval(args) -> int:
         punct = frozenset(args.punct_tags.split(",")) if args.punct_tags else None
         score = score_dep(gold, pred, exclude_punct=args.exclude_punct,
                           punct_tags=punct)
+        # before any output, so a bad --max-bucket prints no scores
+        rows = (arc_recall_by_length(gold, pred, max_bucket=args.max_bucket)
+                if args.recall_by_length else None)
         print("uas=%.2f" % score.uas)
         print("las=%.2f" % score.las)
         print("correct_heads=%d correct_labeled=%d scored=%d"
               % (score.correct_heads, score.correct_labeled, score.scored))
-        if args.recall_by_length:
-            rows = arc_recall_by_length(gold, pred, max_bucket=args.max_bucket)
+        if rows is not None:
             with open(args.recall_by_length, "w", encoding="utf-8") as fh:
                 fh.write(recall_table_csv(rows))
     else:

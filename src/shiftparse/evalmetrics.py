@@ -137,8 +137,11 @@ def arc_recall_by_length(gold: Sequence[DepTree], pred: Sequence[DepTree],
     ROOT arcs get their own bucket; lengths >= max_bucket merge into one.
     Rows are (bucket, gold count, correct count, recall); empty buckets are
     omitted. Summing the correct column over all buckets reproduces the
-    punctuation-inclusive unlabeled attachment numerator.
+    punctuation-inclusive unlabeled attachment numerator. max_bucket must
+    be at least 1.
     """
+    if max_bucket < 1:
+        raise ValueError("max_bucket must be at least 1, not %r" % max_bucket)
     _check_aligned(gold, pred)
     gold_counts: Counter = Counter()
     correct_counts: Counter = Counter()

@@ -40,11 +40,25 @@ sentences as a packed batch (nn.Packed: sorted longest first, time-major),
 so every step advances only the sentences still running with one GEMM.
 Decoding packs its one sentence.
 
+A model is built on one path, whatever the source of its initial values.
+A new model draws them from a generator seeded with config.seed, parameter
+by parameter in store order, and goes on drawing dropout masks and epoch
+orders from the same generator. A model whose every value is about to be
+overwritten (load_model, float64_twin) gets uninitialised buffers of the
+same shapes instead, and draws nothing.
+
 A model file is a JSON header (task, config, vocabulary and its hash,
 tensor directory), then the parameter values as raw little-endian blocks,
 so they round-trip bitwise. It must have exactly the layout its config
-implies: blocks back to back in store order and no trailing bytes. A loaded
-model's gradients and ADADELTA accumulators start at zero, as in a new one.
+implies: blocks back to back in store order and no trailing bytes.
+save_model writes each block from the array's own buffer, and load_model
+reads each one straight into its parameter's buffer and checks it there.
+A loaded model's gradients and ADADELTA accumulators start at zero, as in
+a new one, and its generator starts at config.seed, where a new model's
+stands after the initial draws. Nothing in the package trains a loaded
+model (the CLI only parses with one); a caller that does gets other
+dropout and shuffling draws than the run that saved the model would have
+made next.
 """
 
 from __future__ import annotations
@@ -195,10 +209,36 @@ def _packing(lengths: Sequence[int]):
     return sizes, (first + steps, first + lengths[sentence] - 1 - steps)
 
 
+class _Initial:
+    """Where a model's randomly initialised parameters get their values:
+    nn's initialisers, drawn from rng in the order the parameters are added,
+    or, when rng is None, uninitialised buffers of the same shapes, for a
+    model whose every value is overwritten before use."""
+
+    def __init__(self, rng: Optional[np.random.Generator], dtype: np.dtype):
+        self.rng, self.dtype = rng, dtype
+
+    def embedding(self, rows: int, dims: int) -> np.ndarray:
+        if self.rng is None:
+            return np.empty((rows, dims), self.dtype)
+        return nn.embedding_init(self.rng, rows, dims, dtype=self.dtype)
+
+    def glorot(self, fan_in: int, fan_out: int) -> np.ndarray:
+        if self.rng is None:
+            return np.empty((fan_in, fan_out), self.dtype)
+        return nn.glorot(self.rng, fan_in, fan_out, dtype=self.dtype)
+
+    def lstm(self, input_size: int, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+        if self.rng is None:
+            return (np.empty((input_size + hidden, 4 * hidden), self.dtype),
+                    np.empty(4 * hidden, self.dtype))
+        return nn.lstm_init(self.rng, input_size, hidden, dtype=self.dtype)
+
+
 class _EncoderModel:
     """Embeddings, Bi-LSTM stack, classifier, training and greedy decoding
     shared by both parsers. A subclass builds its ActionSpace and heads in
-    _build_heads and supplies the transition system through _oracle,
+    _build_heads(init) and supplies the transition system through _oracle,
     _initial, _legal, _apply and _features (a state's position slots and
     label-slot ids), plus parse and _dev_metric."""
 
@@ -207,14 +247,26 @@ class _EncoderModel:
     space: ActionSpace
 
     def __init__(self, config, vocab: Vocab):
+        self._construct(config, vocab, fill=True)
+
+    @classmethod
+    def _unfilled(cls, config, vocab: Vocab):
+        """The model config describes with uninitialised parameter buffers,
+        for a caller that overwrites every value (load_model, float64_twin)."""
+        model = cls.__new__(cls)
+        model._construct(config, vocab, fill=False)
+        return model
+
+    def _construct(self, config, vocab: Vocab, fill: bool):
         self.config = config
         self.vocab = vocab
         self.rng = np.random.default_rng(config.seed)
         self.store = nn.ParamStore(np.dtype(config.precision))
         self.best_params: Optional[dict[str, np.ndarray]] = None
+        init = _Initial(self.rng if fill else None, self.store.dtype)
         try:
-            self._build_encoder()
-            self._build_heads()
+            self._build_encoder(init)
+            self._build_heads(init)
         except (MemoryError, ValueError) as exc:   # ValueError: numpy's "array is too big"
             raise ValueError("the config's parameters cannot be allocated: %s" % exc) from None
 
@@ -223,19 +275,17 @@ class _EncoderModel:
     def enc_dims(self) -> int:
         return 2 * self.config.lstm_units * self.config.layers
 
-    def _build_encoder(self):
-        cfg, rng, dt = self.config, self.rng, self.store.dtype
-        self.store.add("emb.word", nn.embedding_init(rng, self.vocab.num_forms,
-                                                     cfg.word_dims, dtype=dt))
+    def _build_encoder(self, init: _Initial):
+        cfg = self.config
+        self.store.add("emb.word", init.embedding(self.vocab.num_forms, cfg.word_dims))
         input_size = cfg.word_dims
         if cfg.use_tags:
-            self.store.add("emb.tag", nn.embedding_init(rng, self.vocab.num_tags,
-                                                        cfg.tag_dims, dtype=dt))
+            self.store.add("emb.tag", init.embedding(self.vocab.num_tags, cfg.tag_dims))
             input_size += cfg.tag_dims
         for layer in range(1, cfg.layers + 1):
             in_size = input_size if layer == 1 else 2 * cfg.lstm_units
             for direction in ("fwd", "bwd"):
-                w, b = nn.lstm_init(rng, in_size, cfg.lstm_units, dtype=dt)
+                w, b = init.lstm(in_size, cfg.lstm_units)
                 self.store.add("lstm%d.%s.w" % (layer, direction), w)
                 self.store.add("lstm%d.%s.b" % (layer, direction), b)
         # one absent vector per slot family; in a slot's block of the
@@ -243,10 +293,9 @@ class _EncoderModel:
         self.families = sorted(set(self.position_families))
         self.absent_row = [self.families.index(f) for f in self.position_families]
         for family in self.families:
-            self.store.add("none." + family,
-                           nn.embedding_init(rng, 1, self.enc_dims, dtype=dt)[0])
+            self.store.add("none." + family, init.embedding(1, self.enc_dims)[0])
 
-    def _add_heads(self, label_slots: int):
+    def _add_heads(self, init: _Initial, label_slots: int):
         """The classifier over self.space; its input is the position slots
         followed by label_slots nonterminal embeddings."""
         self.label_slots = label_slots
@@ -256,17 +305,17 @@ class _EncoderModel:
         hidden = self.config.hidden
         if self.config.hierarchical:
             self.heads = ("head.struct", "head.label")
-            self._add_mlp("head.struct", in_dim, hidden, len(self.space.kinds))
-            self._add_mlp("head.label", in_dim, hidden, len(self.space.labels))
+            self._add_mlp(init, "head.struct", in_dim, hidden, len(self.space.kinds))
+            self._add_mlp(init, "head.label", in_dim, hidden, len(self.space.labels))
         else:
             self.heads = ("head.flat",)
-            self._add_mlp("head.flat", in_dim, hidden, len(self.space.columns))
+            self._add_mlp(init, "head.flat", in_dim, hidden, len(self.space.columns))
 
-    def _add_mlp(self, prefix: str, in_dim: int, hidden: int, out_dim: int):
-        rng, dt = self.rng, self.store.dtype
-        self.store.add(prefix + ".w1", nn.glorot(rng, in_dim, hidden, dtype=dt))
+    def _add_mlp(self, init: _Initial, prefix: str, in_dim: int, hidden: int, out_dim: int):
+        dt = self.store.dtype
+        self.store.add(prefix + ".w1", init.glorot(in_dim, hidden))
         self.store.add(prefix + ".b1", np.zeros(hidden, dtype=dt))
-        self.store.add(prefix + ".w2", nn.glorot(rng, hidden, out_dim, dtype=dt))
+        self.store.add(prefix + ".w2", init.glorot(hidden, out_dim))
         self.store.add(prefix + ".b2", np.zeros(out_dim, dtype=dt))
 
     def _mlp_forward(self, prefix: str, tables, ids):
@@ -592,11 +641,11 @@ class DepModel(_EncoderModel):
     task = "dep"
     position_families = DEP_POSITION_FAMILIES
 
-    def _build_heads(self):
+    def _build_heads(self, init: _Initial):
         vocab = self.vocab
         self.space = ActionSpace((SHIFT, LEFT, RIGHT), (False, True, True),
                                  vocab.deprel_names[:vocab.num_deprels], DepAction)
-        self._add_heads(0)
+        self._add_heads(init, 0)
 
     def _oracle(self, tree: DepTree) -> list[DepAction]:
         return dep_oracle(tree)
@@ -632,16 +681,15 @@ class ConstModel(_EncoderModel):
     task = "const"
     position_families = CONST_POSITION_FAMILIES
 
-    def _build_heads(self):
+    def _build_heads(self, init: _Initial):
         cfg, vocab = self.config, self.vocab
         self.space = ActionSpace((C_SHIFT, C_PROMOTE, C_ADJ_LEFT, C_ADJ_RIGHT),
                                  (False, True, False, False),
                                  vocab.nonterminal_names[:vocab.num_nonterminals], ConstAction)
         # the label slots share the nonterminal table (NONE included)
         self.store.add("emb.nonterminal",
-                       nn.embedding_init(self.rng, len(vocab.nonterminals),
-                                         cfg.nonterminal_dims, dtype=self.store.dtype))
-        self._add_heads(len(CONST_LABEL_SLOTS))
+                       init.embedding(len(vocab.nonterminals), cfg.nonterminal_dims))
+        self._add_heads(init, len(CONST_LABEL_SLOTS))
 
     def _oracle(self, tree: ConstTree) -> list[ConstAction]:
         return const_oracle(tree)
@@ -674,9 +722,9 @@ class ConstModel(_EncoderModel):
 def float64_twin(model: _EncoderModel) -> _EncoderModel:
     """A float64 copy of a model, parameter values cast up in place."""
     from dataclasses import replace as dc_replace
-    twin = type(model)(dc_replace(model.config, precision="float64"), model.vocab)
+    twin = type(model)._unfilled(dc_replace(model.config, precision="float64"), model.vocab)
     for p in model.store:
-        twin.store[p.name].value[...] = p.value.astype(np.float64)
+        twin.store[p.name].value[...] = p.value
     return twin
 
 
@@ -759,7 +807,8 @@ def save_model(model: _EncoderModel, path, params: Optional[dict[str, np.ndarray
         fh.write(payload)
         for p in model.store:
             value = p.value if params is None else params[p.name]
-            fh.write(np.ascontiguousarray(value, dtype=dtype).tobytes())
+            # the array's own buffer; it is copied only to change layout or byte order
+            fh.write(memoryview(np.ascontiguousarray(value, dtype=dtype)))
 
 
 def save_best(model: _EncoderModel, path):
@@ -767,15 +816,16 @@ def save_best(model: _EncoderModel, path):
 
 
 def _header_model(cls, config_cls, values, vocab):
-    """Build the model a header's config describes, naming any key
-    config_cls lacks and any value it or the allocation rejects."""
+    """Build the model a header's config describes, its parameter buffers
+    left for the file's values; names any key config_cls lacks and any value
+    it or the allocation rejects."""
     if not isinstance(values, dict):
         raise ModelIOError("header config is not an object")
     unknown = sorted(set(values) - {f.name for f in fields(config_cls)})
     if unknown:
         raise ModelIOError("unknown config key %r in model header" % unknown[0])
     try:
-        return cls(config_cls(**values), vocab)
+        return cls._unfilled(config_cls(**values), vocab)
     except ValueError as exc:
         raise ModelIOError("bad config value in model header: %s" % exc) from None
 
@@ -868,8 +918,10 @@ def load_model(path):
             raise ModelIOError("tensor blocks up to %r take %d bytes but the file holds %d"
                                % (directory[-1]["name"], end, size))
         for p in model.store:
-            loaded = np.frombuffer(fh.read(p.value.nbytes), dtype=dtype)
-            if not np.all(np.isfinite(loaded)):
+            if fh.readinto(p.value) != p.value.nbytes:
+                raise ModelIOError("file ends inside tensor %r" % p.name)
+            if not dtype.isnative:
+                p.value.byteswap(inplace=True)
+            if not np.isfinite(p.value).all():
                 raise ModelIOError("tensor %r holds non-finite values" % p.name)
-            p.value[...] = loaded.reshape(p.value.shape)
     return model

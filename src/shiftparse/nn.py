@@ -165,12 +165,12 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     if shape is None:
         shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
 
 
 def embedding_init(rng: np.random.Generator, rows: int, dims: int,
                    scale: float = 0.01, dtype=np.float64) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=(rows, dims)).astype(dtype)
+    return rng.uniform(-scale, scale, size=(rows, dims)).astype(dtype, copy=False)
 
 
 def lstm_init(rng: np.random.Generator, input_size: int, hidden: int,
@@ -449,8 +449,11 @@ def grad_check(loss_fn, store: ParamStore, rng: np.random.Generator,
     every step size.
 
     Returns a report dict with the overall max and every offending
-    coordinate above tolerance, identified by parameter name.
+    coordinate above tolerance, identified by parameter name. The step h
+    must be positive and finite.
     """
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError("finite-difference step must be positive and finite, not %r" % h)
     worst = 0.0
     by_param = {}
     failures = []

@@ -106,11 +106,13 @@ def build_vocab(sentences: Iterable[Sentence],
                 min_form_count: int = 2) -> Vocab:
     """Build a vocabulary from a corpus.
 
-    Forms occurring fewer than min_form_count times map to UNK. Tags,
-    dependency labels, and nonterminals are fully enumerated. form_counts
-    keeps raw corpus counts (the training-time word-dropout rate depends
-    on them).
+    Forms occurring fewer than min_form_count times map to UNK; the count
+    must be non-negative. Tags, dependency labels, and nonterminals are
+    fully enumerated. form_counts keeps raw corpus counts (the
+    training-time word-dropout rate depends on them).
     """
+    if min_form_count < 0:
+        raise ValueError("min_form_count must be non-negative, not %r" % min_form_count)
     counts: Counter[str] = Counter()
     tags: set[str] = set()
     n_sentences = 0

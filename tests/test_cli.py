@@ -183,6 +183,17 @@ def test_eval_recall_csv(tmp_path, dep_corpus, capsys):
     assert len(lines) - 1 <= 5 + 1   # numeric buckets plus the root bucket
 
 
+@pytest.mark.parametrize("bucket", ["0", "-2"])
+def test_eval_max_bucket_below_one_is_data_error(tmp_path, dep_corpus, bucket, capsys):
+    csv = tmp_path / "recall.csv"
+    assert main(["eval", "--task", "dep", "--gold", str(dep_corpus),
+                 "--pred", str(dep_corpus), "--recall-by-length", str(csv),
+                 "--max-bucket", bucket]) == 2
+    captured = capsys.readouterr()
+    assert "max_bucket must be at least 1" in captured.err
+    assert captured.out == "" and not csv.exists()
+
+
 def test_eval_const(tmp_path, const_corpus, capsys):
     assert main(["eval", "--task", "const", "--gold", str(const_corpus),
                  "--pred", str(const_corpus)]) == 0
@@ -229,6 +240,13 @@ def test_gradcheck_default_passes(capsys):
 def test_gradcheck_float32_relaxed(capsys):
     assert main(["gradcheck", "--task", "dep", "--samples", "2",
                  "--precision", "float32"]) == 0
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-5", "nan"])
+def test_gradcheck_step_not_positive_is_data_error(step, capsys):
+    # --step=VALUE: argparse reads a separate "-1e-5" as an option
+    assert main(["gradcheck", "--task", "dep", "--samples", "2", "--step=" + step]) == 2
+    assert "finite-difference step must be positive and finite" in capsys.readouterr().err
 
 
 def test_gradcheck_injected_error_fails(capsys):
@@ -329,6 +347,14 @@ def test_train_config_too_large_to_allocate_is_data_error(tmp_path, dep_corpus, 
                  "--model", str(tmp_path / "m")] + FAST_FLAGS + ["--hidden", str(10 ** 12)])
     assert code == 2
     assert "config's parameters cannot be allocated" in capsys.readouterr().err
+
+
+def test_train_negative_min_form_count_is_data_error(tmp_path, dep_corpus, capsys):
+    code = main(["train", "--task", "dep", "--train", str(dep_corpus),
+                 "--model", str(tmp_path / "m")] + FAST_FLAGS + ["--min-form-count", "-3"])
+    assert code == 2
+    assert "min_form_count must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_config_file_with_unknown_precision_is_data_error(tmp_path, dep_corpus, capsys):

@@ -125,6 +125,12 @@ def test_recall_buckets_and_merging():
     assert merged["10+"] == 4    # lengths 10, 11, 12, 13
 
 
+@pytest.mark.parametrize("max_bucket", [0, -2])
+def test_recall_rejects_max_bucket_below_one(max_bucket):
+    with pytest.raises(ValueError, match="max_bucket must be at least 1"):
+        arc_recall_by_length([GOLD], [GOLD], max_bucket=max_bucket)
+
+
 def test_recall_empty_buckets_omitted():
     rows = arc_recall_by_length([GOLD], [GOLD], max_bucket=10)
     assert set(r[0] for r in rows) == {"root", "1"}

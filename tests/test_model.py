@@ -1,5 +1,8 @@
+import hashlib
 import json
+import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from shiftparse.model import (ConstConfig, ConstModel, DecodeStepLimit, DepConfi
                               save_best, save_model)
 from shiftparse.trees import Sentence
 from shiftparse.vocab import build_vocab
-from shiftparse import synth
+from shiftparse import nn, synth
 from shiftparse.headrules import assign_heads
 
 
@@ -596,6 +599,92 @@ def test_load_rejects_non_finite_tensor(tmp_path, value):
     path = tmp_path / "model.bin"
     save_model(model, path)
     with pytest.raises(ModelIOError, match="tensor 'head.struct.b2' holds non-finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("setup", [small_dep_setup, small_const_setup], ids=["dep", "const"])
+def test_load_draws_no_initial_values(tmp_path, monkeypatch, setup):
+    # every loaded value comes from the file, so none may be drawn first
+    model, trees = setup()
+    model.fit(trees)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew initial values")
+
+    for name in ("glorot", "embedding_init", "lstm_init"):
+        monkeypatch.setattr(nn, name, no_draws)
+    loaded = load_model(path)
+    assert loaded.store.names() == model.store.names()
+    for p in model.store:
+        assert loaded.store[p.name].value.tobytes() == p.value.tobytes()
+
+
+def test_loaded_model_generator_starts_at_its_config_seed(tmp_path):
+    # a new model's generator has made the initial draws; a loaded model
+    # draws none, so its generator is where the config's seed puts it
+    model, _trees = small_const_setup(seed=11)
+    fresh = np.random.default_rng(11).bit_generator.state
+    assert model.rng.bit_generator.state != fresh
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert load_model(path).rng.bit_generator.state == fresh
+
+
+# sha256 of the model files the seeded small models below write, computed
+# when each block was written from a tobytes() copy of astype-copied draws.
+# The values are initial draws and exact elementwise products of them, never
+# GEMM results, so the digests do not depend on the BLAS build.
+PINNED_MODEL_FILES = {
+    ("dep", "float64"): ("3de068fc3aa02ca23933c94c68a839db7fdf73b733670b3455af05c611dbd65b",
+                         "9316feb246fcf16d1641911cac5d8ebdf8ce8f73a753e346275cffdd35bf9179"),
+    ("dep", "float32"): ("b89aba0beb66121b3f547be5818cb5b4b72f302d31429ca868a710e69aa9cd10",
+                         "df8f16ed7a507676cee6d8e64353c61ad6d2648a99e45fdf762957f775a62dbe"),
+    ("const", "float64"): ("13cb5813dbd3817f8689c0b61fa36f317ad0375d943fe829f5490069c598bc09",
+                           "ed5b9c343e3b42f696d5ffce31019810b04f4cf3154e0bb29c729fdfa15ec5c6"),
+    ("const", "float32"): ("67d9cfa3d4a04e9729b180575243691c996d3e8eaa51f94e99a56d1054e63769",
+                           "c4693f24794a32b98fda9cfd5cb6212feb37adc547124a1cfb5918282970f993"),
+}
+
+
+@pytest.mark.parametrize("task, precision", sorted(PINNED_MODEL_FILES))
+def test_seeded_model_files_are_byte_stable(tmp_path, task, precision):
+    # guards the initial draw order and the write path; the best-epoch
+    # copy is Fortran-ordered, so save_best must also change the layout
+    model, _trees = (small_dep_setup if task == "dep" else small_const_setup)()
+    model = type(model)(replace(model.config, precision=precision), model.vocab)
+    model.best_params = {p.name: np.asfortranarray(p.value * 0.5) for p in model.store}
+    digests = []
+    for save in (save_model, save_best):
+        path = tmp_path / save.__name__
+        save(model, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(digests) == PINNED_MODEL_FILES[task, precision]
+    loaded = load_model(tmp_path / "save_best")
+    for name, value in model.best_params.items():
+        assert loaded.store[name].value.tobytes() == np.ascontiguousarray(value).tobytes()
+
+
+def test_load_rejects_short_read(tmp_path, monkeypatch):
+    # a file that shrinks after its size is checked ends inside a tensor
+    model, _trees = small_dep_setup()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    true_size = path.stat().st_size
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        result = real_fstat(fd)
+        if result.st_size != true_size - 4:
+            return result
+        values = list(result)
+        values[6] = true_size    # st_size, as before the cut
+        return os.stat_result(values)
+
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(os, "fstat", fstat)
+    with pytest.raises(ModelIOError, match="file ends inside tensor 'head.label.b2'"):
         load_model(path)
 
 

@@ -633,6 +633,14 @@ def test_grad_check_flags_wrong_gradient_by_name():
     assert all(name == "w" for name, *_ in report["failures"])
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.inf, np.nan])
+def test_grad_check_rejects_step_not_positive_and_finite(h):
+    store = make_store(w=np.ones(2))
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        nn.grad_check(lambda: 0.0, store, np.random.default_rng(0), h=h,
+                      analytic={"w": np.zeros(2)})
+
+
 def test_debug_checks_catch_nonfinite():
     nn.debug_checks = True
     try:

@@ -75,3 +75,8 @@ def test_ids_dense():
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty"):
         build_vocab([])
+
+
+def test_negative_min_form_count_rejected():
+    with pytest.raises(ValueError, match="min_form_count must be non-negative"):
+        build_vocab(_sentences({"like": 1}), min_form_count=-3)
