@@ -379,7 +379,8 @@ def build_parser() -> _Parser:
     gradcheck.add_argument("--tolerance", type=float, default=None,
                            help="default 1e-4 (float64) or 1e-2 (float32)")
     gradcheck.add_argument("--step", type=float, default=None,
-                           help="finite-difference step; default 1e-5 (float64)")
+                           help="finite-difference step; default 1e-5. Write a negative "
+                                "value as --step=VALUE, or it reads as an option")
     gradcheck.add_argument("--samples", type=int, default=8,
                            help="coordinates sampled per parameter tensor")
     gradcheck.add_argument("--seed", type=int, default=0)

@@ -83,7 +83,7 @@ from .evalmetrics import score_brackets, score_dep
 from .features import (CONST_LABEL_SLOTS, CONST_POSITION_FAMILIES,
                        DEP_POSITION_FAMILIES, extract_const, extract_dep)
 from .trees import ROOT, ConstTree, DepTree, Sentence
-from .vocab import NONE_LABEL, UNK, Vocab
+from .vocab import NONE_LABEL, UNK, Vocab, json_sha256
 
 
 class ModelIOError(ValueError):
@@ -791,13 +791,14 @@ def save_model(model: _EncoderModel, path, params: Optional[dict[str, np.ndarray
     """Write the header, then the little-endian blocks in store order: of
     params when given (e.g. the best-epoch snapshot), else the live values."""
     dtype = model.store.dtype.newbyteorder("<")
+    vocab = model.vocab.to_json()
     header = {
         "format": "shiftparse-model",
         "version": _FORMAT_VERSION,
         "task": model.task,
         "config": asdict(model.config),
-        "vocab": model.vocab.to_json(),
-        "vocab_sha256": model.vocab.sha256(),
+        "vocab": vocab,
+        "vocab_sha256": json_sha256(vocab),
         "tensors": _directory(model.store, dtype),
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -903,7 +904,8 @@ def load_model(path):
         if header["version"] != _FORMAT_VERSION:
             raise ModelIOError("unsupported version %r" % header["version"])
         vocab = _header_vocab(header["vocab"])
-        if vocab.sha256() != header["vocab_sha256"]:
+        # hashed as stored: save_model writes the very JSON form it hashed
+        if json_sha256(header["vocab"]) != header["vocab_sha256"]:
             raise ModelIOError("vocab_sha256 mismatch: vocabulary was modified")
         if header["task"] not in ("dep", "const"):
             raise ModelIOError("unknown task %r" % header["task"])

@@ -32,14 +32,16 @@ flattened arrays at a time, through one two-chunk scratch buffer allocated
 per call: no per-parameter temporaries are created, and each chunk is read
 from main memory once for the whole op sequence instead of once per op.
 
-The classifier's input may be dense floats or integer row indices. With
-integer x of shape (m, slots) the first layer is a gather-sum: w1 is then
-a table of precomputed rows (one block per input slot, see model.py) and
-the pre-activation is b1 plus the sum of the selected rows. The backward
-pass accumulates each row's pre-activation gradient into the table
-gradient at the rows it selected, as one counts-matrix GEMM over the
-distinct selected rows only, so a large table (e.g. one stacked over a
-minibatch) costs no more than the rows actually used.
+The classifier takes integer row ids. Its first layer is a gather-sum
+over w1, a table of precomputed rows (one block per input slot, see
+model.py): a state's pre-activation is b1 plus the rows its ids select,
+which is x @ w1 + b1 for the dense x counting each selected row (the
+tests' reference). Training passes (m, slots) ids and decoding one state's
+(slots,) ids, through the same indexing. The backward pass accumulates
+each row's pre-activation gradient into the table gradient at the rows it
+selected, as one counts-matrix GEMM over the distinct selected rows only,
+so a large table (e.g. one stacked over a minibatch) costs no more than
+the rows actually used.
 """
 
 from __future__ import annotations
@@ -95,12 +97,6 @@ class ParamStore:
 
     def __iter__(self):
         return iter(self._params.values())
-
-    def names(self) -> list[str]:
-        return list(self._params.keys())
-
-    def num_values(self) -> int:
-        return sum(p.value.size for p in self)
 
     def zero_grads(self):
         for p in self:
@@ -336,23 +332,16 @@ def dropout_mask(rng: np.random.Generator, shape, p: float, dtype=np.float64) ->
     1/(1-p), so the train-mode expectation equals the input."""
     if not (0.0 <= p < 1.0):
         raise ValueError("dropout probability must lie in [0, 1)")
-    if p == 0.0:
-        return np.ones(shape, dtype=dtype)
     keep = rng.random(shape) >= p
     return keep.astype(dtype) / (1.0 - p)
 
 
 def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
-    """Affine -> ReLU -> affine. x is (m, in) or (in,).
-
-    An integer x, (m, slots) or (slots,), selects rows of w1 instead: the
-    hidden pre-activation is b1 plus the sum of the selected rows, which is
-    x_dense @ w1 + b1 for the 0/1 row x_dense with a one at each index.
-    """
-    if x.dtype.kind in "iu":
-        pre = w1[x].sum(axis=-2) + b1
-    else:
-        pre = x @ w1 + b1
+    """Affine -> ReLU -> affine over the rows of w1 that the integer ids x,
+    (m, slots) or (slots,), select: the hidden pre-activation is b1 plus
+    the sum of the selected rows. Returns (scores, cache), scores (m, K)
+    or (K,)."""
+    pre = w1[x].sum(axis=-2) + b1
     hid = np.maximum(pre, 0.0)
     scores = hid @ w2 + b2
     _check_finite("mlp_forward", scores)
@@ -360,42 +349,24 @@ def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
 
 
 def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2):
-    """Backward for mlp_forward; accumulates into the d* arrays, returns dx.
-
-    For an integer x, dw1 receives each row's pre-activation gradient at
-    every row of w1 it selected, and there is no input gradient: returns
-    None.
-    """
+    """Backward for mlp_forward over (m, slots) ids, given (m, K) dscores;
+    accumulates into the d* arrays, dw1 receiving each row's pre-activation
+    gradient at every row of w1 it selected."""
     x, pre, hid = cache
-    if dscores.ndim == 1:
-        dw2 += np.outer(hid, dscores)
-        db2 += dscores
-        dhid = w2 @ dscores
-        dpre = dhid * (pre > 0)
-        db1 += dpre
-    else:
-        dw2 += hid.T @ dscores
-        db2 += dscores.sum(axis=0)
-        dhid = dscores @ w2.T
-        dpre = dhid * (pre > 0)
-        db1 += dpre.sum(axis=0)
-    if x.dtype.kind in "iu":
-        # counts[r, i]: how often row i selected the r-th distinct selected
-        # row of w1; as a GEMM this is far faster than np.add.at over the
-        # (m, slots, hidden) scatter, and it spans only the selected rows,
-        # so its cost does not grow with the table
-        ids = x.reshape(-1, x.shape[-1])
-        m = len(ids)
-        used, inverse = np.unique(ids.ravel(), return_inverse=True)
-        counts = np.bincount((inverse.reshape(ids.shape) * m + np.arange(m)[:, None]).ravel(),
-                             minlength=len(used) * m)
-        dw1[used] += counts.reshape(len(used), m).astype(dpre.dtype) @ dpre.reshape(m, -1)
-        return None
-    if dscores.ndim == 1:
-        dw1 += np.outer(x, dpre)
-        return w1 @ dpre
-    dw1 += x.T @ dpre
-    return dpre @ w1.T
+    dw2 += hid.T @ dscores
+    db2 += dscores.sum(axis=0)
+    dhid = dscores @ w2.T
+    dpre = dhid * (pre > 0)
+    db1 += dpre.sum(axis=0)
+    # counts[r, i]: how often row i selected the r-th distinct selected row
+    # of w1; as a GEMM this is far faster than np.add.at over the
+    # (m, slots, hidden) scatter, and it spans only the selected rows, so
+    # its cost does not grow with the table
+    m = len(x)
+    used, inverse = np.unique(x.ravel(), return_inverse=True)
+    counts = np.bincount((inverse.reshape(x.shape) * m + np.arange(m)[:, None]).ravel(),
+                         minlength=len(used) * m)
+    dw1[used] += counts.reshape(len(used), m).astype(dpre.dtype) @ dpre
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -405,18 +376,9 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def nll_softmax_loss(scores: np.ndarray, gold):
-    """Negative log softmax, stabilized by max subtraction.
-
-    scores may be (K,) with an int gold, or (m, K) with m gold indices;
-    losses are summed over rows. Returns (loss, dscores) where dscores is
-    softmax(scores) - onehot(gold).
-    """
-    if scores.ndim == 1:
-        probs = softmax(scores)
-        loss = -np.log(probs[gold])
-        dscores = probs.copy()
-        dscores[gold] -= 1.0
-        return float(loss), dscores
+    """Negative log softmax of (m, K) scores against m gold indices,
+    stabilized by max subtraction and summed over rows. Returns
+    (loss, dscores) where dscores is softmax(scores) - onehot(gold)."""
     gold = np.asarray(gold)
     probs = softmax(scores)
     rows = np.arange(scores.shape[0])

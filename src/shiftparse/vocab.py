@@ -95,9 +95,12 @@ class Vocab:
             form_counts=dict(map(tuple, data.get("form_counts", []))),
         )
 
-    def sha256(self) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+def json_sha256(data: dict) -> str:
+    """The sha256 of a vocabulary's JSON form, as Vocab.to_json gives it or
+    as a model header holds it."""
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def build_vocab(sentences: Iterable[Sentence],

@@ -90,30 +90,34 @@ def _layer_checks():
     assert report["ok"], report["failures"][:3]
     worst = max(worst, report["max_rel_error"])
 
-    # ReLU classifier with softmax loss on top
-    w1 = nn.glorot(rng, 6, 8)
+    # ReLU classifier with softmax loss on top, on the path the parsers run:
+    # integer ids select rows of a first-layer table larger than the rows
+    # used (6, 8 and 11 stay unselected); row 4 is repeated inside the first
+    # state and shared with the second, row 2 is taken three times by one
+    # state and once by another
+    w1 = rng.standard_normal((12, 8)) * 0.5
     b1 = rng.standard_normal(8) * 0.1
     w2 = nn.glorot(rng, 8, 4)
     b2 = rng.standard_normal(4) * 0.1
-    x = rng.standard_normal((5, 6)) + 0.3
+    ids = np.array([[0, 4, 4], [4, 7, 2], [9, 1, 3], [2, 2, 2], [10, 5, 0]])
     gold = np.array([0, 3, 1, 2, 0])
     mstore = nn.ParamStore(np.float64)
-    for name, arr in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2), ("x", x)):
+    for name, arr in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
         mstore.add(name, arr)
 
     def mlp_loss():
         scores, _ = nn.mlp_forward(mstore["w1"].value, mstore["b1"].value,
-                                   mstore["w2"].value, mstore["b2"].value,
-                                   mstore["x"].value)
+                                   mstore["w2"].value, mstore["b2"].value, ids)
         value, _ = nn.nll_softmax_loss(scores, gold)
         return value
 
-    scores, cache = nn.mlp_forward(w1, b1, w2, b2, x)
+    scores, cache = nn.mlp_forward(w1, b1, w2, b2, ids)
     _, dscores = nn.nll_softmax_loss(scores, gold)
     grads = {"w1": np.zeros_like(w1), "b1": np.zeros_like(b1),
              "w2": np.zeros_like(w2), "b2": np.zeros_like(b2)}
-    grads["x"] = nn.mlp_backward(w1, b1, w2, b2, cache, dscores,
-                                 grads["w1"], grads["b1"], grads["w2"], grads["b2"])
+    nn.mlp_backward(w1, b1, w2, b2, cache, dscores,
+                    grads["w1"], grads["b1"], grads["w2"], grads["b2"])
+    assert np.all(grads["w1"][[6, 8, 11]] == 0.0)
     report = nn.grad_check(mlp_loss, mstore, rng, samples_per_param=30,
                            tolerance=1e-6, analytic=grads)
     assert report["ok"], report["failures"][:3]
@@ -124,7 +128,7 @@ def _layer_checks():
 def _per_param_for_target(store, target):
     """Smallest per-tensor sample count whose realized total covers target
     (small tensors contribute all of their coordinates)."""
-    sizes = [store[name].value.size for name in store.names()]
+    sizes = [p.value.size for p in store]
     per_param = max(2, math.ceil(target / len(sizes)))
     while sum(min(per_param, s) for s in sizes) < min(target, sum(sizes)):
         per_param += 1
@@ -146,9 +150,8 @@ def test_criterion_03_gradient_correctness():
     per_param = _per_param_for_target(dep_model.store, 500)
     dep_report = model_grad_check(dep_model, dep_trees, samples_per_param=per_param,
                                   h=1e-5, tolerance=1e-4)
-    sampled_dep = sum(min(per_param, dep_model.store[n].value.size)
-                      for n in dep_model.store.names())
-    assert sampled_dep >= 500 or sampled_dep == dep_model.store.num_values()
+    sampled_dep = sum(min(per_param, p.value.size) for p in dep_model.store)
+    assert sampled_dep >= 500 or sampled_dep == sum(p.value.size for p in dep_model.store)
     assert dep_report["ok"], dep_report["failures"][:3]
     assert dep_report["max_rel_error"] < 1e-4
 
@@ -163,9 +166,8 @@ def test_criterion_03_gradient_correctness():
     const_report = model_grad_check(const_model, const_trees,
                                     samples_per_param=per_param,
                                     h=1e-5, tolerance=1e-4)
-    sampled_const = sum(min(per_param, const_model.store[n].value.size)
-                        for n in const_model.store.names())
-    assert sampled_const >= 500 or sampled_const == const_model.store.num_values()
+    sampled_const = sum(min(per_param, p.value.size) for p in const_model.store)
+    assert sampled_const >= 500 or sampled_const == sum(p.value.size for p in const_model.store)
     assert const_report["ok"], const_report["failures"][:3]
     assert const_report["max_rel_error"] < 1e-4
     elapsed = time.monotonic() - start

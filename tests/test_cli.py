@@ -249,6 +249,15 @@ def test_gradcheck_step_not_positive_is_data_error(step, capsys):
     assert "finite-difference step must be positive and finite" in capsys.readouterr().err
 
 
+def test_gradcheck_negative_step_as_separate_argument_is_usage_error(capsys):
+    # argparse reads a separate "-1e-5" as an option, so --step has no value;
+    # joined as --step=-1e-5 it reaches the step check (exit 2, above)
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--task", "dep", "--samples", "2", "--step", "-1e-5"])
+    assert exc.value.code == 1
+    assert "argument --step: expected one argument" in capsys.readouterr().err
+
+
 def test_gradcheck_injected_error_fails(capsys):
     code = main(["gradcheck", "--task", "dep", "--samples", "2",
                  "--inject-error", "emb.word"])

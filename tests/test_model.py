@@ -15,7 +15,7 @@ from shiftparse.model import (ConstConfig, ConstModel, DecodeStepLimit, DepConfi
                               DepModel, ModelIOError, load_model, model_grad_check,
                               save_best, save_model)
 from shiftparse.trees import Sentence
-from shiftparse.vocab import build_vocab
+from shiftparse.vocab import Vocab, build_vocab, json_sha256
 from shiftparse import nn, synth
 from shiftparse.headrules import assign_heads
 
@@ -372,7 +372,7 @@ def test_load_rejects_tampered_header(tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     blob = path.read_bytes()
-    digest = model.vocab.sha256().encode()
+    digest = json_sha256(model.vocab.to_json()).encode()
     swap = b"0" if digest[:1] != b"0" else b"1"
     tampered = blob.replace(digest, swap + digest[1:], 1)
     bad = tmp_path / "tampered.bin"
@@ -421,13 +421,13 @@ def _rewrite_header(blob: bytes, edit) -> bytes:
 def test_model_file_holds_parameters_only(tmp_path):
     for model, trees in (small_dep_setup(), small_const_setup()):
         model.fit(trees)
-        assert list(model.best_params) == model.store.names()
+        assert list(model.best_params) == [p.name for p in model.store]
         path = tmp_path / (model.task + ".bin")
         save_model(model, path)
         blob = path.read_bytes()
         (header_len,) = struct.unpack("<Q", blob[4:12])
         header = json.loads(blob[12:12 + header_len])
-        assert [t["name"] for t in header["tensors"]] == model.store.names()
+        assert [t["name"] for t in header["tensors"]] == [p.name for p in model.store]
         assert len(blob) == 12 + header_len + sum(p.value.nbytes for p in model.store)
 
 
@@ -616,7 +616,7 @@ def test_load_draws_no_initial_values(tmp_path, monkeypatch, setup):
     for name in ("glorot", "embedding_init", "lstm_init"):
         monkeypatch.setattr(nn, name, no_draws)
     loaded = load_model(path)
-    assert loaded.store.names() == model.store.names()
+    assert [p.name for p in loaded.store] == [p.name for p in model.store]
     for p in model.store:
         assert loaded.store[p.name].value.tobytes() == p.value.tobytes()
 
@@ -630,6 +630,19 @@ def test_loaded_model_generator_starts_at_its_config_seed(tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     assert load_model(path).rng.bit_generator.state == fresh
+
+
+def test_model_io_builds_the_vocab_json_once_per_save_and_not_on_load(tmp_path, monkeypatch):
+    # save_model hashes the form it writes; load_model hashes the header's copy
+    model, _trees = small_const_setup()
+    built = []
+    to_json = Vocab.to_json
+    monkeypatch.setattr(Vocab, "to_json", lambda self: built.append(self) or to_json(self))
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert len(built) == 1
+    assert load_model(path).vocab == model.vocab
+    assert len(built) == 1
 
 
 # sha256 of the model files the seeded small models below write, computed

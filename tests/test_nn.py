@@ -293,7 +293,7 @@ def test_two_layer_bilstm_composition_gradient():
         return float((weight * feat[:, 2 * hidden:]).sum() + feat[:, :2 * hidden].sum())
 
     feat, (cf1, cb1, cf2, cb2) = encode()
-    grads = {name: np.zeros_like(store[name].value) for name in store.names()}
+    grads = {p.name: np.zeros_like(p.value) for p in store}
     dfeat1 = np.ones((n, 2 * hidden))
     dfeat2 = weight
     do2 = dfeat2
@@ -331,45 +331,31 @@ def test_empty_sequence_rejected_by_encoder_contract():
 # MLP, softmax
 # ---------------------------------------------------------------------------
 
-def test_mlp_zero_weights():
-    scores, _ = nn.mlp_forward(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)),
-                               np.zeros(2), np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(scores, 0.0)
+# Dense references: the classifier on a dense input, which the integer-id
+# kernels in nn must reproduce with the 0/1 input that counts each selected
+# table row, and the loss of one score row.
+
+def dense_mlp_forward(w1, b1, w2, b2, x):
+    """Affine -> ReLU -> affine on a dense (m, in) input x."""
+    pre = x @ w1 + b1
+    hid = np.maximum(pre, 0.0)
+    return hid @ w2 + b2, (x, pre, hid)
 
 
-def test_mlp_identity_negative_input_hits_bias():
-    w1 = np.array([[1.0]])
-    b1 = np.zeros(1)
-    w2 = np.array([[1.0]])
-    b2 = np.array([7.5])
-    scores, _ = nn.mlp_forward(w1, b1, w2, b2, np.array([-3.0]))
-    assert np.allclose(scores, [7.5])   # hidden clamps to 0, bias passes through
+def dense_mlp_backward(w2, cache, dscores):
+    """Gradients of dense_mlp_forward for (m, K) dscores: dw1, db1, dw2, db2."""
+    x, pre, hid = cache
+    dpre = (dscores @ w2.T) * (pre > 0)
+    return x.T @ dpre, dpre.sum(axis=0), hid.T @ dscores, dscores.sum(axis=0)
 
 
-def test_mlp_gradients():
-    rng = np.random.default_rng(7)
-    w1 = nn.glorot(rng, 5, 6)
-    b1 = rng.standard_normal(6) * 0.1
-    w2 = nn.glorot(rng, 6, 3)
-    b2 = rng.standard_normal(3) * 0.1
-    x = rng.standard_normal((4, 5)) + 0.5
-    gold = np.array([0, 2, 1, 2])
-    store = make_store(w1=w1, b1=b1, w2=w2, b2=b2, x=x)
-
-    def loss():
-        scores, _ = nn.mlp_forward(store["w1"].value, store["b1"].value,
-                                   store["w2"].value, store["b2"].value,
-                                   store["x"].value)
-        value, _ = nn.nll_softmax_loss(scores, gold)
-        return value
-
-    scores, cache = nn.mlp_forward(w1, b1, w2, b2, x)
-    _, dscores = nn.nll_softmax_loss(scores, gold)
-    grads = {name: np.zeros_like(store[name].value) for name in ("w1", "b1", "w2", "b2")}
-    grads["x"] = nn.mlp_backward(w1, b1, w2, b2, cache, dscores,
-                                 grads["w1"], grads["b1"], grads["w2"], grads["b2"])
-    err = _fd_check_via_store(store, loss, grads, 1e-6)
-    assert err < 1e-6
+def one_row_nll(scores, gold):
+    """Negative log softmax of one (K,) score row and its gradient."""
+    shifted = scores - scores.max()
+    log_probs = shifted - np.log(np.exp(shifted).sum())
+    dscores = np.exp(log_probs)
+    dscores[gold] -= 1.0
+    return float(-log_probs[gold]), dscores
 
 
 def _one_hot_rows(ids, rows):
@@ -382,18 +368,70 @@ def _one_hot_rows(ids, rows):
     return dense
 
 
+def _mlp_case(rng, table_rows, hidden=6, classes=3, offset=0.0):
+    table = rng.standard_normal((table_rows, hidden)) + offset
+    b1 = rng.standard_normal(hidden) * 0.1
+    w2 = nn.glorot(rng, hidden, classes)
+    b2 = rng.standard_normal(classes) * 0.1
+    return table, b1, w2, b2
+
+
+def _mlp_table_gradients(table, b1, w2, b2, ids, gold):
+    """The loss gradients of w1, b1, w2 and b2 through nn's integer-id path."""
+    scores, cache = nn.mlp_forward(table, b1, w2, b2, ids)
+    _, dscores = nn.nll_softmax_loss(scores, gold)
+    grads = {name: np.zeros_like(value)
+             for name, value in (("w1", table), ("b1", b1), ("w2", w2), ("b2", b2))}
+    assert nn.mlp_backward(table, b1, w2, b2, cache, dscores,
+                           grads["w1"], grads["b1"], grads["w2"], grads["b2"]) is None
+    return grads
+
+
+def _mlp_store_loss(store, ids, gold):
+    def loss():
+        scores, _ = nn.mlp_forward(store["w1"].value, store["b1"].value,
+                                   store["w2"].value, store["b2"].value, ids)
+        value, _ = nn.nll_softmax_loss(scores, gold)
+        return value
+    return loss
+
+
+def test_mlp_zero_weights():
+    scores, _ = nn.mlp_forward(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)),
+                               np.zeros(2), np.array([[0, 1, 2], [2, 2, 1]]))
+    assert np.allclose(scores, 0.0)
+
+
+def test_mlp_identity_negative_input_hits_bias():
+    w1 = np.array([[-3.0]])     # the one table row: a negative pre-activation
+    b1 = np.zeros(1)
+    w2 = np.array([[1.0]])
+    b2 = np.array([7.5])
+    scores, _ = nn.mlp_forward(w1, b1, w2, b2, np.array([[0]]))
+    assert np.allclose(scores, [[7.5]])   # hidden clamps to 0, bias passes through
+
+
+def test_mlp_gradients():
+    rng = np.random.default_rng(7)
+    table, b1, w2, b2 = _mlp_case(rng, 5, offset=0.5)
+    ids = np.array([[0, 3], [4, 1], [2, 2], [1, 3]])
+    gold = np.array([0, 2, 1, 2])
+    store = make_store(w1=table, b1=b1, w2=w2, b2=b2)
+    grads = _mlp_table_gradients(table, b1, w2, b2, ids, gold)
+    err = _fd_check_via_store(store, _mlp_store_loss(store, ids, gold), grads, 1e-6)
+    assert err < 1e-6
+
+
 def test_mlp_integer_input_sums_selected_rows():
     rng = np.random.default_rng(8)
-    table = rng.standard_normal((9, 6))
-    b1 = rng.standard_normal(6) * 0.1
-    w2 = nn.glorot(rng, 6, 3)
-    b2 = rng.standard_normal(3) * 0.1
+    table, b1, w2, b2 = _mlp_case(rng, 9)
     ids = np.array([[0, 4, 8], [3, 3, 5], [8, 1, 2], [7, 7, 7]])
     scores, (_, pre, _) = nn.mlp_forward(table, b1, w2, b2, ids)
-    dense_scores, (_, dense_pre, _) = nn.mlp_forward(table, b1, w2, b2,
-                                                     _one_hot_rows(ids, len(table)))
+    dense_scores, (_, dense_pre, _) = dense_mlp_forward(table, b1, w2, b2,
+                                                        _one_hot_rows(ids, len(table)))
     assert np.abs(pre - dense_pre).max() < 1e-12
     assert np.abs(scores - dense_scores).max() < 1e-12
+    # decoding scores one state: (slots,) ids give (K,) scores
     one, _ = nn.mlp_forward(table, b1, w2, b2, ids[1])
     assert one.shape == (3,)
     assert np.abs(one - dense_scores[1]).max() < 1e-12
@@ -401,65 +439,55 @@ def test_mlp_integer_input_sums_selected_rows():
 
 @pytest.mark.parametrize("ids, table_rows", [
     (np.array([[0, 4, 8], [3, 3, 5], [8, 1, 2], [7, 7, 7]]), 9),
-    (np.array([2, 6, 6]), 9),
+    (np.array([[2, 6, 6]]), 9),
     # a table far larger than the rows selected, as one stacked over a minibatch
     (np.array([[350, 4, 17], [17, 17, 399], [0, 350, 250]]), 400),
 ], ids=["rows", "one-row", "large-table"])
 def test_mlp_integer_input_table_gradient(ids, table_rows):
     rng = np.random.default_rng(9)
-    table = rng.standard_normal((table_rows, 6)) + 0.2
-    b1 = rng.standard_normal(6) * 0.1
-    w2 = nn.glorot(rng, 6, 3)
-    b2 = rng.standard_normal(3) * 0.1
-    gold = np.array([0, 2, 1, 2])[:len(ids)] if ids.ndim == 2 else 1
+    table, b1, w2, b2 = _mlp_case(rng, table_rows, offset=0.2)
+    gold = np.array([0, 2, 1, 2])[:len(ids)]
     store = make_store(w1=table, b1=b1, w2=w2, b2=b2)
-
-    def loss():
-        scores, _ = nn.mlp_forward(store["w1"].value, store["b1"].value,
-                                   store["w2"].value, store["b2"].value, ids)
-        value, _ = nn.nll_softmax_loss(scores, gold)
-        return value
-
-    scores, cache = nn.mlp_forward(table, b1, w2, b2, ids)
-    _, dscores = nn.nll_softmax_loss(scores, gold)
-    grads = {name: np.zeros_like(store[name].value) for name in ("w1", "b1", "w2", "b2")}
-    dx = nn.mlp_backward(table, b1, w2, b2, cache, dscores,
-                         grads["w1"], grads["b1"], grads["w2"], grads["b2"])
-    assert dx is None
+    grads = _mlp_table_gradients(table, b1, w2, b2, ids, gold)
     assert np.any(grads["w1"] != 0.0)
     unused = np.setdiff1d(np.arange(len(table)), ids)
     assert np.all(grads["w1"][unused] == 0.0)
     # the dense reference: the same rows as a 0/1 input times w1
-    _, dense_cache = nn.mlp_forward(table, b1, w2, b2, _one_hot_rows(ids, len(table)))
-    dense = {name: np.zeros_like(store[name].value) for name in ("w1", "b1", "w2", "b2")}
-    nn.mlp_backward(table, b1, w2, b2, dense_cache, np.atleast_2d(dscores),
-                    dense["w1"], dense["b1"], dense["w2"], dense["b2"])
-    assert np.abs(grads["w1"] - dense["w1"]).max() < 1e-12
-    assert _fd_check_via_store(store, loss, grads, 1e-6) < 1e-6
+    scores, cache = dense_mlp_forward(table, b1, w2, b2, _one_hot_rows(ids, len(table)))
+    dscores = np.stack([one_row_nll(row, g)[1] for row, g in zip(scores, gold)])
+    dense = dense_mlp_backward(w2, cache, dscores)
+    for got, want in zip((grads["w1"], grads["b1"], grads["w2"], grads["b2"]), dense):
+        assert np.abs(got - want).max() < 1e-12
+    assert _fd_check_via_store(store, _mlp_store_loss(store, ids, gold), grads, 1e-6) < 1e-6
 
 
 def test_nll_equal_scores_is_log_k():
     for k in (2, 5, 11):
-        loss, _ = nn.nll_softmax_loss(np.zeros(k), 0)
+        loss, _ = nn.nll_softmax_loss(np.zeros((1, k)), [0])
         assert abs(loss - math.log(k)) < 1e-12
 
 
 def test_nll_is_stable_for_huge_scores():
-    loss, dscores = nn.nll_softmax_loss(np.array([1000.0, 0.0]), 0)
+    loss, dscores = nn.nll_softmax_loss(np.array([[1000.0, 0.0], [0.0, -1000.0]]), [0, 0])
     assert loss < 1e-12
     assert np.all(np.isfinite(dscores))
 
 
 def test_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
-    scores0 = rng.standard_normal(6)
+    scores0 = rng.standard_normal((3, 6))
+    gold = np.array([2, 0, 5])
     store = make_store(scores=scores0)
 
     def loss():
-        value, _ = nn.nll_softmax_loss(store["scores"].value, 2)
+        value, _ = nn.nll_softmax_loss(store["scores"].value, gold)
         return value
 
-    _, dscores = nn.nll_softmax_loss(scores0.copy(), 2)
+    loss0, dscores = nn.nll_softmax_loss(scores0.copy(), gold)
+    # the rows' losses and gradients are those of each row alone, summed
+    rows = [one_row_nll(row, g) for row, g in zip(scores0, gold)]
+    assert abs(loss0 - sum(value for value, _ in rows)) < 1e-12
+    assert np.abs(dscores - np.stack([d for _, d in rows])).max() < 1e-15
     err = _fd_check_via_store(store, loss, {"scores": dscores}, 1e-8)
     assert err < 1e-8
 
@@ -467,9 +495,9 @@ def test_nll_gradient_matches_finite_differences():
 def test_softmax_sums_to_one():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        probs = nn.softmax(rng.standard_normal(7) * 10)
-        assert abs(probs.sum() - 1.0) < 1e-12
-    loss, _ = nn.nll_softmax_loss(rng.standard_normal(5), 1)
+        probs = nn.softmax(rng.standard_normal((3, 7)) * 10)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
+    loss, _ = nn.nll_softmax_loss(rng.standard_normal((2, 5)), [1, 4])
     assert loss >= 0.0
 
 
@@ -646,6 +674,6 @@ def test_debug_checks_catch_nonfinite():
     try:
         with pytest.raises(FloatingPointError, match="mlp"):
             nn.mlp_forward(np.full((1, 1), np.inf), np.zeros(1),
-                           np.ones((1, 1)), np.zeros(1), np.ones(1))
+                           np.ones((1, 1)), np.zeros(1), np.array([[0]]))
     finally:
         nn.debug_checks = False

@@ -1,7 +1,7 @@
 import pytest
 
 from shiftparse.trees import Sentence, read_brackets, read_conll
-from shiftparse.vocab import NONE_LABEL, UNK, Vocab, build_vocab
+from shiftparse.vocab import NONE_LABEL, UNK, Vocab, build_vocab, json_sha256
 
 
 def _sentences(counts):
@@ -41,7 +41,7 @@ def test_json_roundtrip_preserves_ids():
                         const_trees=ctrees, min_form_count=1)
     again = Vocab.from_json(vocab.to_json())
     assert again == vocab
-    assert again.sha256() == vocab.sha256()
+    assert json_sha256(again.to_json()) == json_sha256(vocab.to_json())
 
 
 def test_rebuild_from_same_corpus_is_stable():
