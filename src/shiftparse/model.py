@@ -32,7 +32,9 @@ per minibatch over the stacked encoder rows of all its sentences (the
 operation batching of Neubig et al. 2017), so the projection and its
 backward pass, the gradients into W1 and into the encoder rows, are one
 set of per-slot GEMMs per minibatch; the classifier above the table still
-runs sentence by sentence.
+runs sentence by sentence. A training table holds only the rows some
+state of the minibatch selects, slot by slot (a label slot's block
+whole); the label head's, only those of its labeled states.
 
 The encoder batches the same way. Training runs it once per minibatch:
 each layer and direction is one LSTM call over all the minibatch's
@@ -59,6 +61,12 @@ stands after the initial draws. Nothing in the package trains a loaded
 model (the CLI only parses with one); a caller that does gets other
 dropout and shuffling draws than the run that saved the model would have
 made next.
+
+fit leaves a snapshot of the parameter values in best_params: those of
+the best dev epoch, or without dev trees the final ones. A later snapshot
+refreshes the arrays of the model's own earlier one in place, so training
+holds at most one copy of the model; a caller copies best_params to keep
+an earlier snapshot.
 """
 
 from __future__ import annotations
@@ -263,6 +271,7 @@ class _EncoderModel:
         self.rng = np.random.default_rng(config.seed)
         self.store = nn.ParamStore(np.dtype(config.precision))
         self.best_params: Optional[dict[str, np.ndarray]] = None
+        self._snapshot: Optional[dict[str, np.ndarray]] = None   # the last snapshot() made
         init = _Initial(self.rng if fill else None, self.store.dtype)
         try:
             self._build_encoder(init)
@@ -454,25 +463,48 @@ class _EncoderModel:
             tables[prefix] = table
         return tables
 
-    def _project_backward(self, enc, dtables):
-        """From table gradients, accumulate dW1 of each head, the absent
-        vectors' and the nonterminal embeddings' gradients; returns d_enc."""
-        groups = self._slot_groups(enc)
+    def _table_rows(self, n: int, ids) -> np.ndarray:
+        """The sorted rows of a table over n encoder rows that (m, slots) ids
+        select, with every label slot's block whole."""
+        label_at = len(self.position_families) * (n + len(self.families))
+        labels = np.arange(label_at, label_at + self.label_slots * len(self.vocab.nonterminals))
+        return np.union1d(ids[:, :len(self.position_families)], labels)
+
+    @staticmethod
+    def _slot_blocks(groups, rows):
+        """Per classifier slot that rows, sorted rows of the table _project
+        builds, reach: (group index, the slot's W1 rows, the group's input
+        rows it takes, its block of a table holding only rows). The input
+        rows are a slice, not a copy, where the slot takes all of them."""
+        for g, (inputs, slots, w_rows, t_rows) in enumerate(groups):
+            width, length = inputs.shape[1], len(inputs)
+            for k in range(slots):
+                start = t_rows.start + k * length
+                a, b = np.searchsorted(rows, (start, start + length)).tolist()
+                if a < b:
+                    picked = slice(None) if b - a == length else rows[a:b] - start
+                    yield (g, slice(w_rows.start + k * width, w_rows.start + (k + 1) * width),
+                           picked, slice(a, b))
+
+    def _project_rows(self, prefix: str, groups, rows):
+        """A head's first-layer table at rows only, sorted rows of the table
+        _project builds: row i is that table's row rows[i]."""
+        w1 = self.store[prefix + ".w1"].value
+        table = np.empty((len(rows), w1.shape[1]), dtype=w1.dtype)
+        for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows):
+            np.matmul(groups[g][0][picked], w1[w_rows], out=table[t_rows])
+        return table
+
+    def _project_rows_backward(self, prefix: str, groups, rows, dtable):
+        """From the gradient of a table built by _project_rows, accumulate
+        dW1 one slot at a time; returns the gradient of each group's inputs."""
+        w1 = self.store[prefix + ".w1"]
         dinputs = [np.zeros_like(inputs) for inputs, *_ in groups]
-        for prefix, dtable in dtables.items():
-            w1 = self.store[prefix + ".w1"]
-            for (inputs, slots, w_rows, t_rows), dinp in zip(groups, dinputs):
-                dt = dtable[t_rows].reshape(slots, len(inputs), -1)
-                dw = w1.grad[w_rows].reshape(slots, inputs.shape[1], -1)
-                dw += np.matmul(inputs.T, dt)
-                w = w1.value[w_rows].reshape(slots, inputs.shape[1], -1)
-                dinp += np.matmul(dt, w.transpose(0, 2, 1)).sum(axis=0)
-        n = len(enc)
-        for i, family in enumerate(self.families):
-            self.store["none." + family].grad += dinputs[0][n + i]
-        if self.label_slots:
-            self.store["emb.nonterminal"].grad += dinputs[1]
-        return dinputs[0][:n]
+        for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows):
+            dt = dtable[t_rows]
+            w1.grad[w_rows] += groups[g][0][picked].T @ dt
+            dinputs[g][picked] += dt @ w1.value[w_rows].T
+        return dinputs
 
     def _slot_ids(self, n: int, rows, offset: int = 0):
         """Table rows selected by feature rows [(positions, label ids)] of a
@@ -491,43 +523,72 @@ class _EncoderModel:
     def _forward_backward(self, batch, train: bool, rng) -> float:
         """Teacher-forced loss of a minibatch's gold actions, batch being
         [(tree, actions)]; accumulates the gradient of every parameter it
-        touches. The sentences are encoded as one packed batch, then share
-        one first-layer table per head over their stacked encoder rows; each
-        sentence's states are scored and backpropagated into it on their own."""
+        touches. The sentences are encoded as one packed batch and their
+        oracle states replayed; then they share one first-layer table per
+        head over their stacked encoder rows, holding only the rows those
+        states select, and each sentence's states are scored and
+        backpropagated into it on their own."""
         enc, cache = self._encode([tree.sentence for tree, _ in batch], train, rng)
-        offsets = accumulate([0] + [len(tree.sentence) for tree, _ in batch])
-        tables = self._project(enc)
+        loss, denc = self._classify(enc, self._replay(batch, len(enc)))
+        self._encode_backward(cache, denc)
+        return loss
 
+    def _replay(self, batch, n: int):
+        """Per sentence of batch, stacked over n encoder rows, the states of
+        its gold actions as [(head, (m, slots) table rows, gold outputs)];
+        the label head sees only the states of labeled kinds."""
         space = self.space
-        loss = 0.0
-        dtables = {prefix: np.zeros_like(table) for prefix, table in tables.items()}
-        for (tree, actions), offset in zip(batch, offsets):
+        scored = []
+        for (tree, actions), offset in zip(batch, accumulate([0] + [len(t.sentence)
+                                                               for t, _ in batch])):
             rows = []
             state = self._initial(len(tree.sentence))
             for action in actions:
                 rows.append(self._features(state))
                 state = self._apply(state, action)
-            ids = self._slot_ids(len(enc), rows, offset)
-            # (head, rows it scores, gold outputs); the label head sees only
-            # the rows of labeled kinds
+            ids = self._slot_ids(n, rows, offset)
             if self.config.hierarchical:
                 kinds = [space.kind_id[a.kind] for a in actions]
                 labeled = [r for r, k in enumerate(kinds) if space.labeled[k]]
-                heads = [("head.struct", slice(None), kinds),
-                         ("head.label", labeled,
-                          [space.label_id[actions[r].label] for r in labeled])]
+                scored.append([("head.struct", ids, kinds),
+                               ("head.label", ids[labeled],
+                                [space.label_id[actions[r].label] for r in labeled])])
             else:
-                heads = [("head.flat", slice(None),
-                          [space.column_id[(a.kind, a.label)] for a in actions])]
-            for prefix, head_rows, gold in heads:
+                scored.append([("head.flat", ids,
+                                [space.column_id[(a.kind, a.label)] for a in actions])])
+        return scored
+
+    def _classify(self, enc, scored):
+        """Loss of the states _replay lists, accumulating the classifier's
+        gradients; returns it with the gradient of enc. Each head's table is
+        built at the rows its states select only, and it and its gradient
+        are freed on return."""
+        groups = self._slot_groups(enc)
+        rows = {prefix: self._table_rows(len(enc), np.concatenate(
+                    [ids for heads in scored for head, ids, _ in heads if head == prefix]))
+                for prefix in self.heads}
+        tables = {prefix: self._project_rows(prefix, groups, rows[prefix])
+                  for prefix in self.heads}
+        dtables = {prefix: np.zeros_like(table) for prefix, table in tables.items()}
+        loss = 0.0
+        for heads in scored:
+            for prefix, ids, gold in heads:
                 if gold:
-                    scores, mcache = self._mlp_forward(prefix, tables, ids[head_rows])
+                    ids = np.searchsorted(rows[prefix], ids)
+                    scores, mcache = self._mlp_forward(prefix, tables, ids)
                     head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
                     loss += head_loss
                     self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
-
-        self._encode_backward(cache, self._project_backward(enc, dtables))
-        return loss
+        dinputs = None
+        for prefix in self.heads:
+            dhead = self._project_rows_backward(prefix, groups, rows[prefix], dtables[prefix])
+            dinputs = dhead if dinputs is None else [a + b for a, b in zip(dinputs, dhead)]
+        n = len(enc)
+        for i, family in enumerate(self.families):
+            self.store["none." + family].grad += dinputs[0][n + i]
+        if self.label_slots:
+            self.store["emb.nonterminal"].grad += dinputs[1]
+        return loss, dinputs[0][:n]
 
     def _clip_grads(self):
         limit = self.config.grad_clip
@@ -540,12 +601,26 @@ class _EncoderModel:
                 p.grad *= scale
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value.copy() for p in self.store}
+        """Every parameter's values by name, as copies. While best_params
+        still holds the dict the previous call returned, that dict is
+        refreshed in place and returned again, so training allocates no
+        second copy of the model; a caller copies it to keep an earlier one."""
+        own = self._snapshot
+        if own is not None and own is self.best_params:
+            for p in self.store:
+                np.copyto(own[p.name], p.value)
+        else:
+            own = self._snapshot = {p.name: p.value.copy() for p in self.store}
+        return own
 
     def fit(self, train_trees: Sequence, dev_trees: Optional[Sequence] = None,
             log: Optional[Callable[[str], None]] = None) -> list[str]:
         """Teacher-forced training. Returns the run log as a list of lines
-        (deterministic for a fixed seed and config; no wall-clock content)."""
+        (deterministic for a fixed seed and config; no wall-clock content).
+        best_params then holds a snapshot of the best dev epoch's values, or
+        without dev trees of the final ones. A snapshot this model made is
+        refreshed in place, so a caller copies best_params to keep it past
+        the next fit."""
         cfg = self.config
         lines: list[str] = []
 

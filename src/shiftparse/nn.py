@@ -29,8 +29,11 @@ dW_x += xs^T dZ, dW_h += H_prev^T dZ (H_prev gathers each row's
 previous-step row), db += sum(dZ), dxs = dZ W_x^T.
 ADADELTA updates each parameter in place, one cache-sized chunk of its
 flattened arrays at a time, through one two-chunk scratch buffer allocated
-per call: no per-parameter temporaries are created, and each chunk is read
-from main memory once for the whole op sequence instead of once per op.
+per call, and each chunk is read from main memory once for the whole op
+sequence instead of once per op. Without L2, a matrix most of whose rows
+got no gradient (an embedding table) runs the sequence on a copy of the
+other rows only; the rest just decay their two running averages, which is
+what the sequence does at g = 0.
 
 The classifier takes integer row ids. Its first layer is a gather-sum
 over w1, a table of precomputed rows (one block per input slot, see
@@ -113,6 +116,13 @@ class ParamStore:
         above, so the result is bitwise that of evaluating them directly.
         With l2 > 0 the gradient buffer itself becomes g + l2 x before it
         is cleared.
+
+        With l2 = 0, a coordinate of zero gradient only decays its
+        accumulators: E[g2] <- rho E[g2], E[dx2] <- rho E[dx2], x unchanged.
+        So where fewer than half the rows of a matrix (e.g. an embedding
+        table) have a nonzero gradient, the op sequence runs on a copy of
+        those rows only, the rest get just the two decays, and the result
+        is bitwise that of the dense update.
         """
         if not (0.0 < rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
@@ -121,10 +131,19 @@ class ParamStore:
         chunk = ADADELTA_CHUNK_BYTES // self.dtype.itemsize
         scratch = np.empty((2, chunk), dtype=self.dtype)
         for p in self:
-            # views of the C-contiguous arrays, walked a chunk at a time so
-            # that the whole op sequence runs on data held in cache
-            flats = [arr.reshape(-1) for arr in (p.value, p.grad, p.eg2, p.ed2)]
-            for start in range(0, p.value.size, chunk):
+            arrays = (p.value, p.grad, p.eg2, p.ed2)
+            rows = None
+            if not l2 and p.value.ndim == 2:
+                touched = np.flatnonzero(p.grad.any(axis=1))
+                if 2 * len(touched) < len(p.value):
+                    rows = touched
+                    arrays = tuple(arr[rows] for arr in arrays)
+                    p.eg2 *= rho
+                    p.ed2 *= rho
+            # views of C-contiguous arrays, walked a chunk at a time so that
+            # the whole op sequence runs on data held in cache
+            flats = [arr.reshape(-1) for arr in arrays]
+            for start in range(0, len(flats[0]), chunk):
                 x, g, eg2, ed2 = (flat[start:start + chunk] for flat in flats)
                 a, b = scratch[0, :len(x)], scratch[1, :len(x)]
                 if l2:
@@ -149,6 +168,9 @@ class ParamStore:
                 ed2 += b
                 x -= a
                 g[...] = 0.0
+            if rows is not None:
+                p.value[rows], p.eg2[rows], p.ed2[rows] = arrays[0], arrays[2], arrays[3]
+                p.grad[rows] = 0.0
             _check_finite(p.name, p.value)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -295,6 +296,171 @@ def test_minibatch_gradients_equal_sum_of_sentences(task, hierarchical):
     assert abs(batch_loss - loss) <= 1e-12 * abs(loss)
     for name, grad in grads.items():
         assert np.abs(batch_grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+
+def _minibatch(task):
+    """A hierarchical dep or a flat const model, values moved off their
+    init, with a minibatch of sentences of several lengths."""
+    rng = np.random.default_rng(13)
+    if task == "dep":
+        trees = [synth.random_projective_tree(rng, n) for n in (7, 2, 11, 5)]
+        vocab = build_vocab([t.sentence for t in trees], dep_trees=trees, min_form_count=1)
+        model = DepModel(DepConfig(word_dims=8, tag_dims=6, lstm_units=8, hidden=12,
+                                   hierarchical=True, seed=3), vocab)
+    else:
+        trees = [synth.random_const_tree(rng, n) for n in (7, 2, 11, 5)]
+        vocab = build_vocab([t.sentence for t in trees], const_trees=trees, min_form_count=1)
+        model = ConstModel(ConstConfig(word_dims=8, tag_dims=6, nonterminal_dims=6,
+                                       lstm_units=8, hidden=12, seed=3), vocab)
+    for p in model.store:
+        p.value[...] += rng.standard_normal(p.value.shape) * 0.1
+    return model, [(t, model._oracle(t)) for t in trees]
+
+
+def _whole_table_classify(model, enc, scored):
+    """model._classify over whole first-layer tables, every row of every
+    slot as decoding builds them: the reference for training's tables,
+    which hold only the rows some state selects. Returns (loss, d_enc,
+    tables)."""
+    tables = model._project(enc)
+    dtables = {prefix: np.zeros_like(table) for prefix, table in tables.items()}
+    loss = 0.0
+    for heads in scored:
+        for prefix, ids, gold in heads:
+            if gold:
+                scores, cache = model._mlp_forward(prefix, tables, ids)
+                head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
+                loss += head_loss
+                model._mlp_backward(prefix, tables, cache, dscores, dtables[prefix])
+    groups = model._slot_groups(enc)
+    dinputs = [np.zeros_like(inputs) for inputs, *_ in groups]
+    for prefix, dtable in dtables.items():
+        w1 = model.store[prefix + ".w1"]
+        for (inputs, slots, w_rows, t_rows), dinp in zip(groups, dinputs):
+            length, width = inputs.shape
+            for k in range(slots):
+                dt = dtable[t_rows][k * length:(k + 1) * length]
+                w = slice(w_rows.start + k * width, w_rows.start + (k + 1) * width)
+                w1.grad[w] += inputs.T @ dt
+                dinp += dt @ w1.value[w].T
+    n = len(enc)
+    for i, family in enumerate(model.families):
+        model.store["none." + family].grad += dinputs[0][n + i]
+    if model.label_slots:
+        model.store["emb.nonterminal"].grad += dinputs[1]
+    return loss, dinputs[0][:n], tables
+
+
+def _close(a, b):
+    return np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+def test_used_rows_tables_match_whole_tables(task):
+    model, batch = _minibatch(task)
+    n = sum(len(tree.sentence) for tree, _ in batch)
+    enc = np.random.default_rng(5).standard_normal((n, model.enc_dims))
+    scored = model._replay(batch, n)
+    model.store.zero_grads()
+    want_loss, want_denc, whole = _whole_table_classify(model, enc, scored)
+    want = {p.name: p.grad.copy() for p in model.store}
+    model.store.zero_grads()
+    loss, denc = model._classify(enc, scored)
+    assert abs(loss - want_loss) <= 1e-12 * want_loss
+    assert _close(denc, want_denc)
+    for p in model.store:     # dW1, none.*, emb.nonterminal and the layers above
+        assert _close(p.grad, want[p.name]), p.name
+    groups = model._slot_groups(enc)
+    kept = {}
+    for prefix in model.heads:
+        ids = np.concatenate([ids for heads in scored for head, ids, _ in heads
+                              if head == prefix])
+        rows = model._table_rows(n, ids)
+        assert np.isin(ids, rows).all() and len(rows) < len(whole[prefix])
+        assert _close(model._project_rows(prefix, groups, rows), whole[prefix][rows])
+        kept[prefix] = len(rows)
+    if task == "dep":     # the label head's table spans its labeled states only
+        assert kept["head.label"] < kept["head.struct"]
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+def test_unselected_rows_reach_no_score_or_gradient(task):
+    # two NaN encoder rows past the minibatch's, which no state selects in
+    # any slot
+    model, batch = _minibatch(task)
+    n = sum(len(tree.sentence) for tree, _ in batch)
+    enc = np.random.default_rng(5).standard_normal((n + 2, model.enc_dims))
+    enc[n:] = np.nan
+    scored = model._replay(batch, n + 2)
+    model.store.zero_grads()
+    loss, denc = model._classify(enc, scored)
+    assert np.isfinite(loss)
+    assert np.isfinite(denc[:n]).all() and not denc[n:].any()
+    for p in model.store:
+        assert np.isfinite(p.grad).all(), p.name
+    # a whole table carries them into dW1, as 0 * NaN
+    model.store.zero_grads()
+    _whole_table_classify(model, enc, scored)
+    assert np.isnan(model.store[model.heads[0] + ".w1"].grad).any()
+
+
+def test_fit_refreshes_its_own_snapshot_in_place():
+    model, trees = small_dep_setup()
+    model.fit(trees)
+    first = model.best_params
+    arrays = dict(first)
+    model.fit(trees)
+    assert model.best_params is first
+    for p in model.store:
+        assert model.best_params[p.name] is arrays[p.name]
+        assert model.best_params[p.name] is not p.value
+        assert np.array_equal(model.best_params[p.name], p.value)
+
+
+def test_dev_best_snapshot_is_not_an_alias_of_the_live_parameters():
+    model, trees = small_dep_setup()
+    model.fit(trees[:2], dev_trees=trees[2:])
+    kept = {name: value.copy() for name, value in model.best_params.items()}
+    model._forward_backward([(t, model._oracle(t)) for t in trees], True,
+                            np.random.default_rng(0))
+    model.store.adadelta_step()
+    for p in model.store:
+        assert np.array_equal(model.best_params[p.name], kept[p.name])
+    assert any(not np.array_equal(p.value, kept[p.name]) for p in model.store)
+
+
+def test_fit_replaces_a_best_params_dict_it_did_not_make():
+    model, trees = small_dep_setup()
+    model.fit(trees)
+    mine = {p.name: np.asfortranarray(p.value * 0.5) for p in model.store}
+    kept = {name: value.copy() for name, value in mine.items()}
+    model.best_params = mine
+    model.fit(trees)
+    assert model.best_params is not mine
+    for p in model.store:
+        assert mine[p.name].tobytes() == kept[p.name].tobytes()
+        assert np.array_equal(model.best_params[p.name], p.value)
+
+
+def test_second_fit_allocates_less_than_the_parameters():
+    # a 20k-form vocabulary makes the word table most of the parameters, and
+    # the minibatch's working set small beside them: a second fit may not
+    # allocate a fresh copy of the model for its snapshot
+    trees = synth.toy_dep_corpus(4, seed=3)
+    lexicon = Sentence.from_pairs([("f%d" % i, "NN") for i in range(20000)])
+    vocab = build_vocab([t.sentence for t in trees] + [lexicon], dep_trees=trees,
+                        min_form_count=1)
+    model = DepModel(DepConfig(tag_dims=4, lstm_units=8, hidden=8, layers=1, epochs=1,
+                               seed=1), vocab)
+    params = sum(p.value.nbytes for p in model.store)
+    model.fit(trees)
+    tracemalloc.start()
+    try:
+        model.fit(trees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params, (peak, params)
 
 
 def test_fit_skips_nonderivable_sentences_with_count():

@@ -586,6 +586,42 @@ def test_adadelta_in_place_update_is_bitwise_the_formula():
             assert np.all(p.grad == 0.0)
 
 
+def test_adadelta_skips_zero_gradient_rows_bitwise(monkeypatch):
+    # a (40, 6) matrix against the same values as a vector, which is always
+    # updated densely, over steps with few, no and half the rows touched;
+    # np.sqrt runs twice per chunk of the op sequence, so its sizes count
+    # the values the sequence ran on
+    rng = np.random.default_rng(12)
+    sizes = []
+    sqrt = np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda x, out=None: sizes.append(np.size(x)) or sqrt(x, out=out))
+    rho, eps = 0.95, 1e-6
+    for dtype in (np.float64, np.float32):
+        for l2 in (0.0, 1e-3):
+            value = rng.standard_normal((40, 6)).astype(dtype)
+            rows, flat = nn.ParamStore(dtype), nn.ParamStore(dtype)
+            rows.add("w", value.copy())
+            flat.add("w", value.reshape(-1).copy())
+            untouched = np.ones(40, dtype=bool)
+            for touched in ([3, 17], [17, 30, 31, 39], [], list(range(0, 40, 2)), [0, 5]):
+                grad = np.zeros((40, 6), dtype=dtype)
+                grad[touched] = rng.standard_normal((len(touched), 6))
+                untouched[touched] = False
+                rows["w"].grad[...] = grad
+                flat["w"].grad[...] = grad.reshape(-1)
+                sizes.clear()
+                rows.adadelta_step(rho=rho, eps=eps, l2=l2)
+                dense = l2 > 0 or 2 * len(touched) >= 40
+                assert sum(sizes) == 2 * (grad.size if dense else grad[touched].size)
+                flat.adadelta_step(rho=rho, eps=eps, l2=l2)
+            p, q = rows["w"], flat["w"]
+            for name in ("value", "eg2", "ed2"):
+                assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
+            assert not p.grad.any()
+            moved = p.value[untouched] != value[untouched]
+            assert untouched.any() and (moved.all() if l2 else not moved.any())
+
+
 def test_adadelta_order_invariance():
     rng = np.random.default_rng(10)
     va, vb = rng.standard_normal(4), rng.standard_normal(3)
