@@ -75,6 +75,7 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -215,6 +216,28 @@ def _packing(lengths: Sequence[int]):
     sentence = order[np.arange(len(steps)) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
     first = (np.cumsum(lengths) - lengths)[sentence]
     return sizes, (first + steps, first + lengths[sentence] - 1 - steps)
+
+
+# first-layer jobs for nn.side_by_side; each keeps the op sequence of the
+# expression in its docstring
+
+def _matmul(a, b, out, thread):
+    """out = a @ b"""
+    np.matmul(a, b, out=out)
+
+
+def _add_product(a, b, out, product, thread):
+    """out += a @ b; the helper (thread 0) forms a @ b in product"""
+    if thread:
+        out += a @ b
+    else:
+        np.matmul(a, b, out=product)
+        out += product
+
+
+def _add_rows(out, rows, a, b):
+    """out[rows] += a @ b"""
+    out[rows] += a @ b
 
 
 class _Initial:
@@ -453,15 +476,8 @@ class _EncoderModel:
         of rows is its group's inputs times the slot's block of W1, so the
         hidden pre-activation of a state is b1 plus one row per slot."""
         groups = self._slot_groups(enc)
-        tables = {}
-        for prefix in self.heads:
-            w1 = self.store[prefix + ".w1"].value
-            table = np.empty((groups[-1][3].stop, w1.shape[1]), dtype=w1.dtype)
-            for inputs, slots, w_rows, t_rows in groups:
-                np.matmul(inputs, w1[w_rows].reshape(slots, inputs.shape[1], -1),
-                          out=table[t_rows].reshape(slots, len(inputs), -1))
-            tables[prefix] = table
-        return tables
+        rows = np.arange(groups[-1][3].stop)
+        return {prefix: self._project_rows(prefix, groups, rows) for prefix in self.heads}
 
     def _table_rows(self, n: int, ids) -> np.ndarray:
         """The sorted rows of a table over n encoder rows that (m, slots) ids
@@ -488,22 +504,31 @@ class _EncoderModel:
 
     def _project_rows(self, prefix: str, groups, rows):
         """A head's first-layer table at rows only, sorted rows of the table
-        _project builds: row i is that table's row rows[i]."""
+        _project builds: row i is that table's row rows[i]. The slots' GEMMs
+        run on two threads, from input rows gathered here."""
         w1 = self.store[prefix + ".w1"].value
         table = np.empty((len(rows), w1.shape[1]), dtype=w1.dtype)
-        for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows):
-            np.matmul(groups[g][0][picked], w1[w_rows], out=table[t_rows])
+        nn.side_by_side([partial(_matmul, groups[g][0][picked], w1[w_rows], table[t_rows])
+                         for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows)])
         return table
 
     def _project_rows_backward(self, prefix: str, groups, rows, dtable):
         """From the gradient of a table built by _project_rows, accumulate
-        dW1 one slot at a time; returns the gradient of each group's inputs."""
+        dW1 one slot at a time; returns the gradient of each group's inputs.
+        The input gradients accumulate on the calling thread, in slot order;
+        the dW1 GEMMs run on both threads, from input rows gathered here,
+        the helper's through one product buffer."""
         w1 = self.store[prefix + ".w1"]
         dinputs = [np.zeros_like(inputs) for inputs, *_ in groups]
-        for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows):
-            dt = dtable[t_rows]
-            w1.grad[w_rows] += groups[g][0][picked].T @ dt
-            dinputs[g][picked] += dt @ w1.value[w_rows].T
+        blocks = list(self._slot_blocks(groups, rows))
+        product = np.empty((max((w.stop - w.start for _, w, _, _ in blocks), default=0),
+                            w1.value.shape[1]), dtype=w1.value.dtype)
+        nn.side_by_side(
+            [partial(_add_product, groups[g][0][picked].T, dtable[t_rows], w1.grad[w_rows],
+                     product[:w_rows.stop - w_rows.start])
+             for g, w_rows, picked, t_rows in blocks],
+            [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)
+             for g, w_rows, picked, t_rows in blocks])
         return dinputs
 
     def _slot_ids(self, n: int, rows, offset: int = 0):

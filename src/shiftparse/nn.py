@@ -28,12 +28,12 @@ the loop, the weight and input gradients are GEMMs over dZ:
 dW_x += xs^T dZ, dW_h += H_prev^T dZ (H_prev gathers each row's
 previous-step row), db += sum(dZ), dxs = dZ W_x^T.
 ADADELTA updates each parameter in place, one cache-sized chunk of its
-flattened arrays at a time, through one two-chunk scratch buffer allocated
-per call, and each chunk is read from main memory once for the whole op
-sequence instead of once per op. Without L2, a matrix most of whose rows
-got no gradient (an embedding table) runs the sequence on a copy of the
-other rows only; the rest just decay their two running averages, which is
-what the sequence does at g = 0.
+flattened arrays at a time, through two scratch chunks per thread
+allocated per call, and each chunk is read from main memory once for the
+whole op sequence instead of once per op. Without L2, a matrix most of
+whose rows got no gradient (an embedding table) runs the sequence on a
+copy of the other rows only; the rest just decay their two running
+averages, which is what the sequence does at g = 0.
 
 The classifier takes integer row ids. Its first layer is a gather-sum
 over w1, a table of precomputed rows (one block per input slot, see
@@ -45,9 +45,25 @@ each row's pre-activation gradient into the table gradient at the rows it
 selected, as one counts-matrix GEMM over the distinct selected rows only,
 so a large table (e.g. one stacked over a minibatch) costs no more than
 the rows actually used.
+
+Independent matrix work runs side by side on two threads, the "streams"
+of Appleyard et al. 2016 (side_by_side): both threads take ADADELTA's
+chunks, or model.py's per-slot first-layer GEMMs, from one queue. The
+second thread starts on first use, and only when the process may run on
+at least two CPUs (os.sched_getaffinity); a forked child starts its own.
+Every output element goes through the same op sequence on either
+thread, so results are bitwise those of one thread and do not depend on
+the CPU count.
 """
 
 from __future__ import annotations
+
+import collections
+import contextvars
+import functools
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -56,13 +72,134 @@ import numpy as np
 debug_checks = False
 
 # ADADELTA updates each parameter in chunks of this many bytes: a chunk of
-# its four arrays plus the two scratch rows (1.5 MB) stay in a 2 MB L2.
+# its four arrays plus a thread's two scratch rows (1.5 MB) stay in a 2 MB
+# L2.
 ADADELTA_CHUNK_BYTES = 256 * 1024
 
 
 def _check_finite(name, arr):
     if debug_checks and not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite values in %s" % name)
+
+
+# ---------------------------------------------------------------------------
+# second thread
+# ---------------------------------------------------------------------------
+
+class _Shared:
+    """The jobs of one side_by_side call that either thread may run: the
+    helper takes them from the front, the caller from the back."""
+
+    def __init__(self, jobs):
+        self.jobs = collections.deque(jobs)
+        self.context = contextvars.copy_context()
+        # held by the helper from taking a job until it has run it
+        self.running = threading.Lock()
+        self.error: BaseException | None = None
+
+    def serve(self):
+        """The helper's part: run jobs until none is left or one raises."""
+        while True:
+            with self.running:
+                try:
+                    job = self.jobs.popleft()
+                except IndexError:
+                    return
+                try:
+                    self.context.run(job, 0)
+                except BaseException as exc:    # raised by the caller
+                    self.error = exc
+                    return
+                finally:
+                    # the caller goes on once the lock is free, and the
+                    # job's arrays (a released model's, say) must not
+                    # outlive that
+                    del job
+
+
+class _Helper:
+    """A daemon thread that serves one side_by_side call at a time."""
+
+    def __init__(self):
+        self.calls = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="shiftparse.nn helper", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.calls.get().serve()
+
+
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _get_helper() -> _Helper | None:
+    """The helper thread, started on first use; None when this process may
+    run on one CPU only."""
+    global _helper
+    with _helper_lock:
+        if _helper is None and _cpus() >= 2:
+            _helper = _Helper()
+        return _helper
+
+
+def _forget_helper():
+    # a forked child has only the thread that forked; it starts its own
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def side_by_side(jobs, caller_jobs=()):
+    """Run independent jobs on two threads and return when all are done.
+
+    The helper thread takes jobs from the front of jobs; the caller runs
+    caller_jobs (callables of no arguments) in order, then takes jobs from
+    the back, so it never waits for a helper that is slow to start, only
+    for the job the helper is running. A job of jobs is called with the
+    index of the thread running it, 0 for the helper and 1 for the caller,
+    so that it can use scratch memory of that thread's own. Without a
+    helper the caller runs them all. Raises the caller's exception, or
+    else the helper's.
+
+    Jobs must be pure numpy calls that release the GIL and write only
+    arrays no other job reads or writes, so the result does not depend on
+    which thread runs what. Run as 0, a job allocates no array (the caller
+    passes it every output, gathered input and scratch buffer): memory a
+    second thread allocates comes from its own malloc arena and stays
+    resident. The helper runs jobs in a copy of the caller's context, so
+    np.errstate applies to them (numpy 2 keeps it in a context variable)."""
+    helper = _get_helper() if jobs else None
+    if helper is None:
+        for job in caller_jobs:
+            job()
+        for job in jobs:
+            job(1)
+        return
+    shared = _Shared(jobs)
+    helper.calls.put(shared)
+    try:
+        for job in caller_jobs:
+            job()
+        while True:
+            try:
+                job = shared.jobs.pop()
+            except IndexError:
+                break
+            job(1)
+    finally:
+        shared.jobs.clear()     # after an error here, the helper takes no more
+        with shared.running:    # and finishes the one it has
+            pass
+    if shared.error is not None:
+        raise shared.error
 
 
 class Param:
@@ -129,49 +266,60 @@ class ParamStore:
         if eps <= 0.0:
             raise ValueError("eps must be positive")
         chunk = ADADELTA_CHUNK_BYTES // self.dtype.itemsize
-        scratch = np.empty((2, chunk), dtype=self.dtype)
+        chunks, subsets = [], []
         for p in self:
             arrays = (p.value, p.grad, p.eg2, p.ed2)
-            rows = None
-            if not l2 and p.value.ndim == 2:
+            # the rows with a nonzero gradient include those nonzero in
+            # column 0, so if half of those are, the matrix is dense
+            if (not l2 and p.value.ndim == 2
+                    and 2 * np.count_nonzero(p.grad[:, 0]) < len(p.value)):
                 touched = np.flatnonzero(p.grad.any(axis=1))
                 if 2 * len(touched) < len(p.value):
-                    rows = touched
-                    arrays = tuple(arr[rows] for arr in arrays)
+                    arrays = tuple(arr[touched] for arr in arrays)
+                    subsets.append((p, touched, arrays))
                     p.eg2 *= rho
                     p.ed2 *= rho
             # views of C-contiguous arrays, walked a chunk at a time so that
             # the whole op sequence runs on data held in cache
             flats = [arr.reshape(-1) for arr in arrays]
-            for start in range(0, len(flats[0]), chunk):
-                x, g, eg2, ed2 = (flat[start:start + chunk] for flat in flats)
-                a, b = scratch[0, :len(x)], scratch[1, :len(x)]
-                if l2:
-                    np.multiply(l2, x, out=a)
-                    g += a
-                eg2 *= rho
-                np.multiply(1.0 - rho, g, out=a)
-                a *= g
-                eg2 += a
-                # a <- -dx = sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g;
-                # negating is exact, so dx*dx and x - (-dx) round as in the
-                # formulas
-                np.add(ed2, eps, out=a)
-                np.sqrt(a, out=a)
-                np.add(eg2, eps, out=b)
-                np.sqrt(b, out=b)
-                a /= b
-                a *= g
-                ed2 *= rho
-                np.multiply(1.0 - rho, a, out=b)
-                b *= a
-                ed2 += b
-                x -= a
-                g[...] = 0.0
-            if rows is not None:
-                p.value[rows], p.eg2[rows], p.ed2[rows] = arrays[0], arrays[2], arrays[3]
-                p.grad[rows] = 0.0
+            chunks += [[flat[start:start + chunk] for flat in flats]
+                       for start in range(0, len(flats[0]), chunk)]
+        # both threads take chunks, each with its own two scratch rows
+        scratch = np.empty((2, 2, chunk), dtype=self.dtype)
+        side_by_side([functools.partial(_adadelta_chunk, *arrays, rho, eps, l2, scratch)
+                      for arrays in chunks])
+        for p, rows, arrays in subsets:
+            p.value[rows], p.eg2[rows], p.ed2[rows] = arrays[0], arrays[2], arrays[3]
+            p.grad[rows] = 0.0
+        for p in self:
             _check_finite(p.name, p.value)
+
+
+def _adadelta_chunk(x, g, eg2, ed2, rho, eps, l2, scratch, thread):
+    """ParamStore.adadelta_step's op sequence on one chunk of a parameter's
+    value, gradient and accumulators, through the thread's scratch rows."""
+    a, b = scratch[thread, :, :len(x)]
+    if l2:
+        np.multiply(l2, x, out=a)
+        g += a
+    eg2 *= rho
+    np.multiply(1.0 - rho, g, out=a)
+    a *= g
+    eg2 += a
+    # a <- -dx = sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g; negating is
+    # exact, so dx*dx and x - (-dx) round as in the formulas
+    np.add(ed2, eps, out=a)
+    np.sqrt(a, out=a)
+    np.add(eg2, eps, out=b)
+    np.sqrt(b, out=b)
+    a /= b
+    a *= g
+    ed2 *= rho
+    np.multiply(1.0 - rho, a, out=b)
+    b *= a
+    ed2 += b
+    x -= a
+    g[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import os
+import signal
 import struct
+import time
+import traceback
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +385,72 @@ def test_used_rows_tables_match_whole_tables(task):
         kept[prefix] = len(rows)
     if task == "dep":     # the label head's table spans its labeled states only
         assert kept["head.label"] < kept["head.struct"]
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+def test_first_layer_on_two_threads_is_bitwise_one_thread(task, monkeypatch, two_threads):
+    # dep: hierarchical, 3 position slots per head; const: flat, with label
+    # slots too. The tables, dW1 and the input gradients, on one thread and
+    # on two.
+    model, batch = _minibatch(task)
+    n = sum(len(tree.sentence) for tree, _ in batch)
+    enc = np.random.default_rng(5).standard_normal((n, model.enc_dims))
+    scored = model._replay(batch, n)
+    groups = model._slot_groups(enc)
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    results = []
+    for run in ("one thread", "two threads"):
+        if run == "two threads":
+            threads = two_threads()
+        model.store.zero_grads()
+        out = [table.tobytes() for table in model._project(enc).values()]
+        for prefix in model.heads:
+            rows = model._table_rows(n, np.concatenate(
+                [ids for heads in scored for head, ids, _ in heads if head == prefix]))
+            table = model._project_rows(prefix, groups, rows)
+            dtable = np.random.default_rng(6).standard_normal(table.shape)
+            dinputs = model._project_rows_backward(prefix, groups, rows, dtable)
+            out += [table.tobytes()] + [d.tobytes() for d in dinputs]
+        results.append(out + [p.grad.tobytes() for p in model.store])
+    assert threads == {0, 1}
+    assert results[0] == results[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_trains_with_a_helper_of_its_own(monkeypatch):
+    # the parent's helper thread does not exist in a forked child; without
+    # the at-fork reset the child would queue every call for it, and run
+    # every job on one thread
+    monkeypatch.setattr(nn, "_cpus", lambda: 2)
+    monkeypatch.setattr(nn, "_helper", None)
+    model, trees = small_dep_setup()
+    model = DepModel(replace(model.config, epochs=1), model.vocab)
+    model.fit(trees)
+    parents = nn._helper
+    assert parents is not None
+    with warnings.catch_warnings():
+        # Python 3.12 warns on fork in a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            model.fit(trees)
+            code = 0 if nn._helper not in (None, parents) else 3
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish training in 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("task", ["dep", "const"])

@@ -1,4 +1,8 @@
+import functools
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -620,6 +624,138 @@ def test_adadelta_skips_zero_gradient_rows_bitwise(monkeypatch):
             assert not p.grad.any()
             moved = p.value[untouched] != value[untouched]
             assert untouched.any() and (moved.all() if l2 else not moved.any())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+def test_adadelta_on_two_threads_is_bitwise_one_thread(monkeypatch, two_threads, dtype, l2):
+    # 256-byte chunks, so every parameter spans several; at l2 = 0 "emb"
+    # takes the row-subset path
+    monkeypatch.setattr(nn, "ADADELTA_CHUNK_BYTES", 256)
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    shapes = {"emb": (40, 6), "w": (30, 7), "b": (11,), "v": (100,)}
+    results = []
+    for run in ("one thread", "two threads"):
+        if run == "two threads":
+            threads = two_threads()
+        rng = np.random.default_rng(14)
+        store = nn.ParamStore(dtype)
+        for name, shape in shapes.items():
+            store.add(name, rng.standard_normal(shape))
+        for step in range(3):
+            for p in store:
+                p.grad[...] = rng.standard_normal(p.value.shape)
+            store["emb"].grad[2 * step + 1:] = 0.0
+            store.adadelta_step(rho=0.95, eps=1e-6, l2=l2)
+        results.append([getattr(p, a).tobytes() for p in store
+                        for a in ("value", "grad", "eg2", "ed2")])
+    assert threads == {0, 1}
+    assert results[0] == results[1]
+
+
+def test_side_by_side_caller_takes_the_jobs_the_helper_has_not(monkeypatch, helper):
+    # the helper is held in the first job until the caller has run the
+    # rest, which it takes from the back
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    started, release = threading.Event(), threading.Event()
+    ran = []
+
+    def hold(thread):
+        started.set()
+        assert release.wait(10)
+        ran.append(("hold", thread))
+
+    def job(name, thread):
+        ran.append((name, thread))
+        if name == "a":
+            release.set()
+
+    nn.side_by_side([hold] + [functools.partial(job, name) for name in "abc"],
+                    [lambda: started.wait(10), lambda: ran.append(("own", 1))])
+    assert ran == [("own", 1), ("c", 1), ("b", 1), ("a", 1), ("hold", 0)]
+
+
+def test_side_by_side_runs_every_job_once_under_contention(monkeypatch, helper):
+    # three calling threads share the helper, switching as often as the
+    # interpreter allows; a job lost or run twice leaves a count not 1
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    counts = np.zeros((3, 1000, 2), dtype=np.int64)
+
+    def bump(cell, thread):
+        np.add(cell, 1, out=cell)
+
+    def calls(k):
+        for row in counts[k]:
+            nn.side_by_side([functools.partial(bump, row[j:j + 1]) for j in range(len(row))])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=calls, args=(k,)) for k in range(len(counts))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert (counts == 1).all()
+
+
+def test_side_by_side_raises_a_helper_exception_and_keeps_working(monkeypatch, helper):
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    started = threading.Event()
+    out = np.zeros(3)
+
+    def fail(thread):
+        started.set()
+        raise KeyError("helper job %d" % thread)
+
+    with pytest.raises(KeyError, match="helper job 0"):
+        nn.side_by_side([fail], [lambda: started.wait(10)])
+    nn.side_by_side([lambda thread: np.add(out, 1.0, out=out)] * 2)
+    assert out.tolist() == [2.0, 2.0, 2.0]
+
+
+def test_helper_keeps_no_array_of_a_finished_call(monkeypatch, helper):
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    out = np.zeros(3)
+    alive = weakref.ref(out)
+    started = threading.Event()
+
+    def add(out, thread):
+        started.set()
+        np.add(out, 1.0, out=out)
+
+    nn.side_by_side([functools.partial(add, out)], [lambda: started.wait(10)])
+    del out
+    assert alive() is None
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="np.errstate is a context variable from numpy 2")
+def test_helper_jobs_run_under_the_callers_errstate(monkeypatch, helper):
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    big, out = np.full(4, 1e308), np.empty(4)
+    threads = []
+
+    def overflow(started, thread):
+        started.set()
+        threads.append(thread)
+        np.multiply(big, big, out=out)
+
+    for errstate in ({"all": "raise"}, {"over": "ignore"}):
+        started = threading.Event()
+        with np.errstate(**errstate):
+            try:
+                nn.side_by_side([functools.partial(overflow, started)],
+                                [lambda: started.wait(10)])
+            except FloatingPointError as exc:
+                assert errstate == {"all": "raise"} and "overflow" in str(exc)
+            else:
+                # ignored: no RuntimeWarning, which the test run turns into an error
+                assert errstate == {"over": "ignore"} and np.isinf(out).all()
+    assert threads == [0, 0]
 
 
 def test_adadelta_order_invariance():
