@@ -7,12 +7,11 @@ from .trees import (ROOT, ConstNode, ConstTree, DepTree, Internal, Leaf,
                     read_tagged_text, write_brackets, write_conll)
 from .headrules import HeadRule, HeadRules, assign_heads
 from .vocab import NONE_LABEL, UNK, Vocab, build_vocab
-from .dep_system import (DepAction, DepState, IllegalAction, NotDerivable,
+from .dep_system import (Action, DepAction, DepState, IllegalAction, NotDerivable,
                          dep_apply, dep_initial, dep_legal, dep_oracle,
-                         dep_replay, read_dep_actions, write_dep_actions)
+                         dep_replay, read_actions, write_actions)
 from .const_system import (ConstAction, ConstState, const_apply, const_initial,
-                           const_legal, const_oracle, const_replay,
-                           read_const_actions, write_const_actions)
+                           const_legal, const_oracle, const_replay)
 from .features import (ConstFeatures, DepFeatures, extract_const, extract_dep)
 from .model import (ConstConfig, ConstModel, DepConfig, DepModel,
                     ModelIOError, load_model, save_best, save_model)

@@ -21,8 +21,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .const_system import const_oracle, const_replay, read_const_actions, write_const_actions
-from .dep_system import NotDerivable, dep_oracle, dep_replay, read_dep_actions, write_dep_actions
+from .const_system import ConstAction, const_oracle, const_replay
+from .dep_system import (DepAction, NotDerivable, dep_oracle, dep_replay, read_actions,
+                         write_actions)
 from .evalmetrics import arc_recall_by_length, recall_table_csv, score_brackets, score_dep
 from .headrules import HeadRules, assign_heads
 from .model import (ConstConfig, ConstModel, DepConfig, DepModel, ModelIOError,
@@ -242,21 +243,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    skipped = []
-    sequences = []
     if args.task == "dep":
         trees = _load_dep_corpus(args.input)
-        for i, tree in enumerate(trees):
-            try:
-                sequences.append((tree, dep_oracle(tree)))
-            except NotDerivable:
-                skipped.append(i)
-        text = write_dep_actions(seq for _t, seq in sequences)
+        oracle, action_cls = dep_oracle, DepAction
+
+        def replay(tree, actions):
+            return dep_replay(tree.sentence, actions, root_label=tree.label_of(tree.root))
     else:
         trees = _load_const_corpus(args.input, _head_rules(args))
-        for i, tree in enumerate(trees):
-            sequences.append((tree, const_oracle(tree)))
-        text = write_const_actions(seq for _t, seq in sequences)
+        oracle, action_cls = const_oracle, ConstAction
+
+        def replay(tree, actions):
+            return const_replay(tree.sentence, actions)
+    skipped = []
+    sequences = []
+    for i, tree in enumerate(trees):
+        try:
+            sequences.append((tree, oracle(tree)))
+        except NotDerivable:
+            skipped.append(i)
+    text = write_actions(seq for _t, seq in sequences)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -266,16 +272,8 @@ def cmd_oracle(args) -> int:
         print("skipped sentence %d: not derivable (non-projective)" % (i + 1),
               file=sys.stderr)
     if args.replay:
-        mismatches = 0
-        parsed = read_dep_actions(text) if args.task == "dep" else read_const_actions(text)
-        for (tree, _seq), actions in zip(sequences, parsed):
-            if args.task == "dep":
-                root_label = tree.label_of(tree.root)
-                replayed = dep_replay(tree.sentence, actions, root_label=root_label)
-            else:
-                replayed = const_replay(tree.sentence, actions)
-            if replayed != tree:
-                mismatches += 1
+        mismatches = sum(replay(tree, actions) != tree for (tree, _seq), actions
+                         in zip(sequences, read_actions(text, action_cls)))
         print("replay: %d mismatches over %d sentences" % (mismatches, len(sequences)),
               file=sys.stderr)
         if mismatches:

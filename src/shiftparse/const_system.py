@@ -24,9 +24,9 @@ sequences with unusually deep unary chains replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .dep_system import IllegalAction, NotDerivable
+from .dep_system import Action, IllegalAction, NotDerivable
 from .trees import ROOT, ConstNode, ConstTree, DepTree, Internal, Leaf, Sentence
 
 C_SHIFT = "shift"
@@ -34,39 +34,11 @@ C_PROMOTE = "promote"
 C_ADJ_LEFT = "adjleft"
 C_ADJ_RIGHT = "adjright"
 
-CONST_ACTION_KINDS = (C_SHIFT, C_PROMOTE, C_ADJ_LEFT, C_ADJ_RIGHT)
-
 DEFAULT_PROMOTE_CAP = 3
 
 
-@dataclass(frozen=True)
-class ConstAction:
-    kind: str
-    label: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind not in CONST_ACTION_KINDS:
-            raise ValueError("unknown constituency action kind %r" % self.kind)
-        if self.kind == C_PROMOTE and self.label is None:
-            raise ValueError("promote needs a nonterminal label")
-        if self.kind != C_PROMOTE and self.label is not None:
-            raise ValueError("only promote carries a label")
-
-    def __str__(self) -> str:
-        return {
-            C_SHIFT: "SHIFT",
-            C_ADJ_LEFT: "ADJ-L",
-            C_ADJ_RIGHT: "ADJ-R",
-        }.get(self.kind) or "PRO:" + self.label
-
-    @classmethod
-    def parse(cls, text: str) -> "ConstAction":
-        simple = {"SHIFT": C_SHIFT, "ADJ-L": C_ADJ_LEFT, "ADJ-R": C_ADJ_RIGHT}
-        if text in simple:
-            return cls(simple[text])
-        if text.startswith("PRO:"):
-            return cls(C_PROMOTE, text[len("PRO:"):])
-        raise ValueError("cannot parse constituency action %r" % text)
+class ConstAction(Action):
+    TEXT = {C_SHIFT: "SHIFT", C_PROMOTE: "PRO:", C_ADJ_LEFT: "ADJ-L", C_ADJ_RIGHT: "ADJ-R"}
 
 
 @dataclass(frozen=True)
@@ -226,17 +198,3 @@ def const_replay(sentence: Sentence, actions: Iterable[ConstAction],
     arcs.append((ROOT, root_word, "dep"))
     return tree, DepTree(sentence, frozenset(arcs))
 
-
-def write_const_actions(sequences: Iterable[Iterable[ConstAction]]) -> str:
-    """One action per line, blank line between sentences."""
-    blocks = ["\n".join(str(a) for a in seq) for seq in sequences]
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
-
-
-def read_const_actions(text: str) -> list[list[ConstAction]]:
-    sequences = []
-    for block in text.split("\n\n"):
-        lines = [l for l in block.splitlines() if l.strip()]
-        if lines:
-            sequences.append([ConstAction.parse(l.strip()) for l in lines])
-    return sequences

@@ -8,20 +8,22 @@ ends with one item on the stack, which attaches to ROOT.
 
 States are immutable; apply returns a new state, so decoding different
 sentences in parallel is safe.
+
+It also holds what both systems share: the Action base class (DepAction
+and ConstAction are each just a table of kinds), the action-dump writer and
+reader, and the IllegalAction and NotDerivable errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .trees import ROOT, DepTree, Sentence
 
 SHIFT = "shift"
 LEFT = "left"
 RIGHT = "right"
-
-DEP_ACTION_KINDS = (SHIFT, LEFT, RIGHT)
 
 
 class IllegalAction(ValueError):
@@ -32,32 +34,50 @@ class NotDerivable(ValueError):
     """The gold structure cannot be produced by the transition system."""
 
 
-@dataclass(frozen=True)
-class DepAction:
+@dataclass(frozen=True, init=False)
+class Action:
+    """A transition: a structural kind, plus a label for the kinds that
+    carry one. A subclass declares its system's inventory as TEXT, which maps
+    each kind, in structure-head order, to its dump text; the text of a
+    labeled kind ends in ':' and the label follows it. LABELED, which says
+    per kind whether it carries a label, derives from TEXT."""
+
     kind: str
     label: Optional[str] = None
 
-    def __post_init__(self):
-        if self.kind not in DEP_ACTION_KINDS:
-            raise ValueError("unknown dependency action kind %r" % self.kind)
-        if self.kind == SHIFT and self.label is not None:
-            raise ValueError("shift carries no label")
-        if self.kind != SHIFT and self.label is None:
-            raise ValueError("reduce actions need a label")
+    TEXT: ClassVar[dict[str, str]] = {}
+    LABELED: ClassVar[dict[str, bool]] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.LABELED = {kind: text.endswith(":") for kind, text in cls.TEXT.items()}
+
+    # written out, not generated with a __post_init__ check: an action is
+    # built per oracle action and per decode step, and this is the cheaper
+    def __init__(self, kind: str, label: Optional[str] = None):
+        if self.LABELED.get(kind) is not (label is not None):
+            name = type(self).__name__
+            if kind not in self.LABELED:
+                raise ValueError("unknown %s kind %r" % (name, kind))
+            raise ValueError("%s %r %s" % (name, kind, "needs a label" if label is None
+                                           else "carries no label"))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
-        if self.kind == SHIFT:
-            return "SHIFT"
-        return ("LEFT:" if self.kind == LEFT else "RIGHT:") + self.label
+        return self.TEXT[self.kind] + (self.label or "")
 
     @classmethod
-    def parse(cls, text: str) -> "DepAction":
-        if text == "SHIFT":
-            return cls(SHIFT)
-        for prefix, kind in (("LEFT:", LEFT), ("RIGHT:", RIGHT)):
-            if text.startswith(prefix):
-                return cls(kind, text[len(prefix):])
-        raise ValueError("cannot parse dependency action %r" % text)
+    def parse(cls, text: str):
+        head, colon, label = text.partition(":")
+        for kind, kind_text in cls.TEXT.items():
+            if kind_text == head + colon:
+                return cls(kind, label if colon else None)
+        raise ValueError("cannot parse %s %r" % (cls.__name__, text))
+
+
+class DepAction(Action):
+    TEXT = {SHIFT: "SHIFT", LEFT: "LEFT:", RIGHT: "RIGHT:"}
 
 
 @dataclass(frozen=True)
@@ -173,16 +193,25 @@ def dep_replay(sentence: Sentence, actions: Iterable[DepAction],
     return DepTree(sentence, frozenset(arcs))
 
 
-def write_dep_actions(sequences: Iterable[Iterable[DepAction]]) -> str:
+def write_actions(sequences: Iterable[Iterable[Action]]) -> str:
     """One action per line, blank line between sentences."""
     blocks = ["\n".join(str(a) for a in seq) for seq in sequences]
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def read_dep_actions(text: str) -> list[list[DepAction]]:
-    sequences = []
-    for block in text.split("\n\n"):
-        lines = [l for l in block.splitlines() if l.strip()]
-        if lines:
-            sequences.append([DepAction.parse(l.strip()) for l in lines])
-    return sequences
+def read_actions(text: str, action_cls: type[Action]) -> list[list[Action]]:
+    """The action sequences of a dump: one action per line, and a sentence
+    ends at every line that is empty after stripping. An action that does
+    not parse is a ValueError whose message starts with its 1-based line."""
+    sequences: list[list[Action]] = [[]]
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            if sequences[-1]:
+                sequences.append([])
+            continue
+        try:
+            sequences[-1].append(action_cls.parse(line))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (number, exc)) from None
+    return [seq for seq in sequences if seq]

@@ -11,10 +11,13 @@ dropout on every LSTM output connection. Decoding is greedy argmax over
 legality-masked scores; ties break toward the lowest action index.
 
 The two parsers differ only in their feature slots (label slots exist for
-constituency only) and their action inventory, which each describes as an
-ActionSpace table: structural kinds, which of them carry a label, and the
-label names. Flat-head columns and the legality mask derive from it, and
-training, the decision rule and greedy decoding are written once against it.
+constituency only) and their action inventory, an Action subclass and the
+vocabulary's label names. An ActionSpace built from those owns the head
+layout: the heads, the first head's columns, which columns leave the label
+to the label head, and each action sequence's gold targets. It alone reads
+the hierarchical switch, so training and the decision rule (the best legal
+column, then the label head's best label where the column leaves it open)
+are written once.
 
 Absent feature slots use learned vectors, one per slot family (stack
 positions vs. queue position); absent label slots use the reserved NONE
@@ -82,12 +85,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import nn
-from .const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE, C_SHIFT,
-                           DEFAULT_PROMOTE_CAP, ConstAction, NotDerivable,
+from .const_system import (DEFAULT_PROMOTE_CAP, ConstAction, NotDerivable,
                            const_apply, const_initial, const_legal,
                            const_oracle)
-from .dep_system import (LEFT, RIGHT, SHIFT, DepAction, dep_apply,
-                         dep_initial, dep_legal, dep_oracle)
+from .dep_system import Action, DepAction, dep_apply, dep_initial, dep_legal, dep_oracle
 from .evalmetrics import score_brackets, score_dep
 from .features import (CONST_LABEL_SLOTS, CONST_POSITION_FAMILIES,
                        DEP_POSITION_FAMILIES, extract_const, extract_dep)
@@ -105,34 +106,52 @@ class DecodeStepLimit(RuntimeError):
 
 
 class ActionSpace:
-    """A transition system's action inventory as classifier columns.
+    """A transition system's actions laid out as classifier heads, and the
+    one reader of the config's hierarchical switch.
 
-    kinds are the structural kinds in structure-head order, labeled says
-    which of them carry a label, labels are the label names in label-head
-    order, and make(kind, label) builds an action. The flat head's columns
-    are the unlabeled kinds in order, then each labeled kind expanded over
-    the labels.
+    The kinds, in structure-head order, and which of them carry a label come
+    from action_cls; labels are the label names in label-head order. heads
+    names the classifier heads and sizes gives their output sizes. The first
+    head scores columns, (kind, label) pairs. Hierarchical: one per kind, a
+    labeled kind's column leaving its label open (None) for the label head
+    to choose. Flat: the unlabeled kinds in order, then each labeled kind
+    expanded over the labels. targets gives an action sequence's gold
+    outputs per head.
     """
 
-    def __init__(self, kinds: Sequence[str], labeled: Sequence[bool],
-                 labels: Sequence[str], make: Callable):
-        self.kinds = tuple(kinds)
-        self.labeled = tuple(labeled)
+    def __init__(self, action_cls: type[Action], labels: Sequence[str], hierarchical: bool):
+        self.action_cls = action_cls
+        labeled = action_cls.LABELED
+        self.kinds = tuple(labeled)
         self.labels = tuple(labels)
-        self.make = make
-        self.kind_id = {kind: i for i, kind in enumerate(self.kinds)}
         self.label_id = {label: i for i, label in enumerate(self.labels)}
-        columns = [(k, None) for k, lab in zip(self.kinds, self.labeled) if not lab]
-        columns += [(k, l) for k, lab in zip(self.kinds, self.labeled) if lab
-                    for l in self.labels]
-        self.columns = columns
-        self.column_id = {column: i for i, column in enumerate(columns)}
-        # structural kind of each flat column, to expand a legality mask
-        self.column_kind = np.array([self.kind_id[k] for k, _ in columns], dtype=np.intp)
+        kind_id = {kind: i for i, kind in enumerate(self.kinds)}
+        self.columns = [(k, None) for k in self.kinds if hierarchical or not labeled[k]]
+        self.columns += [(k, l) for k in self.kinds if labeled[k] and not hierarchical
+                         for l in self.labels]
+        # the columns that take their label from the label head
+        self.open = [labeled[k] and l is None for k, l in self.columns]
+        # each action's first-head column, by (kind, label)
+        self.column_id = {(k, label): i for i, (k, l) in enumerate(self.columns)
+                          for label in (self.labels if self.open[i] else (l,))}
+        # structural kind of each column, to expand a legality mask
+        self.column_kind = np.array([kind_id[k] for k, _ in self.columns], dtype=np.intp)
+        self.heads = ("head.struct", "head.label") if hierarchical else ("head.flat",)
+        self.sizes = (len(self.columns), len(self.labels))[:len(self.heads)]
 
     def mask(self, legal) -> np.ndarray:
         """Legality over the structural kinds, from a set of legal kinds."""
         return np.array([kind in legal for kind in self.kinds])
+
+    def targets(self, actions) -> list:
+        """Per head, the states of actions it scores (an index into them)
+        and their gold outputs: the first head scores every state, the label
+        head those whose column leaves the label open."""
+        columns = [self.column_id[a.kind, a.label] for a in actions]
+        rows = [r for r, c in enumerate(columns) if self.open[c]]
+        # a flat space has one head, and zip drops the (empty) label targets
+        return list(zip(self.heads, ((slice(None), columns),
+                                     (rows, [self.label_id[actions[r].label] for r in rows]))))
 
 
 @dataclass
@@ -268,13 +287,15 @@ class _Initial:
 
 class _EncoderModel:
     """Embeddings, Bi-LSTM stack, classifier, training and greedy decoding
-    shared by both parsers. A subclass builds its ActionSpace and heads in
-    _build_heads(init) and supplies the transition system through _oracle,
-    _initial, _legal, _apply and _features (a state's position slots and
-    label-slot ids), plus parse and _dev_metric."""
+    shared by both parsers. A subclass names its action class, builds its
+    heads in _build_heads(init) through _add_heads, and supplies the
+    transition system through _oracle, _initial, _legal, _apply and
+    _features (a state's position slots and label-slot ids), plus parse and
+    _dev_metric."""
 
     task = ""
     position_families: tuple[str, ...] = ()
+    action_cls: type[Action]
     space: ActionSpace
 
     def __init__(self, config, vocab: Vocab):
@@ -327,21 +348,17 @@ class _EncoderModel:
         for family in self.families:
             self.store.add("none." + family, init.embedding(1, self.enc_dims)[0])
 
-    def _add_heads(self, init: _Initial, label_slots: int):
-        """The classifier over self.space; its input is the position slots
-        followed by label_slots nonterminal embeddings."""
+    def _add_heads(self, init: _Initial, labels: Sequence[str], label_slots: int):
+        """The action space over labels and its classifier heads; their
+        input is the position slots followed by label_slots nonterminal
+        embeddings."""
+        self.space = ActionSpace(self.action_cls, labels, self.config.hierarchical)
         self.label_slots = label_slots
         in_dim = len(self.position_families) * self.enc_dims
         if label_slots:
             in_dim += label_slots * self.config.nonterminal_dims
-        hidden = self.config.hidden
-        if self.config.hierarchical:
-            self.heads = ("head.struct", "head.label")
-            self._add_mlp(init, "head.struct", in_dim, hidden, len(self.space.kinds))
-            self._add_mlp(init, "head.label", in_dim, hidden, len(self.space.labels))
-        else:
-            self.heads = ("head.flat",)
-            self._add_mlp(init, "head.flat", in_dim, hidden, len(self.space.columns))
+        for prefix, size in zip(self.space.heads, self.space.sizes):
+            self._add_mlp(init, prefix, in_dim, self.config.hidden, size)
 
     def _add_mlp(self, init: _Initial, prefix: str, in_dim: int, hidden: int, out_dim: int):
         dt = self.store.dtype
@@ -477,7 +494,7 @@ class _EncoderModel:
         hidden pre-activation of a state is b1 plus one row per slot."""
         groups = self._slot_groups(enc)
         rows = np.arange(groups[-1][3].stop)
-        return {prefix: self._project_rows(prefix, groups, rows) for prefix in self.heads}
+        return {prefix: self._project_rows(prefix, groups, rows) for prefix in self.space.heads}
 
     def _table_rows(self, n: int, ids) -> np.ndarray:
         """The sorted rows of a table over n encoder rows that (m, slots) ids
@@ -560,9 +577,8 @@ class _EncoderModel:
 
     def _replay(self, batch, n: int):
         """Per sentence of batch, stacked over n encoder rows, the states of
-        its gold actions as [(head, (m, slots) table rows, gold outputs)];
-        the label head sees only the states of labeled kinds."""
-        space = self.space
+        its gold actions as [(head, (m, slots) table rows, gold outputs)],
+        each head's states and outputs as ActionSpace.targets gives them."""
         scored = []
         for (tree, actions), offset in zip(batch, accumulate([0] + [len(t.sentence)
                                                                for t, _ in batch])):
@@ -572,15 +588,8 @@ class _EncoderModel:
                 rows.append(self._features(state))
                 state = self._apply(state, action)
             ids = self._slot_ids(n, rows, offset)
-            if self.config.hierarchical:
-                kinds = [space.kind_id[a.kind] for a in actions]
-                labeled = [r for r, k in enumerate(kinds) if space.labeled[k]]
-                scored.append([("head.struct", ids, kinds),
-                               ("head.label", ids[labeled],
-                                [space.label_id[actions[r].label] for r in labeled])])
-            else:
-                scored.append([("head.flat", ids,
-                                [space.column_id[(a.kind, a.label)] for a in actions])])
+            scored.append([(head, ids[states], gold)
+                           for head, (states, gold) in self.space.targets(actions)])
         return scored
 
     def _classify(self, enc, scored):
@@ -591,9 +600,9 @@ class _EncoderModel:
         groups = self._slot_groups(enc)
         rows = {prefix: self._table_rows(len(enc), np.concatenate(
                     [ids for heads in scored for head, ids, _ in heads if head == prefix]))
-                for prefix in self.heads}
+                for prefix in self.space.heads}
         tables = {prefix: self._project_rows(prefix, groups, rows[prefix])
-                  for prefix in self.heads}
+                  for prefix in self.space.heads}
         dtables = {prefix: np.zeros_like(table) for prefix, table in tables.items()}
         loss = 0.0
         for heads in scored:
@@ -605,7 +614,7 @@ class _EncoderModel:
                     loss += head_loss
                     self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
         dinputs = None
-        for prefix in self.heads:
+        for prefix in self.space.heads:
             dhead = self._project_rows_backward(prefix, groups, rows[prefix], dtables[prefix])
             dinputs = dhead if dinputs is None else [a + b for a, b in zip(dinputs, dhead)]
         n = len(enc)
@@ -700,18 +709,16 @@ class _EncoderModel:
     def _decide(self, tables, ids, mask):
         """The best action for one state's table rows ids (from _slot_ids)
         among those legal under mask, a boolean array over the structural
-        kinds."""
+        kinds: the first head's best legal column, its label, where the
+        column leaves it open, the label head's best."""
         space = self.space
-        if self.config.hierarchical:
-            scores, _ = self._mlp_forward("head.struct", tables, ids)
-            kind = int(np.argmax(np.where(mask, scores, -np.inf)))
-            if not space.labeled[kind]:
-                return space.make(space.kinds[kind])
-            lscores, _ = self._mlp_forward("head.label", tables, ids)
-            return space.make(space.kinds[kind], space.labels[int(np.argmax(lscores))])
-        scores, _ = self._mlp_forward("head.flat", tables, ids)
+        scores, _ = self._mlp_forward(space.heads[0], tables, ids)
         column = int(np.argmax(np.where(mask[space.column_kind], scores, -np.inf)))
-        return space.make(*space.columns[column])
+        kind, label = space.columns[column]
+        if space.open[column]:
+            lscores, _ = self._mlp_forward(space.heads[1], tables, ids)
+            label = space.labels[int(np.argmax(lscores))]
+        return space.action_cls(kind, label)
 
     def _decode(self, sentence: Sentence):
         """Greedy decode of one sentence to its terminal state.
@@ -740,12 +747,10 @@ class DepModel(_EncoderModel):
 
     task = "dep"
     position_families = DEP_POSITION_FAMILIES
+    action_cls = DepAction
 
     def _build_heads(self, init: _Initial):
-        vocab = self.vocab
-        self.space = ActionSpace((SHIFT, LEFT, RIGHT), (False, True, True),
-                                 vocab.deprel_names[:vocab.num_deprels], DepAction)
-        self._add_heads(init, 0)
+        self._add_heads(init, self.vocab.deprel_names[:self.vocab.num_deprels], 0)
 
     def _oracle(self, tree: DepTree) -> list[DepAction]:
         return dep_oracle(tree)
@@ -780,16 +785,15 @@ class ConstModel(_EncoderModel):
 
     task = "const"
     position_families = CONST_POSITION_FAMILIES
+    action_cls = ConstAction
 
     def _build_heads(self, init: _Initial):
         cfg, vocab = self.config, self.vocab
-        self.space = ActionSpace((C_SHIFT, C_PROMOTE, C_ADJ_LEFT, C_ADJ_RIGHT),
-                                 (False, True, False, False),
-                                 vocab.nonterminal_names[:vocab.num_nonterminals], ConstAction)
         # the label slots share the nonterminal table (NONE included)
         self.store.add("emb.nonterminal",
                        init.embedding(len(vocab.nonterminals), cfg.nonterminal_dims))
-        self._add_heads(init, len(CONST_LABEL_SLOTS))
+        self._add_heads(init, vocab.nonterminal_names[:vocab.num_nonterminals],
+                        len(CONST_LABEL_SLOTS))
 
     def _oracle(self, tree: ConstTree) -> list[ConstAction]:
         return const_oracle(tree)

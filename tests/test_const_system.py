@@ -4,8 +4,8 @@ import pytest
 from shiftparse.const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE,
                                      C_SHIFT, ConstAction, IllegalAction,
                                      NotDerivable, const_apply, const_initial,
-                                     const_legal, const_oracle, const_replay,
-                                     read_const_actions, write_const_actions)
+                                     const_legal, const_oracle, const_replay)
+from shiftparse.dep_system import read_actions, write_actions
 from shiftparse.headrules import HeadRules, assign_heads
 from shiftparse.trees import (ConstTree, Internal, Leaf, Sentence,
                               iter_internal, read_brackets)
@@ -207,11 +207,11 @@ def test_coderived_dependencies():
 
 
 def test_action_text_format():
-    text = write_const_actions([EXAMPLE_SEQUENCE])
+    text = write_actions([EXAMPLE_SEQUENCE])
     lines = text.strip().splitlines()
     assert lines == ["SHIFT", "PRO:NP", "SHIFT", "PRO:VP", "SHIFT", "PRO:NP",
                      "ADJ-R", "PRO:S", "ADJ-L"]
-    assert read_const_actions(text) == [EXAMPLE_SEQUENCE]
+    assert read_actions(text, ConstAction) == [EXAMPLE_SEQUENCE]
 
 
 def test_action_validation():

@@ -4,7 +4,7 @@ import pytest
 from shiftparse.dep_system import (LEFT, RIGHT, SHIFT, DepAction, IllegalAction,
                                    NotDerivable, dep_apply, dep_initial,
                                    dep_legal, dep_oracle, dep_replay,
-                                   read_dep_actions, write_dep_actions)
+                                   read_actions, write_actions)
 from shiftparse.trees import ROOT, DepTree, Sentence
 from shiftparse import synth
 
@@ -135,10 +135,20 @@ def test_step_accounting_invariant():
 
 
 def test_action_text_format():
-    text = write_dep_actions([HAND_SEQUENCE, [DepAction(SHIFT)]])
+    text = write_actions([HAND_SEQUENCE, [DepAction(SHIFT)]])
     assert text.splitlines()[0] == "SHIFT"
     assert "LEFT:nsubj" in text and "RIGHT:dobj" in text
-    assert read_dep_actions(text) == [HAND_SEQUENCE, [DepAction(SHIFT)]]
+    assert read_actions(text, DepAction) == [HAND_SEQUENCE, [DepAction(SHIFT)]]
+
+
+def test_action_dump_error_names_its_line():
+    with pytest.raises(ValueError, match=r"^line 3: cannot parse DepAction 'BOGUS'"):
+        read_actions("SHIFT\nSHIFT\nBOGUS\nLEFT:x\n", DepAction)
+
+
+def test_action_dump_crlf_blank_line_ends_sentence():
+    text = write_actions([HAND_SEQUENCE, [DepAction(SHIFT)]]).replace("\n", "\r\n")
+    assert read_actions(text, DepAction) == [HAND_SEQUENCE, [DepAction(SHIFT)]]
 
 
 def test_action_validation():

@@ -139,7 +139,7 @@ def test_table_scores_match_materialised_first_layer(setup, hierarchical):
             none_label += sum(l == model.vocab.nonterminal_id(None) for l in features[1])
             ids = model._slot_ids(n, [features])[0]
             x = _dense_input(model, enc, features)
-            for prefix in model.heads:
+            for prefix in model.space.heads:
                 w1, b1, w2, b2 = (model.store[prefix + part].value
                                   for part in (".w1", ".b1", ".w2", ".b2"))
                 scores, _ = model._mlp_forward(prefix, tables, ids)
@@ -162,32 +162,34 @@ def test_masking_forces_shift_when_only_legal():
 
 
 def test_hierarchical_and_flat_agree_on_consistent_score_table():
-    # enumerate a 3 x L score table; when flat scores are structural score
-    # plus label score, both decision rules pick the same composite action
-    hier, _ = small_dep_setup(hierarchical=True, seed=11)
-    flat, _ = small_dep_setup(hierarchical=False, seed=11)
-    n_labels = hier.vocab.num_deprels
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        struct = rng.standard_normal(3)
-        labels = rng.standard_normal(n_labels)
-        labels -= labels.max()   # argmax-consistent: best label adds nothing
-        flat_scores = np.empty(1 + 2 * n_labels)
-        flat_scores[0] = struct[0]
-        flat_scores[1:1 + n_labels] = struct[1] + labels
-        flat_scores[1 + n_labels:] = struct[2] + labels
-        _force_scores(hier, "head.struct", struct)
-        _force_scores(hier, "head.label", labels)
-        _force_scores(flat, "head.flat", flat_scores)
-        state_mid = dep_initial(4)
-        for a in [DepAction(SHIFT), DepAction(SHIFT)]:
-            from shiftparse.dep_system import dep_apply
-            state_mid = dep_apply(state_mid, a)
-        a_h = _decide_at(hier, np.zeros((4, hier.enc_dims)), state_mid, dep_legal(state_mid))
-        a_f = _decide_at(flat, np.zeros((4, flat.enc_dims)), state_mid, dep_legal(state_mid))
-        # argmax-consistency requires the same structural choice; when it is
-        # a reduce, both pick the same argmax label
-        assert a_h == a_f
+    # when each flat score is its kind's structural score plus its label's
+    # score, both decision rules pick the same composite action
+    for setup, n, prefix in (
+            (small_dep_setup, 4, [DepAction(SHIFT), DepAction(SHIFT)]),
+            (small_const_setup, 3, [ConstAction(C_SHIFT), ConstAction(C_PROMOTE, "S"),
+                                    ConstAction(C_SHIFT)])):
+        hier, _ = setup(hierarchical=True, seed=11)
+        flat, _ = setup(hierarchical=False, seed=11)
+        state = hier._initial(n)
+        for a in prefix:
+            state = hier._apply(state, a)
+        legal = hier._legal(state)
+        assert len(legal) >= 3
+        kind_id = {kind: i for i, kind in enumerate(hier.space.kinds)}
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            struct = rng.standard_normal(len(kind_id))
+            labels = rng.standard_normal(len(hier.space.labels))
+            labels -= labels.max()   # argmax-consistent: best label adds nothing
+            flat_scores = [struct[kind_id[k]]
+                           + (0.0 if l is None else labels[flat.space.label_id[l]])
+                           for k, l in flat.space.columns]
+            _force_scores(hier, "head.struct", struct)
+            _force_scores(hier, "head.label", labels)
+            _force_scores(flat, "head.flat", flat_scores)
+            a_h = _decide_at(hier, np.zeros((n, hier.enc_dims)), state, legal)
+            a_f = _decide_at(flat, np.zeros((n, flat.enc_dims)), state, legal)
+            assert a_h == a_f
 
 
 def test_hierarchical_choice_invariant_to_label_score_shift():
@@ -209,21 +211,25 @@ def test_hierarchical_choice_invariant_to_label_score_shift():
 
 
 def test_promote_masked_beyond_cap():
-    model, _trees = small_const_setup(hierarchical=False)
-    names = model.vocab.nonterminal_names
-    n_nt = model.vocab.num_nonterminals
-    scores = np.full(3 + n_nt, -1.0)
-    scores[3] = 50.0    # promoting the first nonterminal looks irresistible
-    _force_scores(model, "head.flat", scores)
     from shiftparse.const_system import const_apply, const_legal
-    state = const_initial(1)
-    state = const_apply(state, ConstAction(C_SHIFT))
-    for _ in range(model.config.promote_cap):
-        legal = const_legal(state, model.config.promote_cap)
-        action = _decide_at(model, np.zeros((1, model.enc_dims)), state, legal)
-        assert action.kind == C_PROMOTE
-        state = const_apply(state, action)
-    assert state.is_terminal      # j = n, single internal item: decoding stops
+    for hierarchical in (True, False):
+        model, _trees = small_const_setup(hierarchical=hierarchical)
+        space, cap = model.space, model.config.promote_cap
+        first = space.labels[0]
+        # promoting the first nonterminal looks irresistible
+        _force_scores(model, space.heads[0],
+                      [50.0 if column in ((C_PROMOTE, None), (C_PROMOTE, first)) else -1.0
+                       for column in space.columns])
+        for prefix in space.heads[1:]:
+            _force_scores(model, prefix, np.eye(len(space.labels))[0])
+        enc = np.zeros((2, model.enc_dims))
+        state = const_apply(const_initial(2), ConstAction(C_SHIFT))
+        for _ in range(cap):
+            action = _decide_at(model, enc, state, const_legal(state, cap))
+            assert action == ConstAction(C_PROMOTE, first)
+            state = const_apply(state, action)
+        # at the cap Promote is masked, and the one legal action wins
+        assert _decide_at(model, enc, state, const_legal(state, cap)) == ConstAction(C_SHIFT)
 
 
 def test_const_parse_spans_all_tokens():
@@ -376,7 +382,7 @@ def test_used_rows_tables_match_whole_tables(task):
         assert _close(p.grad, want[p.name]), p.name
     groups = model._slot_groups(enc)
     kept = {}
-    for prefix in model.heads:
+    for prefix in model.space.heads:
         ids = np.concatenate([ids for heads in scored for head, ids, _ in heads
                               if head == prefix])
         rows = model._table_rows(n, ids)
@@ -404,7 +410,7 @@ def test_first_layer_on_two_threads_is_bitwise_one_thread(task, monkeypatch, two
             threads = two_threads()
         model.store.zero_grads()
         out = [table.tobytes() for table in model._project(enc).values()]
-        for prefix in model.heads:
+        for prefix in model.space.heads:
             rows = model._table_rows(n, np.concatenate(
                 [ids for heads in scored for head, ids, _ in heads if head == prefix]))
             table = model._project_rows(prefix, groups, rows)
@@ -471,7 +477,7 @@ def test_unselected_rows_reach_no_score_or_gradient(task):
     # a whole table carries them into dW1, as 0 * NaN
     model.store.zero_grads()
     _whole_table_classify(model, enc, scored)
-    assert np.isnan(model.store[model.heads[0] + ".w1"].grad).any()
+    assert np.isnan(model.store[model.space.heads[0] + ".w1"].grad).any()
 
 
 def test_fit_refreshes_its_own_snapshot_in_place():
