@@ -43,7 +43,13 @@ The encoder batches the same way. Training runs it once per minibatch:
 each layer and direction is one LSTM call over all the minibatch's
 sentences as a packed batch (nn.Packed: sorted longest first, time-major),
 so every step advances only the sentences still running with one GEMM.
-Decoding packs its one sentence.
+Decoding packs its one sentence. A layer's two directions run together
+(nn.bilstm_forward, nn.bilstm_backward): while the calling thread runs
+one direction's step loop, nn's helper thread, where there is one, runs
+whole GEMMs of the other: the backward direction's input GEMM in the
+forward pass, the forward direction's three gradient GEMMs in the
+backward pass. Every step loop runs on the calling thread, and the
+results are bitwise those of one thread.
 
 A model is built on one path, whatever the source of its initial values.
 A new model draws them from a generator seeded with config.seed, parameter
@@ -237,23 +243,6 @@ def _packing(lengths: Sequence[int]):
     return sizes, (first + steps, first + lengths[sentence] - 1 - steps)
 
 
-# first-layer jobs for nn.side_by_side; each keeps the op sequence of the
-# expression in its docstring
-
-def _matmul(a, b, out, thread):
-    """out = a @ b"""
-    np.matmul(a, b, out=out)
-
-
-def _add_product(a, b, out, product, thread):
-    """out += a @ b; the helper (thread 0) forms a @ b in product"""
-    if thread:
-        out += a @ b
-    else:
-        np.matmul(a, b, out=product)
-        out += product
-
-
 def _add_rows(out, rows, a, b):
     """out[rows] += a @ b"""
     out[rows] += a @ b
@@ -404,7 +393,8 @@ class _EncoderModel:
         the next layer and into the features, gets its own mask. Sentence by
         sentence, word dropout is drawn first, then the layer-2 input mask,
         then the feature masks in layer order. Each layer and direction then
-        runs all sentences as one packed LSTM batch."""
+        runs all sentences as one packed LSTM batch, a layer's two directions
+        through nn.bilstm_forward."""
         cfg, st = self.config, self.store
         units, width = cfg.lstm_units, 2 * cfg.lstm_units
         connections = 2 * cfg.layers - 1    # into layers 2.., then into the features
@@ -417,7 +407,7 @@ class _EncoderModel:
         word_ids, tag_ids = (np.concatenate(column) for column in zip(*ids))
         masks = [np.concatenate(column) for column in zip(*masks)] if masks else [None] * connections
         in_masks, feat_masks = [None] + masks[:cfg.layers - 1], masks[cfg.layers - 1:]
-        sizes, packing = _packing([len(sentence) for sentence in sentences])
+        sizes, (fwd, bwd) = _packing([len(sentence) for sentence in sentences])
         x = st["emb.word"].value[word_ids]
         if cfg.use_tags:
             x = np.concatenate([x, st["emb.tag"].value[tag_ids]], axis=1)
@@ -425,24 +415,21 @@ class _EncoderModel:
         for layer, mask in enumerate(in_masks, 1):
             if layer > 1:
                 x = outputs[-1] if mask is None else outputs[-1] * mask
+            (wf, bf), (wb, bb) = self._lstm_params(layer)
+            (hf, cf), (hb, cb) = nn.bilstm_forward((wf.value, bf.value, nn.Packed(x[fwd], sizes)),
+                                                   (wb.value, bb.value, nn.Packed(x[bwd], sizes)))
             out = np.empty((len(x), width), dtype=st.dtype)
-            caches = []
-            for direction, index, cols in zip(("fwd", "bwd"), packing,
-                                              (slice(None, units), slice(units, None))):
-                hs, cache = nn.lstm_forward(st["lstm%d.%s.w" % (layer, direction)].value,
-                                            st["lstm%d.%s.b" % (layer, direction)].value,
-                                            nn.Packed(x[index], sizes))
-                out[index, cols] = hs
-                caches.append(cache)
+            out[fwd, :units] = hf
+            out[bwd, units:] = hb
             outputs.append(out)
-            layers.append((mask, *caches))
+            layers.append((mask, cf, cb))
         feats = [o if m is None else o * m for o, m in zip(outputs, feat_masks)]
-        return np.concatenate(feats, axis=1), (word_ids, tag_ids, packing, layers, feat_masks)
+        return np.concatenate(feats, axis=1), (word_ids, tag_ids, (fwd, bwd), layers, feat_masks)
 
-    def _lstm_backward(self, name: str, cache, dhs):
-        st = self.store
-        return nn.lstm_backward(st[name + ".w"].value, st[name + ".b"].value,
-                                cache, dhs, st[name + ".w"].grad, st[name + ".b"].grad)
+    def _lstm_params(self, layer: int):
+        """The (weights, bias) parameters of a layer's two directions."""
+        return [(self.store["lstm%d.%s.w" % (layer, d)], self.store["lstm%d.%s.b" % (layer, d)])
+                for d in ("fwd", "bwd")]
 
     def _encode_backward(self, cache, dfeat):
         cfg, st = self.config, self.store
@@ -457,10 +444,13 @@ class _EncoderModel:
                 dout = dout * feat_mask
             if dx is not None:
                 dout = dout + dx
-            dpacked = self._lstm_backward("lstm%d.fwd" % layer, cf, dout[fwd, :units])
-            dx = np.empty_like(dpacked)
-            dx[fwd] = dpacked
-            dx[bwd] += self._lstm_backward("lstm%d.bwd" % layer, cb, dout[bwd, units:])
+            (wf, bf), (wb, bb) = self._lstm_params(layer)
+            dxf, dxb = nn.bilstm_backward(
+                (wf.value, bf.value, cf, dout[fwd, :units], wf.grad, bf.grad),
+                (wb.value, bb.value, cb, dout[bwd, units:], wb.grad, bb.grad))
+            dx = np.empty_like(dxf)
+            dx[fwd] = dxf
+            dx[bwd] += dxb
             if in_mask is not None:
                 dx = dx * in_mask
         np.add.at(st["emb.word"].grad, word_ids, dx[:, :cfg.word_dims])
@@ -525,7 +515,7 @@ class _EncoderModel:
         run on two threads, from input rows gathered here."""
         w1 = self.store[prefix + ".w1"].value
         table = np.empty((len(rows), w1.shape[1]), dtype=w1.dtype)
-        nn.side_by_side([partial(_matmul, groups[g][0][picked], w1[w_rows], table[t_rows])
+        nn.side_by_side([partial(nn.set_product, groups[g][0][picked], w1[w_rows], table[t_rows])
                          for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows)])
         return table
 
@@ -541,7 +531,7 @@ class _EncoderModel:
         product = np.empty((max((w.stop - w.start for _, w, _, _ in blocks), default=0),
                             w1.value.shape[1]), dtype=w1.value.dtype)
         nn.side_by_side(
-            [partial(_add_product, groups[g][0][picked].T, dtable[t_rows], w1.grad[w_rows],
+            [partial(nn.add_product, groups[g][0][picked].T, dtable[t_rows], w1.grad[w_rows],
                      product[:w_rows.stop - w_rows.start])
              for g, w_rows, picked, t_rows in blocks],
             [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)

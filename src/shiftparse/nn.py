@@ -26,7 +26,10 @@ are the sequences still running. The backward pass fills one block of an
 gate-derivative factor computed beforehand for all rows at once. After
 the loop, the weight and input gradients are GEMMs over dZ:
 dW_x += xs^T dZ, dW_h += H_prev^T dZ (H_prev gathers each row's
-previous-step row), db += sum(dZ), dxs = dZ W_x^T.
+previous-step row), db += sum(dZ), dxs = dZ W_x^T. Each pass is built from
+these phases (input GEMM, step loop, gradient GEMMs), the one copy of the
+LSTM arithmetic; bilstm_forward and bilstm_backward run a Bi-LSTM layer's
+two directions through the same phases, interleaved across two threads.
 ADADELTA updates each parameter in place, one cache-sized chunk of its
 flattened arrays at a time, through two scratch chunks per thread
 allocated per call, and each chunk is read from main memory once for the
@@ -48,9 +51,17 @@ the rows actually used.
 
 Independent matrix work runs side by side on two threads, the "streams"
 of Appleyard et al. 2016 (side_by_side): both threads take ADADELTA's
-chunks, or model.py's per-slot first-layer GEMMs, from one queue. The
-second thread starts on first use, and only when the process may run on
-at least two CPUs (os.sched_getaffinity); a forked child starts its own.
+chunks, or model.py's per-slot first-layer GEMMs, from one queue. In a
+Bi-LSTM layer, the helper takes whole GEMMs that overlap the other
+direction's step loop: forward, the backward direction's input GEMM
+while the caller runs the forward direction; backward, the forward
+direction's three gradient GEMMs while the caller runs the backward
+direction's step loop, and then either thread takes the backward
+direction's three. A step loop always runs on the calling thread: two
+of them at once only take turns at the GIL. A GEMM is never split
+across the threads, as a split by rows can change its bits. The second
+thread starts on first use, and only when the process may run on at
+least two CPUs (os.sched_getaffinity); a forked child starts its own.
 Every output element goes through the same op sequence on either
 thread, so results are bitwise those of one thread and do not depend on
 the CPU count.
@@ -167,7 +178,10 @@ def side_by_side(jobs, caller_jobs=()):
     index of the thread running it, 0 for the helper and 1 for the caller,
     so that it can use scratch memory of that thread's own. Without a
     helper the caller runs them all. Raises the caller's exception, or
-    else the helper's.
+    else the helper's. A caller job may call side_by_side itself (as
+    bilstm_backward's does): the helper serves one call at a time, so it
+    takes the inner call's jobs once this call has none left for it, and
+    until then the caller runs them.
 
     Jobs must be pure numpy calls that release the GIL and write only
     arrays no other job reads or writes, so the result does not depend on
@@ -363,11 +377,16 @@ class Packed:
     step t, so step t is one contiguous block of rows, and the sequences that
     run on at step t+1 are the first batch_sizes[t+1] rows of that block.
     shape is that of rows.
+
+    gates, when given, holds the rows' input pre-activations rows @ W_x + b
+    for the weights the batch is run with, computed beforehand (as
+    bilstm_forward has the helper thread do); lstm_forward takes them as
+    they are and overwrites them with the gate activations.
     """
 
-    __slots__ = ("rows", "batch_sizes")
+    __slots__ = ("rows", "batch_sizes", "gates")
 
-    def __init__(self, rows: np.ndarray, batch_sizes):
+    def __init__(self, rows: np.ndarray, batch_sizes, gates: np.ndarray | None = None):
         sizes = np.asarray(batch_sizes, dtype=np.intp)
         if np.any(sizes <= 0):
             raise ValueError("batch_sizes must be positive")
@@ -378,6 +397,7 @@ class Packed:
                              % (sizes.sum(), len(rows)))
         self.rows = rows
         self.batch_sizes = sizes
+        self.gates = gates
 
     @property
     def shape(self):
@@ -391,6 +411,29 @@ def _block(start: int, size: int):
     return start if size == 1 else slice(start, start + size)
 
 
+# jobs for side_by_side; each keeps the op sequence of the expression in its
+# docstring, so either thread gives the same bits
+
+def set_product(a, b, out, thread):
+    """out = a @ b"""
+    np.matmul(a, b, out=out)
+
+
+def add_product(a, b, out, product, thread):
+    """out += a @ b; the helper (thread 0) forms a @ b in product"""
+    if thread:
+        out += a @ b
+    else:
+        np.matmul(a, b, out=product)
+        out += product
+
+
+def _lstm_input(w, b, xs, out, thread):
+    """out = xs @ W_x + b: the input-side gate pre-activations of every row"""
+    np.matmul(xs, w[:xs.shape[1]], out=out)
+    out += b
+
+
 def lstm_forward(w: np.ndarray, b: np.ndarray, xs):
     """Run an LSTM from zero initial state over xs: one sequence as an
     (n, input_size) array, or a Packed batch of sequences.
@@ -401,18 +444,21 @@ def lstm_forward(w: np.ndarray, b: np.ndarray, xs):
     input; the cache carries every per-step activation the backward pass
     needs and the batch sizes.
     """
+    gates = None
     if isinstance(xs, Packed):
-        xs, sizes = xs.rows, xs.batch_sizes
+        xs, sizes, gates = xs.rows, xs.batch_sizes, xs.gates
     else:
         sizes = np.ones(len(xs), dtype=np.intp)
     n, input_size = xs.shape
     hidden = b.shape[0] // 4
     if input_size + hidden != w.shape[0]:
         raise ValueError("input size %d does not match weight matrix %r" % (input_size, w.shape))
+    if gates is None:
+        # input-side pre-activations of every row, activated block by block below
+        gates = np.empty((n, 4 * hidden), dtype=xs.dtype)     # i,f,o,g
+        _lstm_input(w, b, xs, gates, 1)
     s3 = 3 * hidden
     w_h = w[input_size:]
-    # input-side pre-activations of every row, activated block by block below
-    gates = np.asarray(xs @ w[:input_size] + b, dtype=xs.dtype)   # i,f,o,g
     cs = np.empty((n, hidden), dtype=xs.dtype)
     tanh_cs = np.empty((n, hidden), dtype=xs.dtype)
     hs = np.empty((n, hidden), dtype=xs.dtype)
@@ -444,10 +490,18 @@ def lstm_forward(w: np.ndarray, b: np.ndarray, xs):
 def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
                   dw: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Exact BPTT for lstm_forward. Accumulates into dw/db, returns dxs
-    row for row with the forward input."""
+    row for row with the forward input. The step loop runs on the calling
+    thread; its three gradient GEMMs run side by side."""
+    dZ, prev = _lstm_backward_steps(w, cache, dhs)
+    return _lstm_gradients(w, cache, dZ, prev, dw, db)
+
+
+def _lstm_backward_steps(w, cache, dhs):
+    """lstm_backward's step loop: returns dZ, the gate pre-activation
+    gradients of every row, and prev, the row of each row of steps 1.. at
+    the step before."""
     xs, gates, cs, tanh_cs, hs, sizes = cache
-    n, input_size = xs.shape
-    hidden = b.shape[0] // 4
+    n, hidden = hs.shape
     s3 = 3 * hidden
     i = gates[:, :hidden]
     f = gates[:, hidden:2 * hidden]
@@ -467,7 +521,7 @@ def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
     factors[:, 2 * hidden:s3] = tanh_cs * (o * (1.0 - o))
     factors[:, s3:] = i * (1.0 - g * g)
     dc_dh = o * (1.0 - tanh_cs * tanh_cs)     # dh/dc of h = o*tanh(c)
-    w_h = w[input_size:]
+    w_h = w[xs.shape[1]:]
     dZ = np.empty((n, 4 * hidden), dtype=xs.dtype)
     # gradients into the next step's previous state, in its first rows; the
     # rows past the sequences that run on stay zero
@@ -487,10 +541,59 @@ def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
         np.matmul(dz, w_h.T, out=dh_next[nxt])
         np.multiply(dc, f[rows], out=dc_next[nxt])
         stop -= size
-    dw[:input_size] += xs.T @ dZ
-    dw[input_size:] += hs[prev].T @ dZ[first:]
+    return dZ, prev
+
+
+def _lstm_gradients(w, cache, dZ, prev, dw, db, caller_jobs=()):
+    """The rest of lstm_backward, from its step loop's dZ and prev: the
+    three GEMMs dw[:input_size] += xs^T dZ, dw[input_size:] += H_prev^T dZ
+    and dxs = dZ W_x^T as side_by_side jobs, each whole on one thread (the
+    helper's sums through one product buffer), after the caller has run
+    caller_jobs; then db += sum(dZ). Returns dxs."""
+    xs, hs = cache[0], cache[4]
+    n, input_size = xs.shape
+    hidden = hs.shape[1]
+    dxs = np.empty((n, input_size), dtype=np.result_type(dZ, w))
+    product = np.empty((max(input_size, hidden), 4 * hidden), dtype=dZ.dtype)
+    h_prev = hs[prev]     # gathered here, so that no job allocates
+    side_by_side([functools.partial(add_product, xs.T, dZ, dw[:input_size],
+                                    product[:input_size]),
+                  functools.partial(add_product, h_prev.T, dZ[n - len(prev):], dw[input_size:],
+                                    product[:hidden]),
+                  functools.partial(set_product, dZ, w[:input_size].T, dxs)],
+                 caller_jobs)
     db += dZ.sum(axis=0)
-    return dZ @ w[:input_size].T
+    return dxs
+
+
+def bilstm_forward(fwd, bwd):
+    """lstm_forward(*fwd) and lstm_forward(*bwd), returning both (hs,
+    cache), for two LSTMs over Packed batches that share no array (a
+    Bi-LSTM layer's directions). While the caller runs lstm_forward(*fwd),
+    the helper thread computes bwd's input pre-activations; the caller then
+    runs bwd's step loop, in lstm_forward on a Packed batch that carries
+    them. The results are bitwise those of the two calls."""
+    w, b, xs = bwd
+    gates = np.empty((len(xs.rows), len(b)), dtype=xs.rows.dtype)
+    first = []
+    side_by_side([functools.partial(_lstm_input, w, b, xs.rows, gates)],
+                 [lambda: first.append(lstm_forward(*fwd))])
+    return first[0], lstm_forward(w, b, Packed(xs.rows, xs.batch_sizes, gates))
+
+
+def bilstm_backward(fwd, bwd):
+    """lstm_backward(*fwd) and lstm_backward(*bwd), returning both dxs,
+    for two LSTMs that share no array (a Bi-LSTM layer's directions). The
+    caller runs fwd's step loop, then all of lstm_backward(*bwd) while the
+    helper thread takes fwd's three gradient GEMMs, and whichever thread is
+    free takes those of bwd. So fwd's work runs outside any lstm_backward
+    call. The results are bitwise those of the two calls."""
+    w, b, cache, dhs, dw, db = fwd
+    dZ, prev = _lstm_backward_steps(w, cache, dhs)
+    second = []
+    first = _lstm_gradients(w, cache, dZ, prev, dw, db,
+                            [lambda: second.append(lstm_backward(*bwd))])
+    return first, second[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,26 +15,33 @@ def helper():
 def two_threads(monkeypatch, helper):
     """Returns a function that switches nn to its two-thread path on the
     helper fixture, the serial path being nn._get_helper returning None.
-    From then on the caller takes none of a call's shared jobs until the
-    helper has run one, so both threads surely run some; the returned set
-    collects the index of every thread that ran one."""
+    From then on the caller runs none of a call's shared jobs until the
+    helper has started one, and takes none of a one-job call's, so both
+    threads surely run some jobs of a call with two or more and the helper
+    runs a lone one; the returned set collects the index of every thread
+    that ran one."""
     threads = set()
     side_by_side = nn.side_by_side
 
     def first_one_to_the_helper(jobs, caller_jobs=()):
         started = threading.Event()
 
+        def wait_for_the_helper():
+            assert started.wait(10), "the helper ran no job in 10 s"
+
         def wrap(job):
             def run(thread):
                 if thread:
-                    assert started.wait(10), "the helper ran no job in 10 s"
+                    wait_for_the_helper()
                 else:
                     started.set()
                 threads.add(thread)
                 job(thread)
             return run
 
-        side_by_side([wrap(job) for job in jobs], caller_jobs)
+        # the caller would leave the helper nothing if it took a lone job
+        own = [*caller_jobs, wait_for_the_helper] if len(jobs) == 1 else caller_jobs
+        side_by_side([wrap(job) for job in jobs], own)
 
     def switch_on():
         monkeypatch.setattr(nn, "_get_helper", lambda: helper)

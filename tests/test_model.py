@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -19,7 +20,7 @@ from shiftparse.headrules import HeadRules
 from shiftparse.model import (ConstConfig, ConstModel, DecodeStepLimit, DepConfig,
                               DepModel, ModelIOError, load_model, model_grad_check,
                               save_best, save_model)
-from shiftparse.trees import Sentence
+from shiftparse.trees import Sentence, Token
 from shiftparse.vocab import Vocab, build_vocab, json_sha256
 from shiftparse import nn, synth
 from shiftparse.headrules import assign_heads
@@ -208,6 +209,36 @@ def test_hierarchical_choice_invariant_to_label_score_shift():
     _force_scores(model, "head.label", labels + 100.0)
     second = _decide_at(model, enc, state, dep_legal(state))
     assert first.kind == second.kind == LEFT
+
+
+@pytest.mark.parametrize("setup", [small_dep_setup, small_const_setup], ids=["dep", "const"])
+@pytest.mark.parametrize("hierarchical", [True, False], ids=["hierarchical", "flat"])
+def test_decide_breaks_ties_toward_the_lowest_column_and_label(setup, hierarchical):
+    # scores drawn from {0, 1, 2} tie often; under every non-empty set of
+    # legal kinds the decision is the lowest legal column of top score and,
+    # where that column leaves the label open, the lowest label of top score
+    model, _ = setup(hierarchical=hierarchical, seed=11)
+    space = model.space
+    ids = np.zeros(len(model.position_families) + model.label_slots, dtype=np.intp)
+    rng = np.random.default_rng(18)
+    ties = 0
+    for _ in range(10):
+        scores = [list(rng.integers(0, 3, size).astype(float)) for size in space.sizes]
+        for prefix, head_scores in zip(space.heads, scores):
+            _force_scores(model, prefix, head_scores)
+        tables = model._project(np.zeros((3, model.enc_dims)))
+        for legal in itertools.product((False, True), repeat=len(space.kinds)):
+            if not any(legal):
+                continue
+            columns = [c for c, kind in enumerate(space.column_kind) if legal[kind]]
+            best = max(scores[0][c] for c in columns)
+            column = min(c for c in columns if scores[0][c] == best)
+            ties += sum(scores[0][c] == best for c in columns) > 1
+            kind, label = space.columns[column]
+            if space.open[column]:
+                label = space.labels[scores[1].index(max(scores[1]))]
+            assert model._decide(tables, ids, np.array(legal)) == space.action_cls(kind, label)
+    assert ties
 
 
 def test_promote_masked_beyond_cap():
@@ -571,6 +602,60 @@ def test_word_dropout_only_in_training_mode():
     train_ids = [model._input_ids(sentence, True, rng)[0] for _ in range(20)]
     unk = model.vocab.forms["<unk>"]
     assert any(unk in ids for ids in train_ids)
+
+
+def test_word_dropout_replaces_a_form_at_rate_alpha_over_alpha_plus_count():
+    # a form counted c times becomes UNK with probability alpha/(alpha+c):
+    # over 40000 seeded draws each, within 4 sigma of it for c = 1 and 3
+    model, _ = small_dep_setup()
+    alpha = model.config.word_dropout = 0.25
+    unk = model.vocab.forms["<unk>"]
+    rng = np.random.default_rng(17)
+    draws = 40000
+    for form, count in zip(sorted(set(model.vocab.forms) - {"<unk>"}), (1, 3)):
+        model.vocab.form_counts[form] = count
+        ids, _ = model._input_ids(Sentence((Token(form, "T"),) * draws), True, rng)
+        p = alpha / (alpha + count)
+        assert abs(np.mean(ids == unk) - p) <= 4.0 * np.sqrt(p * (1.0 - p) / draws), count
+
+
+def test_clip_grads_scales_to_the_limit_only_above_it():
+    model, _ = small_dep_setup()
+    rng = np.random.default_rng(19)
+    for p in model.store:
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    before = [p.grad.copy() for p in model.store]
+
+    def global_norm():
+        return np.linalg.norm(np.concatenate([p.grad.ravel() for p in model.store]))
+
+    total = global_norm()
+    model.config.grad_clip = 1.5 * total
+    model._clip_grads()
+    assert all(np.array_equal(p.grad, g) for p, g in zip(model.store, before))
+    limit = model.config.grad_clip = total / 3.0
+    model._clip_grads()
+    assert abs(global_norm() - limit) <= 1e-12 * limit
+    for p, g in zip(model.store, before):
+        np.testing.assert_allclose(p.grad, g * (limit / total), rtol=1e-12, atol=0)
+
+
+def test_training_calls_each_lstm_op_with_its_positional_arguments(monkeypatch):
+    # the benchmark traces nn.lstm_forward(w, b, xs) and
+    # nn.lstm_backward(w, b, cache, dhs, dw, db) by those arguments; each
+    # layer's two directions go through lstm_forward, its backward direction
+    # through lstm_backward, with the forward direction's step loop and
+    # gradient GEMMs outside it
+    calls = []
+    for name in ("lstm_forward", "lstm_backward"):
+        def record(*args, _name=name, _op=getattr(nn, name), **kwargs):
+            calls.append((_name, len(args), kwargs))
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(nn, name, record)
+    model, trees = small_dep_setup()
+    model._forward_backward([(t, model._oracle(t)) for t in trees], True, model.rng)
+    layers = model.config.layers
+    assert calls == [("lstm_forward", 3, {})] * 2 * layers + [("lstm_backward", 6, {})] * layers
 
 
 def test_tag_ablation_changes_input_width():

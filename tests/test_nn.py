@@ -207,6 +207,53 @@ def test_packed_lstm_matches_per_sequence_reference(lengths, reverse, dtype):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("lengths", [(1,), (8,), (12, 10, 9, 9, 7, 5, 4, 3, 2, 1)],
+                         ids=["1-word", "8-word", "packed-10"])
+def test_bilstm_layer_on_two_threads_is_bitwise_per_direction(monkeypatch, two_threads,
+                                                              lengths, dtype):
+    # each direction with weights, inputs and gradients of its own: the
+    # scheduled layer on two threads and on one, and lstm_forward and
+    # lstm_backward run per direction on one, give the same bits
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    sizes = [sum(n > t for n in lengths) for t in range(max(lengths))]
+    rng = np.random.default_rng(len(lengths) + max(lengths))
+    directions = []
+    for _ in range(2):
+        w, b = nn.lstm_init(rng, 9, 6)
+        xs, dhs = (rng.standard_normal((sum(lengths), k)) for k in (9, 6))
+        dw0, db0 = rng.standard_normal(w.shape), rng.standard_normal(b.shape)
+        directions.append([a.astype(dtype) for a in (w, b, xs, dhs, dw0, db0)])
+
+    def per_direction():
+        out = []
+        for w, b, xs, dhs, dw0, db0 in directions:
+            dw, db = dw0.copy(), db0.copy()
+            hs, cache = nn.lstm_forward(w, b, nn.Packed(xs, sizes))
+            dxs = nn.lstm_backward(w, b, cache, dhs, dw, db)
+            out.append([hs, *cache[:5], dxs, dw, db])
+        return out
+
+    def scheduled():
+        grads = [(dw0.copy(), db0.copy()) for *_, dw0, db0 in directions]
+        results = nn.bilstm_forward(*((w, b, nn.Packed(xs, sizes))
+                                      for w, b, xs, *_ in directions))
+        dxs = nn.bilstm_backward(*((w, b, cache, dhs, dw, db)
+                                   for (w, b, _, dhs, _, _), (_, cache), (dw, db)
+                                   in zip(directions, results, grads)))
+        return [[hs, *cache[:5], dx, dw, db]
+                for (hs, cache), dx, (dw, db) in zip(results, dxs, grads)]
+
+    runs = [per_direction(), scheduled()]
+    threads = two_threads()
+    runs.append(scheduled())
+    assert threads == {0, 1}
+    assert all(a.dtype == dtype for direction in runs[0] for a in direction)
+    want = [[a.tobytes() for a in direction] for direction in runs[0]]
+    for run in runs[1:]:
+        assert [[a.tobytes() for a in direction] for direction in run] == want
+
+
 @pytest.mark.parametrize("sizes, rows, message", [
     ([2, 0, 1], 3, "batch_sizes must be positive"),
     ([1, 2], 3, "batch_sizes must be non-increasing"),
@@ -673,6 +720,32 @@ def test_side_by_side_caller_takes_the_jobs_the_helper_has_not(monkeypatch, help
     nn.side_by_side([hold] + [functools.partial(job, name) for name in "abc"],
                     [lambda: started.wait(10), lambda: ran.append(("own", 1))])
     assert ran == [("own", 1), ("c", 1), ("b", 1), ("a", 1), ("hold", 0)]
+
+
+def test_side_by_side_caller_job_may_call_it_again(monkeypatch, helper):
+    # the helper serves the outer call first: held in its first job, it
+    # leaves the caller every job of the inner call, then each outer job
+    # runs once
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    started, release = threading.Event(), threading.Event()
+    ran = []
+
+    def hold(thread):
+        started.set()
+        assert release.wait(10)
+        ran.append(("hold", thread))
+
+    def job(name, thread):
+        ran.append((name, thread))
+
+    def inner():
+        assert started.wait(10)
+        nn.side_by_side([functools.partial(job, name) for name in "xyz"])
+        release.set()
+
+    nn.side_by_side([hold, functools.partial(job, "a")], [inner])
+    assert ran[:3] == [("z", 1), ("y", 1), ("x", 1)]
+    assert sorted(name for name, _ in ran[3:]) == ["a", "hold"] and ("hold", 0) in ran
 
 
 def test_side_by_side_runs_every_job_once_under_contention(monkeypatch, helper):
