@@ -6,7 +6,12 @@ are the fields of the library's config dataclasses spelled with dashes
 set with --hierarchical, --flat and --no-tags. A flat key=value config
 file can override the defaults and flags override both. A bad value exits
 2 with the field named, whether it came from a flag, a config file or a
-model header. Every command is deterministic given --seed.
+model header. TASKS holds all that tells the tasks apart, eval's flags
+and scores aside. Every input is read as UTF-8, as it is parsed, and a
+line that is not is a data error naming the file and the line. Every
+command is deterministic given --seed at a fixed BLAS thread count, which
+CI and bench/run.py pin to one: unset, OpenBLAS takes one thread per CPU,
+and its GEMMs round differently.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.
@@ -17,17 +22,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .const_system import ConstAction, const_oracle, const_replay
-from .dep_system import (DepAction, NotDerivable, dep_oracle, dep_replay, read_actions,
-                         write_actions)
+from .const_system import const_oracle, const_replay
+from .dep_system import NotDerivable, dep_oracle, dep_replay, read_actions, write_actions
 from .evalmetrics import arc_recall_by_length, recall_table_csv, score_brackets, score_dep
 from .headrules import HeadRules, assign_heads
-from .model import (ConstConfig, ConstModel, DepConfig, DepModel, ModelIOError,
-                    load_model, model_grad_check, save_best, save_model)
+from .model import (ConstModel, DepModel, ModelIOError, load_model, model_grad_check,
+                    save_best, save_model)
 from .trees import TreeReadError, read_brackets, read_conll, read_tagged_text, write_brackets, write_conll
 from .vocab import build_vocab
 from . import synth
@@ -50,18 +56,27 @@ def _coerce(value: str, kind):
     return kind(value)
 
 
+def _read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as the caller iterates; a line
+    that is not UTF-8 is a ValueError naming the file and the line."""
+    # surrogateescape makes each bad byte a lone surrogate, which encode() refuses
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError("%s: not UTF-8 text: line %d" % (path, lineno)) from None
+            yield line
+
+
 def _read_config_file(path, task: str, cls) -> dict:
     """The values a flat key=value file sets for task, each coerced to the
     type of its cls field's default; an error names the file, and the line
     and key where it has them."""
     kinds = {f.name: type(f.default) for f in fields(cls)}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError("%s: not UTF-8 text: %s" % (path, exc)) from None
     overrides = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -81,18 +96,64 @@ def _read_config_file(path, task: str, cls) -> dict:
     return overrides
 
 
+def _const_reader(args):
+    """read_brackets with head children assigned by --head-rules, or by the
+    bundled table without it."""
+    rules = (HeadRules.from_text("".join(_read_lines(args.head_rules))) if args.head_rules
+             else HeadRules.bundled())
+    return lambda lines: [assign_heads(t, rules) for t in read_brackets(lines)]
+
+
+@dataclass(frozen=True)
+class _Task:
+    """What the commands need of a task that its model class (which names
+    the config and action classes) does not know. gold_reader(args) returns
+    the reader of a gold file's lines; gradcheck_config holds the toy
+    config's fields of this task alone."""
+    model: type
+    gold_reader: Callable
+    write_trees: Callable
+    vocab_keyword: str
+    oracle: Callable
+    replay: Callable
+    random_tree: Callable
+    gradcheck_config: dict
+
+    def vocab(self, trees, min_form_count: int):
+        return build_vocab([t.sentence for t in trees], min_form_count=min_form_count,
+                           **{self.vocab_keyword: trees})
+
+
+TASKS = {task.model.task: task for task in (
+    _Task(model=DepModel, gold_reader=lambda args: read_conll, write_trees=write_conll,
+          vocab_keyword="dep_trees", oracle=dep_oracle,
+          replay=lambda tree, actions: dep_replay(tree.sentence, actions,
+                                                  root_label=tree.label_of(tree.root)),
+          random_tree=synth.random_projective_tree, gradcheck_config={}),
+    _Task(model=ConstModel, gold_reader=_const_reader, write_trees=write_brackets,
+          vocab_keyword="const_trees", oracle=const_oracle,
+          replay=lambda tree, actions: const_replay(tree.sentence, actions),
+          random_tree=synth.random_const_tree,
+          gradcheck_config={"nonterminal_dims": 6, "l2": 0.0}),
+)}
+
+# every config field of either task, as a flag's dest and type
+_FLAG_KINDS = {f.name: type(f.default) for task in TASKS.values()
+               for f in fields(task.model.config_cls)}
+
+
 def _foreign_flag(args):
     """The first hyperparameter flag given that only the other task's
     config has, spelled as on the command line."""
-    own, other = (DepConfig, ConstConfig) if args.task == "dep" else (ConstConfig, DepConfig)
-    for f in fields(other):
-        if f.name not in own.__dataclass_fields__ and getattr(args, f.name) is not None:
-            return "--" + f.name.replace("_", "-")
+    own = TASKS[args.task].model.config_cls.__dataclass_fields__
+    for name in _FLAG_KINDS:
+        if name not in own and getattr(args, name) is not None:
+            return "--" + name.replace("_", "-")
     return None
 
 
 def _build_config(task: str, args) -> object:
-    cls = DepConfig if task == "dep" else ConstConfig
+    cls = TASKS[task].model.config_cls
     values = _read_config_file(args.config, task, cls) if args.config else {}
     for f in fields(cls):
         if getattr(args, f.name) is not None:
@@ -104,8 +165,7 @@ def _add_hyper_flags(sub):
     """One --field-name flag per non-bool field of either config, typed by
     its default; the bool fields have the spellings below."""
     sub.add_argument("--config", help="flat key=value config file")
-    flags = {f.name: type(f.default) for cls in (DepConfig, ConstConfig) for f in fields(cls)}
-    for name, kind in flags.items():
+    for name, kind in _FLAG_KINDS.items():
         if kind is not bool:
             sub.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
     sub.add_argument("--hierarchical", dest="hierarchical", action="store_const",
@@ -116,62 +176,24 @@ def _add_hyper_flags(sub):
                      default=None, help="drop POS-tag embeddings from the encoder input")
 
 
-def _load_dep_corpus(path):
-    with open(path, encoding="utf-8") as fh:
-        return read_conll(fh)
-
-
-def _load_const_corpus(path, rules: HeadRules):
-    with open(path, encoding="utf-8") as fh:
-        trees = read_brackets(fh)
-    return [assign_heads(t, rules) for t in trees]
-
-
-def _head_rules(args) -> HeadRules:
-    if getattr(args, "head_rules", None):
-        return HeadRules.load(args.head_rules)
-    return HeadRules.bundled()
-
-
 def cmd_train(args) -> int:
+    task = TASKS[args.task]
     config = _build_config(args.task, args)
     start = time.time()
-    if args.task == "dep":
-        train = _load_dep_corpus(args.train)
-        dev = _load_dep_corpus(args.dev) if args.dev else None
-        sentences = [t.sentence for t in train]
-        vocab = build_vocab(sentences, dep_trees=train,
-                            min_form_count=args.min_form_count)
-        model = DepModel(config, vocab)
-    else:
-        rules = _head_rules(args)
-        train = _load_const_corpus(args.train, rules)
-        dev = _load_const_corpus(args.dev, rules) if args.dev else None
-        sentences = [t.sentence for t in train]
-        vocab = build_vocab(sentences, const_trees=train,
-                            min_form_count=args.min_form_count)
-        model = ConstModel(config, vocab)
+    read = task.gold_reader(args)
+    train = read(_read_lines(args.train))
+    dev = read(_read_lines(args.dev)) if args.dev else None
+    model = task.model(config, task.vocab(train, args.min_form_count))
 
-    log_lines = []
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
-        def emit(line):
-            log_lines.append(line)
-            if log_fh:
-                log_fh.write(line + "\n")
-            else:
-                print(line)
-        model.fit(train, dev, log=emit)
-    finally:
-        if log_fh:
-            log_fh.close()
+    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log_fh:
+        # without --log, print's file=None is stdout
+        lines = model.fit(train, dev, log=lambda line: print(line, file=log_fh))
 
-    skipped_line = next(l for l in log_lines if l.startswith("train sentences="))
-    skipped = int(skipped_line.split("skipped=")[1])
-    total = skipped + int(skipped_line.split("sentences=")[1].split()[0])
-    if total and skipped / total > 0.1:
-        print("warning: %d/%d training sentences were not derivable" % (skipped, total),
-              file=sys.stderr)
+    summary = next(line for line in lines if line.startswith("train sentences="))
+    kept, skipped = (int(field.split("=")[1]) for field in summary.split()[1:])
+    if skipped / (kept + skipped) > 0.1:
+        print("warning: %d/%d training sentences were not derivable"
+              % (skipped, kept + skipped), file=sys.stderr)
     save_model(model, args.model)
     written = args.model
     # without a dev set there is no best epoch: the best copy would be the model
@@ -183,13 +205,18 @@ def cmd_train(args) -> int:
 
 
 def _read_parse_input(args):
-    fmt = args.input_format
-    with open(args.input, encoding="utf-8") as fh:
-        if fmt == "conll":
-            return read_conll(fh, allow_missing_heads=True)
-        if fmt == "text":
-            return read_tagged_text(fh)
-        return [t.sentence for t in read_brackets(fh)]
+    fmt, lines = args.input_format, _read_lines(args.input)
+    if fmt == "conll":
+        return read_conll(lines, allow_missing_heads=True)
+    if fmt == "text":
+        return read_tagged_text(lines)
+    return [t.sentence for t in read_brackets(lines)]
+
+
+def _write_output(path, text: str):
+    """text into the file at path, or to stdout without one."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def cmd_parse(args) -> int:
@@ -199,13 +226,7 @@ def cmd_parse(args) -> int:
                            % (model.task, args.task))
     sentences = _read_parse_input(args)
     start = time.time()
-    parsed = [model.parse(s) for s in sentences]
-    text = write_conll(parsed) if args.task == "dep" else write_brackets(parsed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, TASKS[args.task].write_trees([model.parse(s) for s in sentences]))
     print("parsed %d sentences in %.1fs" % (len(sentences), time.time() - start),
           file=sys.stderr)
     return 0
@@ -213,8 +234,8 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.task == "dep":
-        gold = _load_dep_corpus(args.gold)
-        pred = _load_dep_corpus(args.pred)
+        gold = read_conll(_read_lines(args.gold))
+        pred = read_conll(_read_lines(args.pred))
         punct = frozenset(args.punct_tags.split(",")) if args.punct_tags else None
         score = score_dep(gold, pred, exclude_punct=args.exclude_punct,
                           punct_tags=punct)
@@ -226,14 +247,11 @@ def cmd_eval(args) -> int:
         print("correct_heads=%d correct_labeled=%d scored=%d"
               % (score.correct_heads, score.correct_labeled, score.scored))
         if rows is not None:
-            with open(args.recall_by_length, "w", encoding="utf-8") as fh:
-                fh.write(recall_table_csv(rows))
+            _write_output(args.recall_by_length, recall_table_csv(rows))
     else:
-        with open(args.gold, encoding="utf-8") as fh:
-            gold = read_brackets(fh)
-        with open(args.pred, encoding="utf-8") as fh:
-            pred = read_brackets(fh)
-        score = score_brackets(gold, pred, ignore_root=args.ignore_root)
+        score = score_brackets(read_brackets(_read_lines(args.gold)),
+                               read_brackets(_read_lines(args.pred)),
+                               ignore_root=args.ignore_root)
         print("precision=%.2f" % score.precision)
         print("recall=%.2f" % score.recall)
         print("f1=%.2f" % score.f1)
@@ -243,37 +261,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.task == "dep":
-        trees = _load_dep_corpus(args.input)
-        oracle, action_cls = dep_oracle, DepAction
-
-        def replay(tree, actions):
-            return dep_replay(tree.sentence, actions, root_label=tree.label_of(tree.root))
-    else:
-        trees = _load_const_corpus(args.input, _head_rules(args))
-        oracle, action_cls = const_oracle, ConstAction
-
-        def replay(tree, actions):
-            return const_replay(tree.sentence, actions)
+    task = TASKS[args.task]
+    trees = task.gold_reader(args)(_read_lines(args.input))
     skipped = []
     sequences = []
     for i, tree in enumerate(trees):
         try:
-            sequences.append((tree, oracle(tree)))
+            sequences.append((tree, task.oracle(tree)))
         except NotDerivable:
             skipped.append(i)
     text = write_actions(seq for _t, seq in sequences)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, text)
     for i in skipped:
         print("skipped sentence %d: not derivable (non-projective)" % (i + 1),
               file=sys.stderr)
     if args.replay:
-        mismatches = sum(replay(tree, actions) != tree for (tree, _seq), actions
-                         in zip(sequences, read_actions(text, action_cls)))
+        mismatches = sum(task.replay(tree, actions) != tree for (tree, _seq), actions
+                         in zip(sequences, read_actions(text, task.model.action_cls)))
         print("replay: %d mismatches over %d sentences" % (mismatches, len(sequences)),
               file=sys.stderr)
         if mismatches:
@@ -282,40 +286,27 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    precision = args.precision or "float64"
     tolerance = args.tolerance
-    step = args.step
     # 32-bit mode checks the float32 backward path against a float64 twin
     # (see model_grad_check) under a relaxed tolerance
     if tolerance is None:
-        tolerance = 1e-4 if precision == "float64" else 1e-2
-    if step is None:
-        step = 1e-5
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    tasks = ("dep", "const") if args.task == "both" else (args.task,)
+        tolerance = 1e-4 if args.precision == "float64" else 1e-2
+    rng = np.random.default_rng(args.seed)
+    tasks = TASKS.values() if args.task == "both" else (TASKS[args.task],)
     failed = False
     for task in tasks:
-        if task == "dep":
-            trees = [synth.random_projective_tree(rng, 5) for _ in range(2)]
-            vocab = build_vocab([t.sentence for t in trees], dep_trees=trees,
-                                min_form_count=1)
-            config = DepConfig(word_dims=8, tag_dims=6, lstm_units=8, layers=2,
-                               hidden=12, dropout=0.0, word_dropout=0.0,
-                               precision=precision, seed=3)
-            model = DepModel(config, vocab)
-        else:
-            trees = [synth.random_const_tree(rng, 5) for _ in range(2)]
-            vocab = build_vocab([t.sentence for t in trees], const_trees=trees,
-                                min_form_count=1)
-            config = ConstConfig(word_dims=8, tag_dims=6, nonterminal_dims=6,
-                                 lstm_units=8, layers=2, hidden=12, dropout=0.0,
-                                 word_dropout=0.0, l2=0.0, precision=precision, seed=3)
-            model = ConstModel(config, vocab)
+        trees = [task.random_tree(rng, 5) for _ in range(2)]
+        # a toy model, small enough to check in seconds
+        config = task.model.config_cls(word_dims=8, tag_dims=6, lstm_units=8, layers=2,
+                                       hidden=12, dropout=0.0, word_dropout=0.0,
+                                       precision=args.precision, seed=3, **task.gradcheck_config)
+        model = task.model(config, task.vocab(trees, 1))
         report = model_grad_check(model, trees, samples_per_param=args.samples,
-                                  h=step, tolerance=tolerance,
+                                  h=args.step, tolerance=tolerance,
                                   inject_error=args.inject_error)
         print("%s: max relative error %.3e over %d parameter tensors (tolerance %.0e)"
-              % (task, report["max_rel_error"], len(report["by_param"]), tolerance))
+              % (task.model.task, report["max_rel_error"], len(report["by_param"]),
+                 tolerance))
         for name, index, analytic, numeric, err in report["failures"][:10]:
             print("  FAIL %s[%d]: analytic %.6e vs numeric %.6e (rel %.3e)"
                   % (name, index, analytic, numeric, err))
@@ -328,7 +319,7 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     train = commands.add_parser("train", help="train a parser")
-    train.add_argument("--task", choices=("dep", "const"), required=True)
+    train.add_argument("--task", choices=tuple(TASKS), required=True)
     train.add_argument("--train", required=True)
     train.add_argument("--dev")
     train.add_argument("--model", required=True)
@@ -339,7 +330,7 @@ def build_parser() -> _Parser:
     train.set_defaults(func=cmd_train)
 
     parse = commands.add_parser("parse", help="parse sentences with a trained model")
-    parse.add_argument("--task", choices=("dep", "const"), required=True)
+    parse.add_argument("--task", choices=tuple(TASKS), required=True)
     parse.add_argument("--model", required=True)
     parse.add_argument("--input", required=True)
     parse.add_argument("--input-format", dest="input_format",
@@ -348,7 +339,7 @@ def build_parser() -> _Parser:
     parse.set_defaults(func=cmd_parse)
 
     evaluate = commands.add_parser("eval", help="score predictions against gold")
-    evaluate.add_argument("--task", choices=("dep", "const"), required=True)
+    evaluate.add_argument("--task", choices=tuple(TASKS), required=True)
     evaluate.add_argument("--gold", required=True)
     evaluate.add_argument("--pred", required=True)
     evaluate.add_argument("--include-punct", dest="exclude_punct",
@@ -363,7 +354,7 @@ def build_parser() -> _Parser:
     evaluate.set_defaults(func=cmd_eval)
 
     oracle = commands.add_parser("oracle", help="dump gold action sequences")
-    oracle.add_argument("--task", choices=("dep", "const"), required=True)
+    oracle.add_argument("--task", choices=tuple(TASKS), required=True)
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--output")
     oracle.add_argument("--head-rules", dest="head_rules")
@@ -372,11 +363,11 @@ def build_parser() -> _Parser:
     oracle.set_defaults(func=cmd_oracle)
 
     gradcheck = commands.add_parser("gradcheck", help="finite-difference gradient check")
-    gradcheck.add_argument("--task", choices=("dep", "const", "both"), default="both")
-    gradcheck.add_argument("--precision", choices=("float64", "float32"), default=None)
+    gradcheck.add_argument("--task", choices=tuple(TASKS) + ("both",), default="both")
+    gradcheck.add_argument("--precision", choices=("float64", "float32"), default="float64")
     gradcheck.add_argument("--tolerance", type=float, default=None,
                            help="default 1e-4 (float64) or 1e-2 (float32)")
-    gradcheck.add_argument("--step", type=float, default=None,
+    gradcheck.add_argument("--step", type=float, default=1e-5,
                            help="finite-difference step; default 1e-5. Write a negative "
                                 "value as --step=VALUE, or it reads as an option")
     gradcheck.add_argument("--samples", type=int, default=8,

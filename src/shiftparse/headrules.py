@@ -49,17 +49,15 @@ class HeadRules:
             if len(fields) < 2:
                 raise ValueError("line %d: expected 'LABEL direction ...'" % lineno)
             label, direction, priorities = fields[0], fields[1], tuple(fields[2:])
-            rule = HeadRule(direction, priorities)
+            try:
+                rule = HeadRule(direction, priorities)
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (lineno, exc)) from None
             if label == "DEFAULT":
                 default = rule
             else:
                 rules.setdefault(label, []).append(rule)
         return cls(rules, default)
-
-    @classmethod
-    def load(cls, path) -> "HeadRules":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
     @classmethod
     def bundled(cls) -> "HeadRules":

@@ -283,6 +283,7 @@ class _EncoderModel:
     _dev_metric."""
 
     task = ""
+    config_cls: type[_Config]
     position_families: tuple[str, ...] = ()
     action_cls: type[Action]
     space: ActionSpace
@@ -736,6 +737,7 @@ class DepModel(_EncoderModel):
     """Greedy arc-standard dependency parser."""
 
     task = "dep"
+    config_cls = DepConfig
     position_families = DEP_POSITION_FAMILIES
     action_cls = DepAction
 
@@ -774,6 +776,7 @@ class ConstModel(_EncoderModel):
     """Greedy shift-promote-adjoin constituency parser."""
 
     task = "const"
+    config_cls = ConstConfig
     position_families = CONST_POSITION_FAMILIES
     action_cls = ConstAction
 
@@ -811,6 +814,9 @@ class ConstModel(_EncoderModel):
         score = score_brackets(dev, pred)
         return score.f1, "dev_f1=%.2f dev_precision=%.2f dev_recall=%.2f" % (
             score.f1, score.precision, score.recall)
+
+
+MODELS = {cls.task: cls for cls in (DepModel, ConstModel)}
 
 
 def float64_twin(model: _EncoderModel) -> _EncoderModel:
@@ -910,17 +916,17 @@ def save_best(model: _EncoderModel, path):
     save_model(model, path, params=model.best_params)
 
 
-def _header_model(cls, config_cls, values, vocab):
+def _header_model(cls, values, vocab):
     """Build the model a header's config describes, its parameter buffers
-    left for the file's values; names any key config_cls lacks and any value
-    it or the allocation rejects."""
+    left for the file's values; names any key cls.config_cls lacks and any
+    value it or the allocation rejects."""
     if not isinstance(values, dict):
         raise ModelIOError("header config is not an object")
-    unknown = sorted(set(values) - {f.name for f in fields(config_cls)})
+    unknown = sorted(set(values) - {f.name for f in fields(cls.config_cls)})
     if unknown:
         raise ModelIOError("unknown config key %r in model header" % unknown[0])
     try:
-        return cls._unfilled(config_cls(**values), vocab)
+        return cls._unfilled(cls.config_cls(**values), vocab)
     except ValueError as exc:
         raise ModelIOError("bad config value in model header: %s" % exc) from None
 
@@ -1001,11 +1007,10 @@ def load_model(path):
         # hashed as stored: save_model writes the very JSON form it hashed
         if json_sha256(header["vocab"]) != header["vocab_sha256"]:
             raise ModelIOError("vocab_sha256 mismatch: vocabulary was modified")
-        if header["task"] not in ("dep", "const"):
-            raise ModelIOError("unknown task %r" % header["task"])
-        cls, config_cls = {"dep": (DepModel, DepConfig),
-                           "const": (ConstModel, ConstConfig)}[header["task"]]
-        model = _header_model(cls, config_cls, header["config"], vocab)
+        cls = MODELS.get(header["task"]) if isinstance(header["task"], str) else None
+        if cls is None:
+            raise ModelIOError("unknown task %r" % (header["task"],))
+        model = _header_model(cls, header["config"], vocab)
         dtype = model.store.dtype.newbyteorder("<")
         directory = _directory(model.store, dtype)
         _check_directory(header["tensors"], directory)

@@ -64,7 +64,9 @@ thread starts on first use, and only when the process may run on at
 least two CPUs (os.sched_getaffinity); a forked child starts its own.
 Every output element goes through the same op sequence on either
 thread, so results are bitwise those of one thread and do not depend on
-the CPU count.
+the CPU count, provided the BLAS thread count is fixed: left unset,
+OpenBLAS takes one thread per CPU and its GEMMs round differently. CI and
+bench/run.py pin one BLAS thread.
 """
 
 from __future__ import annotations

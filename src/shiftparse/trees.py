@@ -280,7 +280,10 @@ def read_conll(stream, allow_missing_heads: bool = False):
             seen_ids.add(tok_id)
             if tok_id != pos + 1:
                 raise TreeReadError("token ids must run 1..n, got %d" % tok_id, lineno)
-            tokens.append(Token(fields[1], fields[4]))
+            try:
+                tokens.append(Token(fields[1], fields[4]))
+            except ValueError as exc:
+                raise TreeReadError(str(exc), lineno)
             head_field, label_field = fields[6], fields[7]
             if head_field == "_" and allow_missing_heads:
                 heads.append(None)

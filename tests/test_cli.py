@@ -1,11 +1,13 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
+from shiftparse import cli
 from shiftparse.cli import _build_config, build_parser, main
 from shiftparse.model import ConstConfig, DepConfig
 from shiftparse.evalmetrics import score_dep
-from shiftparse.trees import MAX_BRACKET_DEPTH, read_conll, write_brackets, write_conll
+from shiftparse.trees import (MAX_BRACKET_DEPTH, read_brackets, read_conll, write_brackets,
+                              write_conll)
 from shiftparse import synth
 
 FAST_FLAGS = ["--word-dims", "8", "--tag-dims", "6", "--lstm-units", "8",
@@ -214,6 +216,79 @@ def test_oracle_example_sentence(tmp_path, capsys):
     assert "0 mismatches" in capsys.readouterr().err
 
 
+def test_oracle_head_rules_that_pick_another_head_change_the_dump(tmp_path, capsys):
+    brackets = tmp_path / "fig.brackets"
+    brackets.write_text("(S (NP (PRP I)) (VP (VBP like) (NP (NNS sports))))\n",
+                        encoding="utf-8")
+    # the object NP heads VP, and with no S rule the default picks S's first child
+    rules = tmp_path / "rules.txt"
+    rules.write_text("VP right-to-left NP\n", encoding="utf-8")
+    assert main(["oracle", "--task", "const", "--input", str(brackets),
+                 "--head-rules", str(rules), "--replay"]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == ["SHIFT", "PRO:NP", "PRO:S", "SHIFT", "SHIFT", "PRO:NP",
+                           "PRO:VP", "ADJ-L", "ADJ-R"]
+    assert "0 mismatches" in err
+
+
+def test_oracle_head_rules_bad_direction_is_data_error_naming_its_line(tmp_path, const_corpus,
+                                                                      capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# a comment\nNP sideways NN\n", encoding="utf-8")
+    assert main(["oracle", "--task", "const", "--input", str(const_corpus),
+                 "--head-rules", str(rules)]) == 2
+    assert "error: line 2: unknown direction 'sideways'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2\t\t_\tNN\tNN\t_\t0\troot\n", "token form must be non-empty"),
+    ("2\tdog\t_\tNN\t\t_\t0\troot\n", "token tag must be non-empty"),
+], ids=["form", "pos"])
+def test_conll_row_with_an_empty_column_is_data_error_naming_its_line(tmp_path, row, message,
+                                                                      capsys):
+    path = tmp_path / "empty.conll"
+    path.write_text("1\tthe\t_\tDT\tDT\t_\t2\tdet\n" + row, encoding="utf-8")
+    assert main(["oracle", "--task", "dep", "--input", str(path)]) == 2
+    assert "error: line 2: %s" % message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "train-dev", "parse", "eval", "oracle",
+                                     "oracle-head-rules"])
+def test_input_that_is_not_utf8_is_data_error_naming_the_file(tmp_path, dep_corpus,
+                                                               const_corpus, command, capsys):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("1\tcaf\xe9\t_\tNN\tNN\t_\t0\troot\n".encode("latin-1"))
+    model = tmp_path / "dep.model"
+    if command == "parse":
+        assert main(["train", "--task", "dep", "--train", str(dep_corpus),
+                     "--model", str(model)] + FAST_FLAGS) == 0
+    argv = {
+        "train": ["train", "--task", "dep", "--train", str(latin), "--model", str(model)],
+        "train-dev": ["train", "--task", "dep", "--train", str(dep_corpus), "--dev", str(latin),
+                      "--model", str(model)],
+        "parse": ["parse", "--task", "dep", "--model", str(model), "--input", str(latin)],
+        "eval": ["eval", "--task", "dep", "--gold", str(dep_corpus), "--pred", str(latin)],
+        "oracle": ["oracle", "--task", "dep", "--input", str(latin)],
+        "oracle-head-rules": ["oracle", "--task", "const", "--input", str(const_corpus),
+                              "--head-rules", str(latin)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "error: %s: not UTF-8 text: line 1\n" % latin in capsys.readouterr().err
+
+
+def test_input_that_is_not_utf8_names_the_line_past_the_first_read_chunk(tmp_path, dep_corpus,
+                                                                       capsys):
+    # the text layer decodes 8 KiB chunks, so the bad byte sits well past one
+    valid = dep_corpus.read_bytes() * 20
+    assert len(valid) > 3 * 8192
+    path = tmp_path / "late.conll"
+    path.write_bytes(valid + "1\tcaf\xe9\t_\tNN\tNN\t_\t0\troot\n".encode("latin-1"))
+    assert main(["oracle", "--task", "dep", "--input", str(path)]) == 2
+    line = valid.count(b"\n") + 1
+    assert "error: %s: not UTF-8 text: line %d\n" % (path, line) in capsys.readouterr().err
+
+
 def test_oracle_replay_clean_on_treebank(tmp_path, dep_corpus, capsys):
     assert main(["oracle", "--task", "dep", "--input", str(dep_corpus),
                  "--replay"]) == 0
@@ -235,6 +310,28 @@ def test_gradcheck_default_passes(capsys):
     assert main(["gradcheck", "--task", "dep", "--samples", "2"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_gradcheck_const_passes(capsys):
+    assert main(["gradcheck", "--task", "const", "--samples", "2"]) == 0
+    assert capsys.readouterr().out.startswith("const: max relative error")
+
+
+def test_gradcheck_checks_a_toy_unregularised_model_for_each_task(monkeypatch, capsys):
+    checked = []
+
+    def spy(model, trees, **kwargs):
+        checked.append(model)
+        return {"max_rel_error": 0.0, "by_param": {}, "failures": [], "ok": True}
+
+    monkeypatch.setattr(cli, "model_grad_check", spy)
+    assert main(["gradcheck", "--task", "both"]) == 0
+    assert [m.task for m in checked] == ["dep", "const"]
+    for model in checked:
+        widths = {k: v for k, v in asdict(model.config).items()
+                  if k.endswith("_dims") or k in ("lstm_units", "hidden")}
+        assert max(widths.values()) <= 12, widths
+        assert model.config.l2 == 0.0
 
 
 def test_gradcheck_float32_relaxed(capsys):
@@ -425,6 +522,18 @@ def test_parse_model_with_malformed_vocab_is_data_error(tmp_path, dep_corpus, ca
                                           lambda h: h["vocab"].pop("deprels"))
     assert code == 2
     assert "deprels" in err
+
+
+def test_const_train_with_dev_writes_a_best_model_that_parse_loads(tmp_path, const_corpus):
+    model = tmp_path / "const.model"
+    assert main(["train", "--task", "const", "--train", str(const_corpus),
+                 "--dev", str(const_corpus), "--model", str(model),
+                 "--nonterminal-dims", "8"] + FAST_FLAGS) == 0
+    out = tmp_path / "pred.brackets"
+    assert main(["parse", "--task", "const", "--model", str(model) + ".best",
+                 "--input", str(const_corpus), "--input-format", "brackets",
+                 "--output", str(out)]) == 0
+    assert len(read_brackets(out.read_text())) == len(read_brackets(const_corpus.read_text()))
 
 
 def test_const_train_and_parse_from_text(tmp_path, const_corpus):
