@@ -6,9 +6,10 @@ are the fields of the library's config dataclasses spelled with dashes
 set with --hierarchical, --flat and --no-tags. A flat key=value config
 file can override the defaults and flags override both. A bad value exits
 2 with the field named, whether it came from a flag, a config file or a
-model header. TASKS holds all that tells the tasks apart, eval's flags
-and scores aside. Every input is read as UTF-8, as it is parsed, and a
-line that is not is a data error naming the file and the line. Every
+model header. TASKS holds all that tells the tasks apart, eval's scores
+aside, and a flag that only the other task takes is a usage error naming
+it. Every input is read as UTF-8, as it is parsed, and a line that is not
+is a data error naming the file and the line. Every
 command is deterministic given --seed at a fixed BLAS thread count, which
 CI and bench/run.py pin to one: unset, OpenBLAS takes one thread per CPU,
 and its GEMMs round differently.
@@ -108,9 +109,11 @@ def _const_reader(args):
 class _Task:
     """What the commands need of a task that its model class (which names
     the config and action classes) does not know. gold_reader(args) returns
-    the reader of a gold file's lines; gradcheck_config holds the toy
-    config's fields of this task alone."""
+    the reader of a gold file's lines; flags are the dests of the command
+    flags only this task takes; gradcheck_config holds the toy config's
+    fields of this task alone."""
     model: type
+    flags: tuple
     gold_reader: Callable
     write_trees: Callable
     vocab_keyword: str
@@ -125,12 +128,14 @@ class _Task:
 
 
 TASKS = {task.model.task: task for task in (
-    _Task(model=DepModel, gold_reader=lambda args: read_conll, write_trees=write_conll,
+    _Task(model=DepModel, flags=("include_punct", "punct_tags", "recall_by_length", "max_bucket"),
+          gold_reader=lambda args: read_conll, write_trees=write_conll,
           vocab_keyword="dep_trees", oracle=dep_oracle,
           replay=lambda tree, actions: dep_replay(tree.sentence, actions,
                                                   root_label=tree.label_of(tree.root)),
           random_tree=synth.random_projective_tree, gradcheck_config={}),
-    _Task(model=ConstModel, gold_reader=_const_reader, write_trees=write_brackets,
+    _Task(model=ConstModel, flags=("keep_root", "head_rules"),
+          gold_reader=_const_reader, write_trees=write_brackets,
           vocab_keyword="const_trees", oracle=const_oracle,
           replay=lambda tree, actions: const_replay(tree.sentence, actions),
           random_tree=synth.random_const_tree,
@@ -142,12 +147,18 @@ _FLAG_KINDS = {f.name: type(f.default) for task in TASKS.values()
                for f in fields(task.model.config_cls)}
 
 
+# the dests of the flags that may belong to one task alone
+_TASK_FLAGS = [*_FLAG_KINDS, *(name for task in TASKS.values() for name in task.flags)]
+
+
 def _foreign_flag(args):
-    """The first hyperparameter flag given that only the other task's
-    config has, spelled as on the command line."""
-    own = TASKS[args.task].model.config_cls.__dataclass_fields__
-    for name in _FLAG_KINDS:
-        if name not in own and getattr(args, name) is not None:
+    """The first flag given that only the other task takes, a config field
+    or one of its TASKS flags, spelled as on the command line. A flag not
+    given is None, and one the command lacks is no attribute at all."""
+    task = TASKS[args.task]
+    own = set(task.flags) | set(task.model.config_cls.__dataclass_fields__)
+    for name in _TASK_FLAGS:
+        if name not in own and getattr(args, name, None) is not None:
             return "--" + name.replace("_", "-")
     return None
 
@@ -237,10 +248,11 @@ def cmd_eval(args) -> int:
         gold = read_conll(_read_lines(args.gold))
         pred = read_conll(_read_lines(args.pred))
         punct = frozenset(args.punct_tags.split(",")) if args.punct_tags else None
-        score = score_dep(gold, pred, exclude_punct=args.exclude_punct,
+        score = score_dep(gold, pred, exclude_punct=not args.include_punct,
                           punct_tags=punct)
         # before any output, so a bad --max-bucket prints no scores
-        rows = (arc_recall_by_length(gold, pred, max_bucket=args.max_bucket)
+        max_bucket = 10 if args.max_bucket is None else args.max_bucket
+        rows = (arc_recall_by_length(gold, pred, max_bucket=max_bucket)
                 if args.recall_by_length else None)
         print("uas=%.2f" % score.uas)
         print("las=%.2f" % score.las)
@@ -251,7 +263,7 @@ def cmd_eval(args) -> int:
     else:
         score = score_brackets(read_brackets(_read_lines(args.gold)),
                                read_brackets(_read_lines(args.pred)),
-                               ignore_root=args.ignore_root)
+                               ignore_root=not args.keep_root)
         print("precision=%.2f" % score.precision)
         print("recall=%.2f" % score.recall)
         print("f1=%.2f" % score.f1)
@@ -342,15 +354,15 @@ def build_parser() -> _Parser:
     evaluate.add_argument("--task", choices=tuple(TASKS), required=True)
     evaluate.add_argument("--gold", required=True)
     evaluate.add_argument("--pred", required=True)
-    evaluate.add_argument("--include-punct", dest="exclude_punct",
-                          action="store_false", default=True)
+    # the task-only flags default to None, so that _foreign_flag sees them given
+    evaluate.add_argument("--include-punct", dest="include_punct", action="store_true",
+                          default=None)
     evaluate.add_argument("--punct-tags", dest="punct_tags",
                           help="comma-separated gold POS tags to exclude")
-    evaluate.add_argument("--keep-root", dest="ignore_root",
-                          action="store_false", default=True)
+    evaluate.add_argument("--keep-root", dest="keep_root", action="store_true", default=None)
     evaluate.add_argument("--recall-by-length", dest="recall_by_length",
                           help="write the arc-recall-by-length CSV here")
-    evaluate.add_argument("--max-bucket", dest="max_bucket", type=int, default=10)
+    evaluate.add_argument("--max-bucket", dest="max_bucket", type=int)
     evaluate.set_defaults(func=cmd_eval)
 
     oracle = commands.add_parser("oracle", help="dump gold action sequences")
@@ -382,7 +394,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    flag = _foreign_flag(args) if args.command == "train" else None
+    flag = _foreign_flag(args) if args.task in TASKS else None
     if flag:
         parser.error("%s does not apply to --task %s" % (flag, args.task))
     try:

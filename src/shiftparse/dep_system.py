@@ -16,6 +16,7 @@ reader, and the IllegalAction and NotDerivable errors.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Optional
 
@@ -204,7 +205,7 @@ def read_actions(text: str, action_cls: type[Action]) -> list[list[Action]]:
     ends at every line that is empty after stripping. An action that does
     not parse is a ValueError whose message starts with its 1-based line."""
     sequences: list[list[Action]] = [[]]
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(io.StringIO(text, newline=None), 1):
         line = line.strip()
         if not line:
             if sequences[-1]:

@@ -15,6 +15,7 @@ with direction ``left-to-right`` or ``right-to-left``. The pseudo-label
 from __future__ import annotations
 
 import importlib.resources
+import io
 from dataclasses import dataclass, replace
 
 from .trees import ConstTree, Internal, Leaf, Sentence
@@ -41,7 +42,8 @@ class HeadRules:
     def from_text(cls, text: str) -> "HeadRules":
         rules: dict[str, list[HeadRule]] = {}
         default = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # split as a text-mode file splits, so line numbers are the file's
+        for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

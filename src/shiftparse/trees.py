@@ -1,16 +1,21 @@
 """Treebank data structures and file formats.
 
 Dependency trees travel as CoNLL-style tab-separated blocks, constituency
-trees as PTB-style bracketed s-expressions. Bracketed input absorbs the
-preterminal layer into the token list: ``(PRP I)`` becomes a leaf holding
-the token index, with the tag stored on the token. All tree types are
-immutable values, so they are safe to share between threads.
+trees as PTB-style bracketed s-expressions. Bracketed input is read in one
+streaming pass and absorbs the preterminal layer into the token list:
+``(PRP I)`` becomes a leaf holding the token index, with the tag stored on
+the token. Every reader numbers lines as the file does, also for a string.
+All tree types are immutable values, so they are safe to share between
+threads.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 ROOT = -1  # head index of the root-attached token
@@ -243,11 +248,48 @@ _CONLL_MIN_COLS = 8
 
 
 def _lines(stream) -> Iterator[str]:
+    """The lines of stream without their ends. A string is split as a
+    text-mode file splits its text, at "\\n", "\\r\\n" and "\\r" only, so
+    line numbers are the file's."""
     if isinstance(stream, str):
-        yield from stream.splitlines()
-    else:
-        for line in stream:
-            yield line.rstrip("\n")
+        stream = io.StringIO(stream, newline=None)
+    for line in stream:
+        yield line.rstrip("\n")
+
+
+def _conll_block(rows: list[tuple[int, list[str]]], allow_missing_heads: bool):
+    """The DepTree of one block's (line number, fields) rows, or with
+    allow_missing_heads its Sentence."""
+    tokens, heads = [], []
+    for pos, (lineno, fields) in enumerate(rows):
+        try:
+            tok_id = int(fields[0])
+        except ValueError:
+            raise TreeReadError("token id %r is not an integer" % fields[0], lineno)
+        if tok_id != pos + 1:
+            # the rows before hold ids 1..pos, so a repeat is one of those
+            raise TreeReadError(("duplicate token id %d" if 1 <= tok_id <= pos
+                                 else "token ids must run 1..n, got %d") % tok_id, lineno)
+        try:
+            tokens.append(Token(fields[1], fields[4]))
+        except ValueError as exc:
+            raise TreeReadError(str(exc), lineno)
+        if fields[6] == "_" and allow_missing_heads:
+            continue
+        try:
+            head = int(fields[6])
+        except ValueError:
+            raise TreeReadError("head %r is not an integer" % fields[6], lineno)
+        if not (0 <= head <= len(rows)):
+            raise TreeReadError("head index %d out of range 0..%d" % (head, len(rows)), lineno)
+        heads.append(head - 1 if head > 0 else ROOT)
+    sentence = Sentence(tuple(tokens))
+    if allow_missing_heads:
+        return sentence
+    try:
+        return DepTree.from_heads(sentence, heads, [fields[7] for _, fields in rows])
+    except ValueError as exc:
+        raise TreeReadError(str(exc), rows[0][0])
 
 
 def read_conll(stream, allow_missing_heads: bool = False):
@@ -258,73 +300,20 @@ def read_conll(stream, allow_missing_heads: bool = False):
     may be "_" (input to be parsed), and a list of Sentence is returned.
     """
     trees: list = []
-    rows: list[tuple[int, list[str]]] = []  # (line number, fields)
-    block_start = None
-
-    def flush():
-        nonlocal rows, block_start
-        if not rows:
-            return
-        n = len(rows)
-        seen_ids = set()
-        tokens = []
-        heads: list[Optional[int]] = []
-        labels: list[str] = []
-        for pos, (lineno, fields) in enumerate(rows):
-            try:
-                tok_id = int(fields[0])
-            except ValueError:
-                raise TreeReadError("token id %r is not an integer" % fields[0], lineno)
-            if tok_id in seen_ids:
-                raise TreeReadError("duplicate token id %d" % tok_id, lineno)
-            seen_ids.add(tok_id)
-            if tok_id != pos + 1:
-                raise TreeReadError("token ids must run 1..n, got %d" % tok_id, lineno)
-            try:
-                tokens.append(Token(fields[1], fields[4]))
-            except ValueError as exc:
-                raise TreeReadError(str(exc), lineno)
-            head_field, label_field = fields[6], fields[7]
-            if head_field == "_" and allow_missing_heads:
-                heads.append(None)
-                labels.append(label_field)
-                continue
-            try:
-                head = int(head_field)
-            except ValueError:
-                raise TreeReadError("head %r is not an integer" % head_field, lineno)
-            if not (0 <= head <= n):
-                raise TreeReadError("head index %d out of range 0..%d" % (head, n), lineno)
-            heads.append(head - 1 if head > 0 else ROOT)
-            labels.append(label_field)
-        sentence = Sentence(tuple(tokens))
-        if allow_missing_heads:
-            trees.append(sentence)
-        else:
-            try:
-                trees.append(DepTree.from_heads(sentence, heads, labels))
-            except ValueError as exc:
-                raise TreeReadError(str(exc), block_start)
-        rows = []
-        block_start = None
-
-    lineno = 0
-    for line in _lines(stream):
-        lineno += 1
+    rows: list[tuple[int, list[str]]] = []  # the block's (line number, fields)
+    # a blank line after the last ends its block
+    for lineno, line in enumerate(chain(_lines(stream), [""]), start=1):
         stripped = line.strip()
         if not stripped:
-            flush()
-            continue
-        if stripped.startswith("#"):
-            continue
-        fields = line.split("\t") if "\t" in line else stripped.split()
-        if len(fields) < _CONLL_MIN_COLS:
-            raise TreeReadError(
-                "expected at least %d columns, got %d" % (_CONLL_MIN_COLS, len(fields)), lineno)
-        if block_start is None:
-            block_start = lineno
-        rows.append((lineno, fields))
-    flush()
+            if rows:
+                trees.append(_conll_block(rows, allow_missing_heads))
+                rows = []
+        elif not stripped.startswith("#"):
+            fields = line.split("\t") if "\t" in line else stripped.split()
+            if len(fields) < _CONLL_MIN_COLS:
+                raise TreeReadError(
+                    "expected at least %d columns, got %d" % (_CONLL_MIN_COLS, len(fields)), lineno)
+            rows.append((lineno, fields))
     return trees
 
 
@@ -348,107 +337,77 @@ def write_conll(trees: Iterable[DepTree]) -> str:
 
 _PAREN_ESCAPES = {"(": "-LRB-", ")": "-RRB-"}
 _PAREN_UNESCAPES = {"-LRB-": "(", "-RRB-": ")"}
+# a bracket or a run of other non-space characters; \s is str.isspace
+_BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
 # Deepest bracket nesting read_brackets accepts, the preterminal included.
-# Reading, head assignment, scoring, writing and tree comparison recurse per
-# level (comparison takes four frames a level), so a much deeper tree ends
-# in a RecursionError; treebank trees stay far below this.
+# Reading keeps its open brackets on a list, but head assignment, scoring,
+# writing and tree comparison recurse per level (comparison takes four
+# frames a level), so a much deeper tree would end in a RecursionError;
+# treebank trees stay far below this.
 MAX_BRACKET_DEPTH = 150
-
-
-def _lex_brackets(stream) -> Iterator[tuple[str, str, int]]:
-    """Yield (kind, text, line) with kind in {"(", ")", "atom"}."""
-    lineno = 0
-    for line in _lines(stream):
-        lineno += 1
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "()":
-                yield ch, ch, lineno
-                i += 1
-            else:
-                j = i
-                while j < len(line) and not line[j].isspace() and line[j] not in "()":
-                    j += 1
-                yield "atom", line[i:j], lineno
-                i = j
 
 
 def read_brackets(stream) -> list[ConstTree]:
     """Parse bracketed trees, absorbing the preterminal layer into tokens.
 
-    Accepts one tree per line or pretty-printed trees. A label-less outer
-    wrapper "( (S ...) )" around a single tree is unwrapped. head_child is
-    left unset; apply head rules afterwards. Nesting deeper than
+    Accepts one tree per line or pretty-printed trees, read in one pass
+    with a stack of the open brackets. A label-less outer wrapper
+    "( (S ...) )" around a single tree is unwrapped. head_child is left
+    unset; apply head rules afterwards. Nesting deeper than
     MAX_BRACKET_DEPTH is an error.
     """
-    tokens = list(_lex_brackets(stream))
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, tokens[-1][2] if tokens else 1)
-
-    def parse_node(token_acc: list[Token], depth: int = 1):
-        nonlocal pos
-        kind, text, line = peek()
-        if kind != "(":
-            raise TreeReadError("expected '(', got %r" % (text,), line)
-        if depth > MAX_BRACKET_DEPTH:
-            raise TreeReadError("brackets nested deeper than %d" % MAX_BRACKET_DEPTH, line)
-        pos += 1
-        kind, text, line = peek()
-        label = None
-        if kind == "atom":
-            label = text
-            pos += 1
-        kind, text, line = peek()
-        if kind == ")":
-            raise TreeReadError("empty constituent", line)
-        if kind == "atom":
-            # preterminal: (TAG form)
-            if label is None:
-                raise TreeReadError("form %r without a tag" % text, line)
-            form = _PAREN_UNESCAPES.get(text, text)
-            index = len(token_acc)
-            token_acc.append(Token(form, label))
-            pos += 1
-            kind, text, line = peek()
-            if kind != ")":
-                raise TreeReadError("preterminal %r must cover a single form" % label, line)
-            pos += 1
-            return Leaf(index)
-        children = []
-        while True:
-            kind, text, line = peek()
-            if kind == "(":
-                children.append(parse_node(token_acc, depth + 1))
-            elif kind == ")":
-                pos += 1
-                break
-            elif kind is None:
-                raise TreeReadError("unbalanced parentheses: unexpected end of input", line)
-            else:
-                raise TreeReadError("unexpected token %r inside constituent" % text, line)
-        if label is None:
-            if len(children) == 1 and isinstance(children[0], Internal):
-                return children[0]  # outer wrapper
-            raise TreeReadError("constituent with no label", line)
-        if not children:
-            raise TreeReadError("nonterminal %r with zero children" % label, line)
-        return Internal(label, tuple(children))
-
     trees = []
-    while pos < len(tokens):
-        kind, text, line = peek()
-        if kind == ")":
-            raise TreeReadError("unbalanced parentheses: unexpected ')'", line)
-        token_acc: list[Token] = []
-        node = parse_node(token_acc)
-        if isinstance(node, Leaf):
-            raise TreeReadError("a tree must have at least one constituent", line)
-        trees.append(ConstTree(Sentence(tuple(token_acc)), node))
+    tokens: list[Token] = []  # of the tree being read
+    # the open brackets, innermost last, as [label, content, line of "("]:
+    # content is the list of children, or a Leaf once a form follows the label
+    stack: list[list] = []
+    line = 0  # of the last bracket or atom
+    for lineno, text in enumerate(_lines(stream), start=1):
+        for atom in _BRACKET_TOKEN.findall(text):
+            line = lineno
+            top = stack[-1] if stack else None
+            if top and isinstance(top[1], Leaf) and atom != ")":
+                raise TreeReadError("preterminal %r must cover a single form" % top[0], line)
+            if atom == "(":
+                if len(stack) == MAX_BRACKET_DEPTH:
+                    raise TreeReadError("brackets nested deeper than %d" % MAX_BRACKET_DEPTH, line)
+                stack.append([None, [], line])
+            elif atom == ")":
+                if top is None:
+                    raise TreeReadError("unbalanced parentheses: unexpected ')'", line)
+                label, content, opened = stack.pop()
+                if not content:
+                    raise TreeReadError("empty constituent", line)
+                if isinstance(content, Leaf):
+                    if not stack:
+                        raise TreeReadError("a tree must have at least one constituent", opened)
+                    node = content
+                elif label is not None:
+                    node = Internal(label, tuple(content))
+                elif len(content) == 1 and isinstance(content[0], Internal):
+                    node = content[0]  # outer wrapper
+                else:
+                    raise TreeReadError("constituent with no label", line)
+                if stack:
+                    stack[-1][1].append(node)
+                else:
+                    trees.append(ConstTree(Sentence(tuple(tokens)), node))
+                    tokens = []
+            elif top is None:
+                raise TreeReadError("expected '(', got %r" % atom, line)
+            elif not top[1] and top[0] is None:
+                top[0] = atom
+            elif not top[1]:
+                # preterminal: (TAG form)
+                top[1] = Leaf(len(tokens))
+                tokens.append(Token(_PAREN_UNESCAPES.get(atom, atom), top[0]))
+            else:
+                raise TreeReadError("unexpected token %r inside constituent" % atom, line)
+    if stack:
+        label, content, _ = stack[-1]
+        raise TreeReadError("preterminal %r must cover a single form" % label
+                            if isinstance(content, Leaf)
+                            else "unbalanced parentheses: unexpected end of input", line)
     return trees
 
 

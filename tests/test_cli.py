@@ -5,7 +5,7 @@ import pytest
 from shiftparse import cli
 from shiftparse.cli import _build_config, build_parser, main
 from shiftparse.model import ConstConfig, DepConfig
-from shiftparse.evalmetrics import score_dep
+from shiftparse.evalmetrics import arc_recall_by_length, recall_table_csv, score_dep
 from shiftparse.trees import (MAX_BRACKET_DEPTH, read_brackets, read_conll, write_brackets,
                               write_conll)
 from shiftparse import synth
@@ -569,6 +569,76 @@ def test_train_flag_of_the_other_task_is_usage_error(tmp_path, dep_corpus, task,
     assert exc.value.code == 1
     assert "%s does not apply to --task %s" % (named, task) in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command, task, flags, named", [
+    ("oracle", "dep", ["--head-rules", "/nonexistent/rules.txt"], "--head-rules"),
+    ("train", "dep", ["--head-rules", "RULES"], "--head-rules"),
+    ("eval", "const", ["--include-punct"], "--include-punct"),
+    ("eval", "const", ["--punct-tags", "X"], "--punct-tags"),
+    ("eval", "const", ["--recall-by-length", "OUT"], "--recall-by-length"),
+    ("eval", "const", ["--max-bucket", "5"], "--max-bucket"),
+    ("eval", "dep", ["--keep-root"], "--keep-root"),
+], ids=["oracle-dep-head-rules", "train-dep-head-rules", "eval-const-include-punct",
+        "eval-const-punct-tags", "eval-const-recall-by-length", "eval-const-max-bucket",
+        "eval-dep-keep-root"])
+def test_command_flag_of_the_other_task_is_usage_error(tmp_path, dep_corpus, const_corpus,
+                                                        command, task, flags, named, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("VP right-to-left NP\n", encoding="utf-8")
+    corpus = str(dep_corpus if task == "dep" else const_corpus)
+    out = tmp_path / "out"
+    argv = {"oracle": ["--input", corpus, "--output", str(out)],
+            "train": ["--train", corpus, "--model", str(out)] + FAST_FLAGS,
+            "eval": ["--gold", corpus, "--pred", corpus]}[command]
+    flags = [{"RULES": str(rules), "OUT": str(out)}.get(f, f) for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--task", task] + argv + flags)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "%s does not apply to --task %s" % (named, task) in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_eval_const_keep_root_scores_the_root_brackets(const_corpus, capsys):
+    assert main(["eval", "--task", "const", "--gold", str(const_corpus),
+                 "--pred", str(const_corpus)]) == 0
+    assert main(["eval", "--task", "const", "--gold", str(const_corpus),
+                 "--pred", str(const_corpus), "--keep-root"]) == 0
+    first, second = (dict(field.split("=") for field in line.split())
+                     for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("matched="))
+    sentences = len(read_brackets(const_corpus.read_text(encoding="utf-8")))
+    assert int(second["gold"]) == int(first["gold"]) + sentences
+
+
+def test_eval_recall_csv_default_max_bucket_is_ten(tmp_path, dep_corpus):
+    csv = tmp_path / "recall.csv"
+    assert main(["eval", "--task", "dep", "--gold", str(dep_corpus),
+                 "--pred", str(dep_corpus), "--recall-by-length", str(csv)]) == 0
+    trees = read_conll(dep_corpus.read_text(encoding="utf-8"))
+    assert csv.read_text(encoding="utf-8") == recall_table_csv(
+        arc_recall_by_length(trees, trees, max_bucket=10))
+
+
+def test_head_rules_lines_are_numbered_as_in_the_file(tmp_path, const_corpus, capsys):
+    # str.splitlines() would also break line 1 at its form feed
+    rules = tmp_path / "rules.txt"
+    rules.write_text("NP right-to-left NN\x0c\nVP sideways VB\n", encoding="utf-8")
+    assert main(["oracle", "--task", "const", "--input", str(const_corpus),
+                 "--head-rules", str(rules)]) == 2
+    assert "error: line 2: unknown direction 'sideways'" in capsys.readouterr().err
+
+
+def test_oracle_replay_of_a_label_holding_a_form_feed(tmp_path, capsys):
+    conll = tmp_path / "ff.conll"
+    conll.write_text("1\tthe\t_\tDT\tDT\t_\t2\td\x0ct\n"
+                     "2\tdog\t_\tNN\tNN\t_\t3\tnsubj\n"
+                     "3\tbarks\t_\tVBZ\tVBZ\t_\t0\troot\n", encoding="utf-8")
+    assert main(["oracle", "--task", "dep", "--input", str(conll), "--replay"]) == 0
+    out, err = capsys.readouterr()
+    assert "LEFT:d\x0ct" in out.split("\n")
+    assert "replay: 0 mismatches over 1 sentences" in err
 
 
 def _unary_chain(depth: int) -> str:

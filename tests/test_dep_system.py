@@ -151,6 +151,15 @@ def test_action_dump_crlf_blank_line_ends_sentence():
     assert read_actions(text, DepAction) == [HAND_SEQUENCE, [DepAction(SHIFT)]]
 
 
+def test_action_dump_lines_are_numbered_as_in_the_file():
+    # a label may hold characters that end lines for str.splitlines() only
+    text = "SHIFT\nSHIFT\nLEFT:a\x0cb\x1cc\x85d\u2028e\nBOGUS\n"
+    with pytest.raises(ValueError, match=r"^line 4: cannot parse DepAction 'BOGUS'"):
+        read_actions(text, DepAction)
+    [actions] = read_actions(text.replace("BOGUS\n", "SHIFT\n"), DepAction)
+    assert actions[2] == DepAction(LEFT, "a\x0cb\x1cc\x85d\u2028e")
+
+
 def test_action_validation():
     with pytest.raises(ValueError):
         DepAction(SHIFT, "label")

@@ -93,6 +93,14 @@ def test_rule_file_errors():
         HeadRules.from_text("VP\n")
 
 
+def test_rule_file_lines_are_numbered_as_in_the_file():
+    # \x0c, \x1c and \x85 end lines for str.splitlines() but not in a file
+    for space in ("\x0c", "\x1c", "\x85", "\u2028"):
+        with pytest.raises(ValueError, match="^line 3: unknown direction 'sideways'"):
+            HeadRules.from_text("NP right-to-left NN%s\r\nS left-to-right VP\rVP sideways VB\n"
+                                % space)
+
+
 def test_matches_leaf_tags_and_internal_labels():
     rules = HeadRules.from_text("S left-to-right VP\nVP left-to-right VBP\n")
     [tree] = read_brackets("(S (NP (NN a)) (VP (VBP runs)))")

@@ -17,7 +17,7 @@ from shiftparse.const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE, C_SHIFT
                                      ConstAction, const_initial)
 from shiftparse.dep_system import LEFT, RIGHT, SHIFT, DepAction, dep_initial, dep_legal
 from shiftparse.headrules import HeadRules
-from shiftparse.model import (ConstConfig, ConstModel, DecodeStepLimit, DepConfig,
+from shiftparse.model import (ActionSpace, ConstConfig, ConstModel, DecodeStepLimit, DepConfig,
                               DepModel, ModelIOError, load_model, model_grad_check,
                               save_best, save_model)
 from shiftparse.trees import Sentence, Token
@@ -394,6 +394,18 @@ def _whole_table_classify(model, enc, scored):
 
 def _close(a, b):
     return np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+
+def test_action_space_targets_pair_each_labeled_state_with_its_label():
+    actions = [DepAction(SHIFT), DepAction(SHIFT), DepAction(LEFT, "b"), DepAction(SHIFT),
+               DepAction(RIGHT, "a"), DepAction(SHIFT), DepAction(LEFT, "c")]
+    hier = ActionSpace(DepAction, ["a", "b", "c"], hierarchical=True)
+    # columns: SHIFT, LEFT, RIGHT; the label head scores states 2, 4 and 6
+    assert hier.targets(actions) == [("head.struct", (slice(None), [0, 0, 1, 0, 2, 0, 1])),
+                                     ("head.label", ([2, 4, 6], [1, 0, 2]))]
+    flat = ActionSpace(DepAction, ["a", "b", "c"], hierarchical=False)
+    # columns: SHIFT, then LEFT and RIGHT over the labels a, b, c
+    assert flat.targets(actions) == [("head.flat", (slice(None), [0, 0, 2, 0, 4, 0, 3]))]
 
 
 @pytest.mark.parametrize("task", ["dep", "const"])

@@ -582,6 +582,18 @@ def test_adadelta_two_step_trace():
     assert abs(store["x"].value[0] - expected[1]) < 1e-12
 
 
+def test_adadelta_two_step_trace_with_gradient_two():
+    # g*g != g, so the trace tells E[g^2] from E[g]
+    store = make_store(x=np.zeros(1))
+    expected = hand_adadelta_trace([2.0, 2.0])
+    # first step: -sqrt(eps)/sqrt(0.01*4+eps)*2, again close to -sqrt(eps/0.01)
+    assert abs(expected[0] - (-3.1622e-3)) < 1e-6
+    for want in expected:
+        store["x"].grad[...] = 2.0
+        store.adadelta_step(rho=0.99, eps=1e-7)
+        assert abs(store["x"].value[0] - want) < 1e-12
+
+
 def test_adadelta_zero_gradient_decays_accumulators():
     store = make_store(x=np.array([2.0]))
     store["x"].eg2[...] = 0.5

@@ -216,3 +216,66 @@ def test_read_tagged_text():
     assert sentences[1].tags == ("NNS", "VBP")
     with pytest.raises(TreeReadError):
         read_tagged_text("oops\n")
+
+
+def _row(tok_id, form="w", tag="NN", head="0", label="root"):
+    return "\t".join([tok_id, form, "_", "_", tag, "_", head, label, "_", "_"]) + "\n"
+
+
+GOOD_BLOCK = _row("1", head="2", label="det") + _row("2") + "\n"
+
+
+@pytest.mark.parametrize("reader, text, line, message", [
+    ("conll", GOOD_BLOCK + "1\tw\tNN\n", 4, "expected at least 8 columns, got 3"),
+    ("conll", "# c\n" + _row("x"), 2, "token id 'x' is not an integer"),
+    ("conll", _row("1") + _row("1", head="1"), 2, "duplicate token id 1"),
+    ("conll", _row("1") + _row("3", head="1"), 2, "token ids must run 1..n, got 3"),
+    ("conll", _row("1") + _row("2", form="", head="1"), 2, "token form must be non-empty"),
+    ("conll", _row("1", tag=""), 1, "token tag must be non-empty"),
+    ("conll", GOOD_BLOCK + _row("1", head="x"), 4, "head 'x' is not an integer"),
+    ("conll", _row("1") + _row("2", head="3"), 2, "head index 3 out of range 0..2"),
+    ("conll", GOOD_BLOCK + _row("1", head="2") + _row("2", head="1"), 4,
+     "cycle in head assignments at token 0"),
+    ("conll", GOOD_BLOCK + "\n" + _row("1") + _row("2"), 5,
+     "expected exactly one root-attached token, got 2"),
+    ("conll-missing", _row("1", head="_") + _row("2", head="-1"), 2,
+     "head index -1 out of range 0..2"),
+    ("brackets", "(S (NN a))\n)", 2, "unbalanced parentheses: unexpected ')'"),
+    ("brackets", "(S (NN a))\nS", 2, "expected '(', got 'S'"),
+    ("brackets", "(S (NN a))\n" + "(A " * 150 + "(NN a)" + ")" * 150, 2,
+     "brackets nested deeper than 150"),
+    ("brackets", "(S (NN a)\n  ())", 2, "empty constituent"),
+    ("brackets", "(S\n)", 2, "empty constituent"),
+    ("brackets", "(S (NN a\n b))", 2, "preterminal 'NN' must cover a single form"),
+    ("brackets", "(S (NN a\n (X b)))", 2, "preterminal 'NN' must cover a single form"),
+    ("brackets", "(S (NN a\n\n", 1, "preterminal 'NN' must cover a single form"),
+    ("brackets", "(S (NN a)\n b)", 2, "unexpected token 'b' inside constituent"),
+    ("brackets", "(S (NN a)\n\n", 1, "unbalanced parentheses: unexpected end of input"),
+    ("brackets", "(S\n", 1, "unbalanced parentheses: unexpected end of input"),
+    ("brackets", "(\n (NN a)\n)", 3, "constituent with no label"),
+    ("brackets", "( (S (NN a))\n (S (NN b)) )", 2, "constituent with no label"),
+    ("brackets", "(S (NN a))\n(NN\n dog)", 2, "a tree must have at least one constituent"),
+])
+def test_reader_error_messages_and_lines_are_pinned(reader, text, line, message):
+    read = {"conll": read_conll, "brackets": read_brackets,
+            "conll-missing": lambda t: read_conll(t, allow_missing_heads=True)}[reader]
+    with pytest.raises(TreeReadError) as exc:
+        read(text)
+    assert str(exc.value) == "line %d: %s" % (line, message)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                   "\u2028", "\u2029"])
+def test_string_input_lines_are_numbered_as_in_the_file(space):
+    # str.splitlines() breaks at each of these; a file, and so a reader, does not
+    conll = "1\ta%sb\t_\t_\tDT\t_\t0\troot\t_\t_\r\n\r\n1\tc\tDT\n" % space
+    with pytest.raises(TreeReadError) as exc:
+        read_conll(conll)
+    assert str(exc.value) == "line 3: expected at least 8 columns, got 3"
+    [sentence] = read_conll(conll.split("\r\n\r\n")[0], allow_missing_heads=True)
+    assert sentence.forms == ("a%sb" % space,)
+    with pytest.raises(TreeReadError, match="^line 2: unexpected token 'x'"):
+        read_brackets("(S (NN a)%s(NN b)\r x)" % space)
+    with pytest.raises(TreeReadError, match="^line 2: expected form/tag"):
+        read_tagged_text("a/DT%sb/NN\roops\n" % space)

@@ -86,9 +86,10 @@ MUTANTS = (
     Mutant("adadelta-squared-gradient", "src/shiftparse/nn.py",
            "    np.multiply(1.0 - rho, g, out=a)\n    a *= g\n",
            "    np.multiply(1.0 - rho, g, out=a)\n",
-           "E[g^2] accumulates the squared gradient; the hand-computed two-step "
-           "traces use g = 1, where g*g == g, so only random gradients notice",
-           ("tests/test_nn.py::test_adadelta_in_place_update_is_bitwise_the_formula",)),
+           "E[g^2] accumulates the squared gradient; a trace with g = 1 cannot tell, "
+           "since g*g == g, so the hand-computed one uses g = 2",
+           ("tests/test_nn.py::test_adadelta_two_step_trace_with_gradient_two",
+            "tests/test_nn.py::test_adadelta_in_place_update_is_bitwise_the_formula")),
     Mutant("load-accepts-non-finite", "src/shiftparse/model.py",
            "if not np.isfinite(p.value).all():", "if False:",
            "load_model rejects a tensor holding NaN or infinity",
@@ -116,6 +117,40 @@ MUTANTS = (
            'gradcheck_config={"nonterminal_dims": 6, "l2": 0.0}', "gradcheck_config={}",
            "gradcheck checks a toy-sized constituency model without l2, as for dependencies",
            ("tests/test_cli.py",)),
+    Mutant("classify-rows-right-of-ids", "src/shiftparse/model.py",
+           "ids = np.searchsorted(rows[prefix], ids)",
+           'ids = np.searchsorted(rows[prefix], ids, side="right")',
+           "a selected-rows table's row of an id is the id's position among the rows",
+           ("tests/test_model.py::test_used_rows_tables_match_whole_tables",)),
+    Mutant("label-head-rows-reversed", "src/shiftparse/model.py",
+           "(rows, [self.label_id[actions[r].label] for r in rows])",
+           "(rows[::-1], [self.label_id[actions[r].label] for r in rows])",
+           "the label head scores each labeled state against that state's own label",
+           ("tests/test_model.py::"
+            "test_action_space_targets_pair_each_labeled_state_with_its_label",)),
+    Mutant("bracket-depth-unchecked", "src/shiftparse/trees.py",
+           "if len(stack) == MAX_BRACKET_DEPTH:", "if False:",
+           "a tree nested past MAX_BRACKET_DEPTH is a data error, not a RecursionError later",
+           ("tests/test_trees.py::test_reader_error_messages_and_lines_are_pinned",
+            "tests/test_cli.py::test_tree_nested_past_the_bound_is_data_error")),
+    Mutant("leaf-tree-at-closing-line", "src/shiftparse/trees.py",
+           'raise TreeReadError("a tree must have at least one constituent", opened)',
+           'raise TreeReadError("a tree must have at least one constituent", line)',
+           "a tree that is one preterminal is reported at the line that opens it",
+           ("tests/test_trees.py::test_reader_error_messages_and_lines_are_pinned",)),
+    Mutant("conll-repeat-as-order", "src/shiftparse/trees.py",
+           "if 1 <= tok_id <= pos", "if 1 <= tok_id < pos",
+           "an id that repeats the previous row's is a duplicate, not out of order",
+           ("tests/test_trees.py::test_reader_error_messages_and_lines_are_pinned",)),
+    Mutant("string-lines-split-by-splitlines", "src/shiftparse/trees.py",
+           "stream = io.StringIO(stream, newline=None)", "stream = stream.splitlines()",
+           "a string is split only at line ends, so \\x0c or \\x85 in a field keeps the "
+           "file's line numbers",
+           ("tests/test_trees.py::test_string_input_lines_are_numbered_as_in_the_file",)),
+    Mutant("const-accepts-recall-csv", "src/shiftparse/cli.py",
+           '"punct_tags", "recall_by_length", "max_bucket"', '"punct_tags", "max_bucket"',
+           "eval --task const rejects --recall-by-length, which only dep writes",
+           ("tests/test_cli.py::test_command_flag_of_the_other_task_is_usage_error",)),
 )
 
 
