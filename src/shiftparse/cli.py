@@ -250,15 +250,16 @@ def cmd_eval(args) -> int:
         punct = frozenset(args.punct_tags.split(",")) if args.punct_tags else None
         score = score_dep(gold, pred, exclude_punct=not args.include_punct,
                           punct_tags=punct)
-        # before any output, so a bad --max-bucket prints no scores
+        # before any output, so a bad --max-bucket prints no scores, with or
+        # without a table to write
         max_bucket = 10 if args.max_bucket is None else args.max_bucket
         rows = (arc_recall_by_length(gold, pred, max_bucket=max_bucket)
-                if args.recall_by_length else None)
+                if args.recall_by_length or args.max_bucket is not None else None)
         print("uas=%.2f" % score.uas)
         print("las=%.2f" % score.las)
         print("correct_heads=%d correct_labeled=%d scored=%d"
               % (score.correct_heads, score.correct_labeled, score.scored))
-        if rows is not None:
+        if args.recall_by_length:
             _write_output(args.recall_by_length, recall_table_csv(rows))
     else:
         score = score_brackets(read_brackets(_read_lines(args.gold)),

@@ -51,6 +51,22 @@ forward pass, the forward direction's three gradient GEMMs in the
 backward pass. Every step loop runs on the calling thread, and the
 results are bitwise those of one thread.
 
+Each model owns the memory it trains with, one nn.Workspace kept between
+minibatches: fit makes it current for each update (the forward-backward
+pass, gradient clipping and the ADADELTA step), and _forward_backward
+for its own pass, so every large array of an update is a view of memory
+an earlier update already touched (see nn.py for the page faults this
+saves). Its scopes follow the arrays' lifetimes: the encoder's caches
+and output and the first head's input gradients last the whole update;
+the first-layer tables, their gradients and the classifier's other
+scratch end with _classify, each head's states of each sentence have a
+scope of their own, and so does each layer's backward scratch. So memory
+is shared only by arrays never live at once, and the workspace holds
+about what an update's arrays took at their peak before it existed (a
+pool that reused arrays by shape, whatever their lifetimes, raised the
+peak resident memory by 25-36%). It grows to the largest minibatch seen and lives as long as the
+model. Decoding uses none and allocates as numpy does.
+
 A model is built on one path, whatever the source of its initial values.
 A new model draws them from a generator seeded with config.seed, parameter
 by parameter in store order, and goes on drawing dropout masks and epoch
@@ -244,8 +260,15 @@ def _packing(lengths: Sequence[int]):
 
 
 def _add_rows(out, rows, a, b):
-    """out[rows] += a @ b"""
-    out[rows] += a @ b
+    """out[rows] += a @ b, for rows a slice or sorted distinct row indices"""
+    with nn.scratch():
+        product = np.matmul(a, b, out=nn.take((len(a), b.shape[1]), out.dtype))
+        if isinstance(rows, slice):
+            out[rows] += product
+        else:
+            summed = nn.gather(out, rows)
+            summed += product
+            out[rows] = summed
 
 
 class _Initial:
@@ -306,6 +329,7 @@ class _EncoderModel:
         self.store = nn.ParamStore(np.dtype(config.precision))
         self.best_params: Optional[dict[str, np.ndarray]] = None
         self._snapshot: Optional[dict[str, np.ndarray]] = None   # the last snapshot() made
+        self._workspace = nn.Workspace()      # training's arrays, kept between updates
         init = _Initial(self.rng if fill else None, self.store.dtype)
         try:
             self._build_encoder(init)
@@ -406,26 +430,34 @@ class _EncoderModel:
                 masks.append([nn.dropout_mask(rng, (len(sentence), width), cfg.dropout, st.dtype)
                               for _ in range(connections)])
         word_ids, tag_ids = (np.concatenate(column) for column in zip(*ids))
-        masks = [np.concatenate(column) for column in zip(*masks)] if masks else [None] * connections
+        n = len(word_ids)
+        masks = ([np.concatenate(column, out=nn.take((n, width), st.dtype))
+                  for column in zip(*masks)] if masks else [None] * connections)
         in_masks, feat_masks = [None] + masks[:cfg.layers - 1], masks[cfg.layers - 1:]
         sizes, (fwd, bwd) = _packing([len(sentence) for sentence in sentences])
         x = st["emb.word"].value[word_ids]
         if cfg.use_tags:
             x = np.concatenate([x, st["emb.tag"].value[tag_ids]], axis=1)
-        outputs, layers = [], []
+        enc = nn.take((n, width * cfg.layers), st.dtype)
+        layers = []
         for layer, mask in enumerate(in_masks, 1):
-            if layer > 1:
-                x = outputs[-1] if mask is None else outputs[-1] * mask
+            packed = [nn.gather(x, rows) for rows in (fwd, bwd)]
+            if mask is not None:
+                for rows, xs in zip((fwd, bwd), packed):
+                    with nn.scratch():
+                        xs *= nn.gather(mask, rows)
             (wf, bf), (wb, bb) = self._lstm_params(layer)
-            (hf, cf), (hb, cb) = nn.bilstm_forward((wf.value, bf.value, nn.Packed(x[fwd], sizes)),
-                                                   (wb.value, bb.value, nn.Packed(x[bwd], sizes)))
-            out = np.empty((len(x), width), dtype=st.dtype)
-            out[fwd, :units] = hf
-            out[bwd, units:] = hb
-            outputs.append(out)
+            (hf, cf), (hb, cb) = nn.bilstm_forward((wf.value, bf.value, nn.Packed(packed[0], sizes)),
+                                                   (wb.value, bb.value, nn.Packed(packed[1], sizes)))
+            # the layer's output, the next layer's input, and its features
+            x = enc[:, width * (layer - 1):width * layer]
+            x[fwd, :units] = hf
+            x[bwd, units:] = hb
             layers.append((mask, cf, cb))
-        feats = [o if m is None else o * m for o, m in zip(outputs, feat_masks)]
-        return np.concatenate(feats, axis=1), (word_ids, tag_ids, (fwd, bwd), layers, feat_masks)
+        for layer, mask in enumerate(feat_masks):
+            if mask is not None:
+                enc[:, width * layer:width * (layer + 1)] *= mask
+        return enc, (word_ids, tag_ids, (fwd, bwd), layers, feat_masks)
 
     def _lstm_params(self, layer: int):
         """The (weights, bias) parameters of a layer's two directions."""
@@ -435,25 +467,32 @@ class _EncoderModel:
     def _encode_backward(self, cache, dfeat):
         cfg, st = self.config, self.store
         word_ids, tag_ids, (fwd, bwd), layers, feat_masks = cache
-        units = cfg.lstm_units
+        units, width = cfg.lstm_units, 2 * cfg.lstm_units
         dx = None   # gradient of the input of the layer above
         for layer in range(cfg.layers, 0, -1):
             in_mask, cf, cb = layers[layer - 1]
             feat_mask = feat_masks[layer - 1]
-            dout = dfeat[:, 2 * units * (layer - 1):2 * units * layer]
-            if feat_mask is not None:
-                dout = dout * feat_mask
-            if dx is not None:
-                dout = dout + dx
             (wf, bf), (wb, bb) = self._lstm_params(layer)
-            dxf, dxb = nn.bilstm_backward(
-                (wf.value, bf.value, cf, dout[fwd, :units], wf.grad, bf.grad),
-                (wb.value, bb.value, cb, dout[bwd, units:], wb.grad, bb.grad))
-            dx = np.empty_like(dxf)
-            dx[fwd] = dxf
-            dx[bwd] += dxb
+            # the layer's input gradient outlives the scratch of its backward pass
+            dx_in = nn.take((len(dfeat), wf.value.shape[0] - units), st.dtype)
+            with nn.scratch():
+                dout = nn.take((len(dfeat), width), st.dtype)
+                if feat_mask is None:
+                    dout[...] = dfeat[:, width * (layer - 1):width * layer]
+                else:
+                    np.multiply(dfeat[:, width * (layer - 1):width * layer], feat_mask, out=dout)
+                if dx is not None:
+                    dout += dx
+                dxf, dxb = nn.bilstm_backward(
+                    (wf.value, bf.value, cf, nn.gather(dout[:, :units], fwd), wf.grad, bf.grad),
+                    (wb.value, bb.value, cb, nn.gather(dout[:, units:], bwd), wb.grad, bb.grad))
+                dx_in[fwd] = dxf
+                summed = nn.gather(dx_in, bwd)
+                summed += dxb
+                dx_in[bwd] = summed
+            dx = dx_in
             if in_mask is not None:
-                dx = dx * in_mask
+                dx *= in_mask
         np.add.at(st["emb.word"].grad, word_ids, dx[:, :cfg.word_dims])
         if cfg.use_tags:
             np.add.at(st["emb.tag"].grad, tag_ids, dx[:, cfg.word_dims:])
@@ -466,9 +505,10 @@ class _EncoderModel:
         contiguous block of W1 rows and fills its own block of table rows:
         position slots take the encoder rows followed by the absent vectors,
         label slots the nonterminal table (NONE included)."""
-        groups = [(np.concatenate([enc] + [self.store["none." + f].value[None]
-                                           for f in self.families]),
-                   len(self.position_families))]
+        inputs = nn.take((len(enc) + len(self.families), enc.shape[1]), enc.dtype)
+        np.concatenate([enc] + [self.store["none." + f].value[None] for f in self.families],
+                       out=inputs)
+        groups = [(inputs, len(self.position_families))]
         if self.label_slots:
             groups.append((self.store["emb.nonterminal"].value, self.label_slots))
         out, w_at, t_at = [], 0, 0
@@ -515,29 +555,30 @@ class _EncoderModel:
         _project builds: row i is that table's row rows[i]. The slots' GEMMs
         run on two threads, from input rows gathered here."""
         w1 = self.store[prefix + ".w1"].value
-        table = np.empty((len(rows), w1.shape[1]), dtype=w1.dtype)
-        nn.side_by_side([partial(nn.set_product, groups[g][0][picked], w1[w_rows], table[t_rows])
-                         for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows)])
+        table = nn.take((len(rows), w1.shape[1]), w1.dtype)
+        with nn.scratch():
+            nn.side_by_side([partial(nn.set_product, nn.gather(groups[g][0], picked), w1[w_rows],
+                                     table[t_rows])
+                             for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows)])
         return table
 
-    def _project_rows_backward(self, prefix: str, groups, rows, dtable):
+    def _project_rows_backward(self, prefix: str, groups, rows, dtable, dinputs):
         """From the gradient of a table built by _project_rows, accumulate
-        dW1 one slot at a time; returns the gradient of each group's inputs.
-        The input gradients accumulate on the calling thread, in slot order;
-        the dW1 GEMMs run on both threads, from input rows gathered here,
-        the helper's through one product buffer."""
+        dW1 one slot at a time, and into dinputs the gradient of each
+        group's inputs. The input gradients accumulate on the calling
+        thread, in slot order; the dW1 GEMMs run on both threads, from input
+        rows gathered here, the helper's through one product buffer."""
         w1 = self.store[prefix + ".w1"]
-        dinputs = [np.zeros_like(inputs) for inputs, *_ in groups]
         blocks = list(self._slot_blocks(groups, rows))
-        product = np.empty((max((w.stop - w.start for _, w, _, _ in blocks), default=0),
-                            w1.value.shape[1]), dtype=w1.value.dtype)
-        nn.side_by_side(
-            [partial(nn.add_product, groups[g][0][picked].T, dtable[t_rows], w1.grad[w_rows],
-                     product[:w_rows.stop - w_rows.start])
-             for g, w_rows, picked, t_rows in blocks],
-            [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)
-             for g, w_rows, picked, t_rows in blocks])
-        return dinputs
+        with nn.scratch():
+            product = nn.take((max((w.stop - w.start for _, w, _, _ in blocks), default=0),
+                               w1.value.shape[1]), w1.value.dtype)
+            nn.side_by_side(
+                [partial(nn.add_product, nn.gather(groups[g][0], picked).T, dtable[t_rows],
+                         w1.grad[w_rows], product[:w_rows.stop - w_rows.start])
+                 for g, w_rows, picked, t_rows in blocks],
+                [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)
+                 for g, w_rows, picked, t_rows in blocks])
 
     def _slot_ids(self, n: int, rows, offset: int = 0):
         """Table rows selected by feature rows [(positions, label ids)] of a
@@ -561,9 +602,10 @@ class _EncoderModel:
         head over their stacked encoder rows, holding only the rows those
         states select, and each sentence's states are scored and
         backpropagated into it on their own."""
-        enc, cache = self._encode([tree.sentence for tree, _ in batch], train, rng)
-        loss, denc = self._classify(enc, self._replay(batch, len(enc)))
-        self._encode_backward(cache, denc)
+        with self._workspace.scope():
+            enc, cache = self._encode([tree.sentence for tree, _ in batch], train, rng)
+            loss, denc = self._classify(enc, self._replay(batch, len(enc)))
+            self._encode_backward(cache, denc)
         return loss
 
     def _replay(self, batch, n: int):
@@ -587,28 +629,40 @@ class _EncoderModel:
         """Loss of the states _replay lists, accumulating the classifier's
         gradients; returns it with the gradient of enc. Each head's table is
         built at the rows its states select only, and it and its gradient
-        are freed on return."""
-        groups = self._slot_groups(enc)
-        rows = {prefix: self._table_rows(len(enc), np.concatenate(
-                    [ids for heads in scored for head, ids, _ in heads if head == prefix]))
-                for prefix in self.space.heads}
-        tables = {prefix: self._project_rows(prefix, groups, rows[prefix])
-                  for prefix in self.space.heads}
-        dtables = {prefix: np.zeros_like(table) for prefix, table in tables.items()}
-        loss = 0.0
-        for heads in scored:
-            for prefix, ids, gold in heads:
-                if gold:
-                    ids = np.searchsorted(rows[prefix], ids)
-                    scores, mcache = self._mlp_forward(prefix, tables, ids)
-                    head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
-                    loss += head_loss
-                    self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
-        dinputs = None
-        for prefix in self.space.heads:
-            dhead = self._project_rows_backward(prefix, groups, rows[prefix], dtables[prefix])
-            dinputs = dhead if dinputs is None else [a + b for a, b in zip(dinputs, dhead)]
+        are released on return."""
         n = len(enc)
+        # the first head's input gradients, which the others' are added to,
+        # outlive the classifier's scratch
+        dinputs = [nn.take_zeros((n + len(self.families), enc.shape[1]), enc.dtype)]
+        if self.label_slots:
+            nonterminal = self.store["emb.nonterminal"].value
+            dinputs.append(nn.take_zeros(nonterminal.shape, nonterminal.dtype))
+        with nn.scratch():
+            groups = self._slot_groups(enc)
+            rows = {prefix: self._table_rows(n, np.concatenate(
+                        [ids for heads in scored for head, ids, _ in heads if head == prefix]))
+                    for prefix in self.space.heads}
+            tables = {prefix: self._project_rows(prefix, groups, rows[prefix])
+                      for prefix in self.space.heads}
+            dtables = {prefix: nn.take_zeros(table.shape, table.dtype)
+                       for prefix, table in tables.items()}
+            loss = 0.0
+            for heads in scored:
+                for prefix, ids, gold in heads:
+                    if gold:
+                        with nn.scratch():
+                            ids = np.searchsorted(rows[prefix], ids)
+                            scores, mcache = self._mlp_forward(prefix, tables, ids)
+                            head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
+                            loss += head_loss
+                            self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
+            first, *others = self.space.heads
+            self._project_rows_backward(first, groups, rows[first], dtables[first], dinputs)
+            for prefix in others:
+                dhead = [nn.take_zeros(d.shape, d.dtype) for d in dinputs]
+                self._project_rows_backward(prefix, groups, rows[prefix], dtables[prefix], dhead)
+                for total, more in zip(dinputs, dhead):
+                    total += more
         for i, family in enumerate(self.families):
             self.store["none." + family].grad += dinputs[0][n + i]
         if self.label_slots:
@@ -677,9 +731,10 @@ class _EncoderModel:
             epoch_loss = 0.0
             for start in range(0, len(order), cfg.minibatch):
                 batch = [data[idx] for idx in order[start:start + cfg.minibatch]]
-                epoch_loss += self._forward_backward(batch, True, self.rng)
-                self._clip_grads()
-                self.store.adadelta_step(cfg.rho, cfg.eps, cfg.l2)
+                with self._workspace.scope():
+                    epoch_loss += self._forward_backward(batch, True, self.rng)
+                    self._clip_grads()
+                    self.store.adadelta_step(cfg.rho, cfg.eps, cfg.l2)
             line = "epoch=%d loss=%.6f" % (epoch, epoch_loss)
             if dev_trees:
                 metric, rendered = self._dev_metric(dev_trees)

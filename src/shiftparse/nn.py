@@ -31,9 +31,9 @@ these phases (input GEMM, step loop, gradient GEMMs), the one copy of the
 LSTM arithmetic; bilstm_forward and bilstm_backward run a Bi-LSTM layer's
 two directions through the same phases, interleaved across two threads.
 ADADELTA updates each parameter in place, one cache-sized chunk of its
-flattened arrays at a time, through two scratch chunks per thread
-allocated per call, and each chunk is read from main memory once for the
-whole op sequence instead of once per op. Without L2, a matrix most of
+flattened arrays at a time, through two scratch chunks per thread, and
+each chunk is read from main memory once for the whole op sequence
+instead of once per op. Without L2, a matrix most of
 whose rows got no gradient (an embedding table) runs the sequence on a
 copy of the other rows only; the rest just decay their two running
 averages, which is what the sequence does at g = 0.
@@ -67,13 +67,33 @@ thread, so results are bitwise those of one thread and do not depend on
 the CPU count, provided the BLAS thread count is fixed: left unset,
 OpenBLAS takes one thread per CPU and its GEMMs round differently. CI and
 bench/run.py pin one BLAS thread.
+
+Training memory belongs to the model that trains (a Workspace, see
+model.py), not to the ops. An op takes its large arrays through take(),
+take_zeros() and gather(), which read the current workspace from a
+context variable, so the ops keep their signatures: the LSTM's gates, c,
+tanh c, h, backward factors, dZ, previous-row gather, product buffers and
+dxs; the MLP's gathered w1 rows, pre-activations, hidden units, scores
+and backward scratch; softmax's probabilities; ADADELTA's scratch. An op
+that releases scratch of its own before returning does so in scratch().
+With no workspace current (decoding, or a caller of the ops), each is a
+new numpy array. The reason is the kernel: freed at the end of each
+update, the 30 MB (dependency parser) to 55 MB (constituency parser) of
+such arrays of a ten-sentence update at the paper's sizes went back to
+the operating system, and the next update faulted them in again as
+zeroed pages: 6k-10k minor page faults and 10-45 ms of kernel time per
+update, which took 130-350 ms in all. Taken from a workspace that an
+earlier update filled, they touch no fresh page. A side_by_side job takes nothing: the caller takes what the
+job writes before handing it off.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import contextvars
 import functools
+import math
 import os
 import queue
 import threading
@@ -218,6 +238,107 @@ def side_by_side(jobs, caller_jobs=()):
         raise shared.error
 
 
+# ---------------------------------------------------------------------------
+# training memory
+# ---------------------------------------------------------------------------
+
+_current: contextvars.ContextVar = contextvars.ContextVar("shiftparse.nn workspace",
+                                                          default=None)
+_ALIGN = 64     # bytes; every array taken starts on a cache line
+_NO_SCOPE = contextlib.nullcontext()
+# bytes in a workspace's first block at least: glibc's largest dynamic mmap
+# threshold, so that every block is a mapping of its own, never heap memory
+# that the program's other arrays would share; its pages are mapped only
+# once touched
+_FIRST_BLOCK = 32 << 20
+
+
+class Workspace:
+    """Memory that training keeps from one update to the next.
+
+    A stack of bytes: take() hands out the next free bytes as an array, and
+    a scope() gives back, when it ends, everything taken inside it. So two
+    arrays share memory only when one was released before the other was
+    taken. The bytes lie in blocks, each at least as large as all before it
+    together, so a few blocks hold any update; an array that does not fit
+    in what is left of a block starts the next one, and where there is
+    none, a block is added. Nothing is freed before the workspace is: it
+    grows to the largest update seen, and an update that fits touches no
+    fresh page.
+
+    While a scope is open the workspace is current in its context, and
+    take(), take_zeros(), gather() and scratch() below use it; with none
+    current they allocate as numpy does."""
+
+    def __init__(self):
+        # (first byte, end, memory, offset of its first aligned byte), with
+        # bytes numbered on from one block to the next
+        self._blocks: list[tuple[int, int, np.ndarray, int]] = []
+        self._top = 0       # the bytes below are taken by the open scopes
+
+    def take(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array, valid until the innermost
+        open scope ends."""
+        dtype = np.dtype(dtype)
+        nbytes = -(-math.prod(shape) * dtype.itemsize // _ALIGN) * _ALIGN
+        for start, end, memory, lead in self._blocks:
+            at = max(self._top, start)
+            if at + nbytes <= end:
+                break
+        else:
+            start = at = self._blocks[-1][1] if self._blocks else 0
+            memory = np.empty(max(nbytes, start, _FIRST_BLOCK) + _ALIGN, np.uint8)
+            lead = -memory.ctypes.data % _ALIGN
+            self._blocks.append((start, start + len(memory) - _ALIGN, memory, lead))
+        self._top = at + nbytes
+        return np.ndarray(shape, dtype, buffer=memory, offset=lead + at - start)
+
+    @contextlib.contextmanager
+    def scope(self):
+        """Make this workspace current; release what is taken inside."""
+        top, token = self._top, _current.set(self)
+        try:
+            yield self
+        finally:
+            _current.reset(token)
+            self._top = top
+
+
+def take(shape: tuple, dtype) -> np.ndarray:
+    """np.empty(shape, dtype), from the current workspace when there is one."""
+    workspace = _current.get()
+    return np.empty(shape, dtype) if workspace is None else workspace.take(shape, dtype)
+
+
+def take_zeros(shape: tuple, dtype) -> np.ndarray:
+    """np.zeros(shape, dtype), from the current workspace when there is one."""
+    workspace = _current.get()
+    if workspace is None:
+        return np.zeros(shape, dtype)
+    out = workspace.take(shape, dtype)
+    out.fill(0)
+    return out
+
+
+def scratch():
+    """A scope of the current workspace, if any: what is taken inside is
+    released when it ends."""
+    workspace = _current.get()
+    return _NO_SCOPE if workspace is None else workspace.scope()
+
+
+def gather(a: np.ndarray, rows) -> np.ndarray:
+    """a[rows] for rows a slice or an integer array: a copy of the rows it
+    selects, from the current workspace when there is one."""
+    workspace = _current.get()
+    if workspace is None or isinstance(rows, slice):
+        return a[rows]
+    # rows are the program's own and in range; mode="raise" would make
+    # np.take fill a temporary copy first
+    return np.take(a, rows, axis=0, out=workspace.take(rows.shape + a.shape[1:], a.dtype),
+                   mode="clip")
+
+
 class Param:
     __slots__ = ("name", "value", "grad", "eg2", "ed2")
 
@@ -301,7 +422,7 @@ class ParamStore:
             chunks += [[flat[start:start + chunk] for flat in flats]
                        for start in range(0, len(flats[0]), chunk)]
         # both threads take chunks, each with its own two scratch rows
-        scratch = np.empty((2, 2, chunk), dtype=self.dtype)
+        scratch = take((2, 2, chunk), self.dtype)
         side_by_side([functools.partial(_adadelta_chunk, *arrays, rho, eps, l2, scratch)
                       for arrays in chunks])
         for p, rows, arrays in subsets:
@@ -457,16 +578,16 @@ def lstm_forward(w: np.ndarray, b: np.ndarray, xs):
         raise ValueError("input size %d does not match weight matrix %r" % (input_size, w.shape))
     if gates is None:
         # input-side pre-activations of every row, activated block by block below
-        gates = np.empty((n, 4 * hidden), dtype=xs.dtype)     # i,f,o,g
+        gates = take((n, 4 * hidden), xs.dtype)     # i,f,o,g
         _lstm_input(w, b, xs, gates, 1)
     s3 = 3 * hidden
     w_h = w[input_size:]
-    cs = np.empty((n, hidden), dtype=xs.dtype)
-    tanh_cs = np.empty((n, hidden), dtype=xs.dtype)
-    hs = np.empty((n, hidden), dtype=xs.dtype)
+    cs = take((n, hidden), xs.dtype)
+    tanh_cs = take((n, hidden), xs.dtype)
+    hs = take((n, hidden), xs.dtype)
     # h and c of the previous step's block, from its row at; the first
     # step's is the zero state
-    h = c = np.zeros((sizes[0] if len(sizes) else 0, hidden), dtype=xs.dtype)
+    h = c = take_zeros((sizes[0] if len(sizes) else 0, hidden), xs.dtype)
     at = start = 0
     for size in sizes.tolist():
         rows, prev = _block(start, size), _block(at, size)
@@ -498,6 +619,22 @@ def lstm_backward(w: np.ndarray, b: np.ndarray, cache, dhs: np.ndarray,
     return _lstm_gradients(w, cache, dZ, prev, dw, db)
 
 
+def _sigmoid_factor(s, by, t, out):
+    """out = by * (s * (1 - s)), by times the sigmoid's derivative at its
+    value s, through the scratch array t"""
+    np.subtract(1.0, s, out=t)
+    np.multiply(s, t, out=t)
+    np.multiply(by, t, out=out)
+
+
+def _tanh_factor(s, by, t, out):
+    """out = by * (1 - s * s), by times tanh's derivative at its value s,
+    through the scratch array t"""
+    np.multiply(s, s, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(by, t, out=out)
+
+
 def _lstm_backward_steps(w, cache, dhs):
     """lstm_backward's step loop: returns dZ, the gate pre-activation
     gradients of every row, and prev, the row of each row of steps 1.. at
@@ -514,35 +651,39 @@ def _lstm_backward_steps(w, cache, dhs):
     # sizes[t] rows of block t-1
     first = sizes[0] if len(sizes) else 0
     prev = np.arange(first, n) - np.repeat(sizes[:-1], sizes[1:])
-    c_prev = np.zeros_like(cs)
-    c_prev[first:] = cs[prev]
-    # dZ[r] = [dc, dc, dh, dc][r] * factors[r], gate block by gate block
-    factors = np.empty((n, 4 * hidden), dtype=xs.dtype)
-    factors[:, :hidden] = g * (i * (1.0 - i))
-    factors[:, hidden:2 * hidden] = c_prev * (f * (1.0 - f))
-    factors[:, 2 * hidden:s3] = tanh_cs * (o * (1.0 - o))
-    factors[:, s3:] = i * (1.0 - g * g)
-    dc_dh = o * (1.0 - tanh_cs * tanh_cs)     # dh/dc of h = o*tanh(c)
     w_h = w[xs.shape[1]:]
-    dZ = np.empty((n, 4 * hidden), dtype=xs.dtype)
-    # gradients into the next step's previous state, in its first rows; the
-    # rows past the sequences that run on stay zero
-    dh_next = np.zeros((first, hidden), dtype=xs.dtype)
-    dc_next = np.zeros((first, hidden), dtype=xs.dtype)
-    stop = n
-    for size in sizes[::-1].tolist():
-        rows, nxt = _block(stop - size, size), _block(0, size)
-        dh = dhs[rows] + dh_next[nxt]
-        dc = dh * dc_dh[rows]
-        dc += dc_next[nxt]
-        dz, k = dZ[rows], factors[rows]
-        np.multiply(dc, k[..., :hidden], out=dz[..., :hidden])
-        np.multiply(dc, k[..., hidden:2 * hidden], out=dz[..., hidden:2 * hidden])
-        np.multiply(dh, k[..., 2 * hidden:s3], out=dz[..., 2 * hidden:s3])
-        np.multiply(dc, k[..., s3:], out=dz[..., s3:])
-        np.matmul(dz, w_h.T, out=dh_next[nxt])
-        np.multiply(dc, f[rows], out=dc_next[nxt])
-        stop -= size
+    dZ = take((n, 4 * hidden), xs.dtype)
+    with scratch():
+        c_prev = take((n, hidden), xs.dtype)
+        c_prev[:first] = 0.0
+        np.take(cs, prev, axis=0, out=c_prev[first:], mode="clip")
+        # dZ[r] = [dc, dc, dh, dc][r] * factors[r], gate block by gate block
+        factors = take((n, 4 * hidden), xs.dtype)
+        dc_dh = take((n, hidden), xs.dtype)     # dh/dc of h = o*tanh(c)
+        t = take((n, hidden), xs.dtype)
+        _sigmoid_factor(i, g, t, factors[:, :hidden])
+        _sigmoid_factor(f, c_prev, t, factors[:, hidden:2 * hidden])
+        _sigmoid_factor(o, tanh_cs, t, factors[:, 2 * hidden:s3])
+        _tanh_factor(g, i, t, factors[:, s3:])
+        _tanh_factor(tanh_cs, o, t, dc_dh)
+        # gradients into the next step's previous state, in its first rows;
+        # the rows past the sequences that run on stay zero
+        dh_next = take_zeros((first, hidden), xs.dtype)
+        dc_next = take_zeros((first, hidden), xs.dtype)
+        stop = n
+        for size in sizes[::-1].tolist():
+            rows, nxt = _block(stop - size, size), _block(0, size)
+            dh = dhs[rows] + dh_next[nxt]
+            dc = dh * dc_dh[rows]
+            dc += dc_next[nxt]
+            dz, k = dZ[rows], factors[rows]
+            np.multiply(dc, k[..., :hidden], out=dz[..., :hidden])
+            np.multiply(dc, k[..., hidden:2 * hidden], out=dz[..., hidden:2 * hidden])
+            np.multiply(dh, k[..., 2 * hidden:s3], out=dz[..., 2 * hidden:s3])
+            np.multiply(dc, k[..., s3:], out=dz[..., s3:])
+            np.matmul(dz, w_h.T, out=dh_next[nxt])
+            np.multiply(dc, f[rows], out=dc_next[nxt])
+            stop -= size
     return dZ, prev
 
 
@@ -555,9 +696,9 @@ def _lstm_gradients(w, cache, dZ, prev, dw, db, caller_jobs=()):
     xs, hs = cache[0], cache[4]
     n, input_size = xs.shape
     hidden = hs.shape[1]
-    dxs = np.empty((n, input_size), dtype=np.result_type(dZ, w))
-    product = np.empty((max(input_size, hidden), 4 * hidden), dtype=dZ.dtype)
-    h_prev = hs[prev]     # gathered here, so that no job allocates
+    dxs = take((n, input_size), np.result_type(dZ, w))
+    product = take((max(input_size, hidden), 4 * hidden), dZ.dtype)
+    h_prev = gather(hs, prev)     # gathered here, so that no job allocates
     side_by_side([functools.partial(add_product, xs.T, dZ, dw[:input_size],
                                     product[:input_size]),
                   functools.partial(add_product, h_prev.T, dZ[n - len(prev):], dw[input_size:],
@@ -576,7 +717,7 @@ def bilstm_forward(fwd, bwd):
     runs bwd's step loop, in lstm_forward on a Packed batch that carries
     them. The results are bitwise those of the two calls."""
     w, b, xs = bwd
-    gates = np.empty((len(xs.rows), len(b)), dtype=xs.rows.dtype)
+    gates = take((len(xs.rows), len(b)), xs.rows.dtype)
     first = []
     side_by_side([functools.partial(_lstm_input, w, b, xs.rows, gates)],
                  [lambda: first.append(lstm_forward(*fwd))])
@@ -616,9 +757,13 @@ def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
     (m, slots) or (slots,), select: the hidden pre-activation is b1 plus
     the sum of the selected rows. Returns (scores, cache), scores (m, K)
     or (K,)."""
-    pre = w1[x].sum(axis=-2) + b1
-    hid = np.maximum(pre, 0.0)
-    scores = hid @ w2 + b2
+    pre = take(x.shape[:-1] + w1.shape[1:], w1.dtype)
+    with scratch():
+        np.add.reduce(gather(w1, x), axis=-2, out=pre)     # w1[x].sum(axis=-2)
+    pre += b1
+    hid = np.maximum(pre, 0.0, out=take(pre.shape, pre.dtype))
+    scores = np.matmul(hid, w2, out=take(hid.shape[:-1] + w2.shape[1:], hid.dtype))
+    scores += b2
     _check_finite("mlp_forward", scores)
     return scores, (x, pre, hid)
 
@@ -628,26 +773,33 @@ def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2):
     accumulates into the d* arrays, dw1 receiving each row's pre-activation
     gradient at every row of w1 it selected."""
     x, pre, hid = cache
-    dw2 += hid.T @ dscores
-    db2 += dscores.sum(axis=0)
-    dhid = dscores @ w2.T
-    dpre = dhid * (pre > 0)
-    db1 += dpre.sum(axis=0)
-    # counts[r, i]: how often row i selected the r-th distinct selected row
-    # of w1; as a GEMM this is far faster than np.add.at over the
-    # (m, slots, hidden) scatter, and it spans only the selected rows, so
-    # its cost does not grow with the table
-    m = len(x)
-    used, inverse = np.unique(x.ravel(), return_inverse=True)
-    counts = np.bincount((inverse.reshape(x.shape) * m + np.arange(m)[:, None]).ravel(),
-                         minlength=len(used) * m)
-    dw1[used] += counts.reshape(len(used), m).astype(dpre.dtype) @ dpre
+    with scratch():
+        dw2 += np.matmul(hid.T, dscores, out=take(dw2.shape, dw2.dtype))
+        db2 += dscores.sum(axis=0)
+        dpre = np.matmul(dscores, w2.T, out=take(pre.shape, pre.dtype))    # dhid
+        dpre *= np.greater(pre, 0.0, out=take(pre.shape, bool))
+        db1 += dpre.sum(axis=0)
+        # counts[r, i]: how often row i selected the r-th distinct selected
+        # row of w1; as a GEMM this is far faster than np.add.at over the
+        # (m, slots, hidden) scatter, and it spans only the selected rows,
+        # so its cost does not grow with the table
+        m = len(x)
+        used, inverse = np.unique(x.ravel(), return_inverse=True)
+        counts = np.bincount((inverse.reshape(x.shape) * m + np.arange(m)[:, None]).ravel(),
+                             minlength=len(used) * m)
+        weights = take((len(used), m), dpre.dtype)
+        np.copyto(weights, counts.reshape(len(used), m), casting="unsafe")
+        rows = gather(dw1, used)
+        rows += np.matmul(weights, dpre, out=take(rows.shape, rows.dtype))
+        dw1[used] = rows
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(scores, scores.max(axis=-1, keepdims=True),
+                    out=take(scores.shape, scores.dtype))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def nll_softmax_loss(scores: np.ndarray, gold):

@@ -196,6 +196,14 @@ def test_eval_max_bucket_below_one_is_data_error(tmp_path, dep_corpus, bucket, c
     assert captured.out == "" and not csv.exists()
 
 
+def test_eval_max_bucket_below_one_without_recall_table_is_data_error(dep_corpus, capsys):
+    assert main(["eval", "--task", "dep", "--gold", str(dep_corpus),
+                 "--pred", str(dep_corpus), "--max-bucket", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "max_bucket must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_const(tmp_path, const_corpus, capsys):
     assert main(["eval", "--task", "const", "--gold", str(const_corpus),
                  "--pred", str(const_corpus)]) == 0

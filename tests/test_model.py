@@ -458,7 +458,8 @@ def test_first_layer_on_two_threads_is_bitwise_one_thread(task, monkeypatch, two
                 [ids for heads in scored for head, ids, _ in heads if head == prefix]))
             table = model._project_rows(prefix, groups, rows)
             dtable = np.random.default_rng(6).standard_normal(table.shape)
-            dinputs = model._project_rows_backward(prefix, groups, rows, dtable)
+            dinputs = [np.zeros_like(inputs) for inputs, *_ in groups]
+            model._project_rows_backward(prefix, groups, rows, dtable, dinputs)
             out += [table.tobytes()] + [d.tobytes() for d in dinputs]
         results.append(out + [p.grad.tobytes() for p in model.store])
     assert threads == {0, 1}
@@ -559,6 +560,63 @@ def test_fit_replaces_a_best_params_dict_it_did_not_make():
     for p in model.store:
         assert mine[p.name].tobytes() == kept[p.name].tobytes()
         assert np.array_equal(model.best_params[p.name], p.value)
+
+
+def _workspace_setup(task, precision="float64", lengths=((4, 6), (9, 12, 7, 10), (3,))):
+    """A model with dropout on, at sizes where arrays outweigh the update's
+    other allocations, and one minibatch per tuple of sentence lengths."""
+    rng = np.random.default_rng(17)
+    sizes = dict(word_dims=16, tag_dims=8, lstm_units=32, hidden=48, dropout=0.5,
+                 word_dropout=0.25, precision=precision, seed=3)
+    if task == "dep":
+        trees = [[synth.random_projective_tree(rng, n) for n in batch] for batch in lengths]
+        flat = [t for batch in trees for t in batch]
+        vocab = build_vocab([t.sentence for t in flat], dep_trees=flat, min_form_count=1)
+        model = DepModel(DepConfig(**sizes), vocab)
+    else:
+        trees = [[synth.random_const_tree(rng, n) for n in batch] for batch in lengths]
+        flat = [t for batch in trees for t in batch]
+        vocab = build_vocab([t.sentence for t in flat], const_trees=flat, min_form_count=1)
+        model = ConstModel(ConstConfig(nonterminal_dims=8, **sizes), vocab)
+    return model, [[(t, model._oracle(t)) for t in batch] for batch in trees]
+
+
+def _update(model, batch):
+    """Loss and gradients of one _forward_backward, dropout drawn from a
+    generator of its own."""
+    model.store.zero_grads()
+    loss = model._forward_backward(batch, True, np.random.default_rng(7))
+    return [loss] + [p.grad.tobytes() for p in model.store]
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_reused_workspace_gives_a_fresh_models_loss_and_gradients(task, precision):
+    # minibatches A, then a longer B, then a shorter C on one model: each
+    # update's arrays lie in memory the one before wrote, where np.zeros
+    # once gave a cleared array, and C's are views shorter than the memory
+    model, batches = _workspace_setup(task, precision)
+    for batch in batches:
+        fresh, _ = _workspace_setup(task, precision)
+        assert _update(model, batch) == _update(fresh, batch)
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+def test_second_update_allocates_far_less_than_the_first(task):
+    # the first update on a model makes its workspace; an identical second
+    # one takes every large array from it and allocates only the rest
+    model, batches = _workspace_setup(task)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model._forward_backward(batches[1], True, np.random.default_rng(7))
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 0.25 * peaks[0], peaks
 
 
 def test_second_fit_allocates_less_than_the_parameters():

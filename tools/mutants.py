@@ -74,8 +74,8 @@ MUTANTS = (
            equivalent="replacing UNK by UNK leaves the input as it was; only the "
                       "generator's later draws shift, which no test pins"),
     Mutant("lstm-forget-gate-derivative", "src/shiftparse/nn.py",
-           "factors[:, hidden:2 * hidden] = c_prev * (f * (1.0 - f))",
-           "factors[:, hidden:2 * hidden] = c_prev * f",
+           "_sigmoid_factor(f, c_prev, t, factors[:, hidden:2 * hidden])",
+           "np.multiply(c_prev, f, out=factors[:, hidden:2 * hidden])",
            "BPTT through the forget gate multiplies by the sigmoid's derivative",
            ("tests/test_nn.py::test_lstm_forward_backward_matches_finite_differences",)),
     Mutant("lstm-packed-prev-row", "src/shiftparse/nn.py",
@@ -147,6 +147,16 @@ MUTANTS = (
            "a string is split only at line ends, so \\x0c or \\x85 in a field keeps the "
            "file's line numbers",
            ("tests/test_trees.py::test_string_input_lines_are_numbered_as_in_the_file",)),
+    Mutant("workspace-zeros-uncleared", "src/shiftparse/nn.py",
+           "    out.fill(0)\n", "",
+           "an array that replaces np.zeros is cleared, though its workspace memory "
+           "holds the previous update's values",
+           ("tests/test_model.py::test_reused_workspace_gives_a_fresh_models_loss_and_gradients",)),
+    Mutant("workspace-never-reuses", "src/shiftparse/nn.py",
+           "            if at + nbytes <= end:\n", "            if False:\n",
+           "an update that fits in the workspace takes its arrays from it and "
+           "allocates no new memory for them",
+           ("tests/test_model.py::test_second_update_allocates_far_less_than_the_first",)),
     Mutant("const-accepts-recall-csv", "src/shiftparse/cli.py",
            '"punct_tags", "recall_by_length", "max_bucket"', '"punct_tags", "max_bucket"',
            "eval --task const rejects --recall-by-length, which only dep writes",
