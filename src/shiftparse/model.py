@@ -51,6 +51,19 @@ forward pass, the forward direction's three gradient GEMMs in the
 backward pass. Every step loop runs on the calling thread, and the
 results are bitwise those of one thread.
 
+An update's ADADELTA step starts during its backward pass. Unless it
+clips gradients, which needs every gradient first, fit runs each update
+in a ParamStore.update scope, and each parameter group is released as
+soon as its gradient is final: the classifier's (the heads, the absent
+vectors and the nonterminal table) when _classify returns, and each LSTM
+layer's four after that layer's backward pass. Nothing reads them again
+in the update. nn's helper thread runs their ADADELTA chunks while the
+caller goes on backward, giving way to every side_by_side call of the
+backward pass; adadelta_step, still one call per update, finishes them
+and updates the embeddings. The result is bitwise that of one step after
+the whole backward pass. _forward_backward on its own (the gradient
+check) releases nothing.
+
 Each model owns the memory it trains with, one nn.Workspace kept between
 minibatches: fit makes it current for each update (the forward-backward
 pass, gradient clipping and the ADADELTA step), and _forward_backward
@@ -96,6 +109,7 @@ an earlier snapshot.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -490,6 +504,7 @@ class _EncoderModel:
                 summed = nn.gather(dx_in, bwd)
                 summed += dxb
                 dx_in[bwd] = summed
+            self.store.release([wf, bf, wb, bb])
             dx = dx_in
             if in_mask is not None:
                 dx *= in_mask
@@ -629,7 +644,8 @@ class _EncoderModel:
         """Loss of the states _replay lists, accumulating the classifier's
         gradients; returns it with the gradient of enc. Each head's table is
         built at the rows its states select only, and it and its gradient
-        are released on return."""
+        are released on return, as are the classifier's parameters to the
+        update (ParamStore.release): their gradients are final."""
         n = len(enc)
         # the first head's input gradients, which the others' are added to,
         # outlive the classifier's scratch
@@ -667,6 +683,8 @@ class _EncoderModel:
             self.store["none." + family].grad += dinputs[0][n + i]
         if self.label_slots:
             self.store["emb.nonterminal"].grad += dinputs[1]
+        self.store.release(p for p in self.store if p.name.startswith(("head.", "none."))
+                           or p.name == "emb.nonterminal")
         return loss, dinputs[0][:n]
 
     def _clip_grads(self):
@@ -686,8 +704,7 @@ class _EncoderModel:
         second copy of the model; a caller copies it to keep an earlier one."""
         own = self._snapshot
         if own is not None and own is self.best_params:
-            for p in self.store:
-                np.copyto(own[p.name], p.value)
+            self.store.copy_values(own)
         else:
             own = self._snapshot = {p.name: p.value.copy() for p in self.store}
         return own
@@ -731,7 +748,10 @@ class _EncoderModel:
             epoch_loss = 0.0
             for start in range(0, len(order), cfg.minibatch):
                 batch = [data[idx] for idx in order[start:start + cfg.minibatch]]
-                with self._workspace.scope():
+                # clipping needs every gradient before any update
+                early = (contextlib.nullcontext() if cfg.grad_clip
+                         else self.store.update(cfg.rho, cfg.eps, cfg.l2))
+                with self._workspace.scope(), early:
                     epoch_loss += self._forward_backward(batch, True, self.rng)
                     self._clip_grads()
                     self.store.adadelta_step(cfg.rho, cfg.eps, cfg.l2)

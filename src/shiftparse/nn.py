@@ -59,9 +59,21 @@ direction's three gradient GEMMs while the caller runs the backward
 direction's step loop, and then either thread takes the backward
 direction's three. A step loop always runs on the calling thread: two
 of them at once only take turns at the GIL. A GEMM is never split
-across the threads, as a split by rows can change its bits. The second
-thread starts on first use, and only when the process may run on at
-least two CPUs (os.sched_getaffinity); a forked child starts its own.
+across the threads, as a split by rows can change its bits.
+
+The helper also runs background jobs (Background), which a caller queues
+and goes on: a training update (ParamStore.update) queues a parameter
+group's ADADELTA chunks as soon as its gradient is final, and the
+helper runs them during the rest of the backward pass, where it would
+otherwise wait in the step loops. Its rule: a pending side_by_side call
+first, and else one background job, oldest first, before it looks
+again; so a GEMM of a call waits for one chunk at most. adadelta_step
+finishes what is left of the queue on both threads, then updates the
+parameters not released.
+
+The second thread starts on first use, and only when the process may run
+on at least two CPUs (os.sched_getaffinity); a forked child starts its
+own; without it, the caller runs every job itself.
 Every output element goes through the same op sequence on either
 thread, so results are bitwise those of one thread and do not depend on
 the CPU count, provided the BLAS thread count is fixed: left unset,
@@ -83,8 +95,9 @@ such arrays of a ten-sentence update at the paper's sizes went back to
 the operating system, and the next update faulted them in again as
 zeroed pages: 6k-10k minor page faults and 10-45 ms of kernel time per
 update, which took 130-350 ms in all. Taken from a workspace that an
-earlier update filled, they touch no fresh page. A side_by_side job takes nothing: the caller takes what the
-job writes before handing it off.
+earlier update filled, they touch no fresh page. A side_by_side or
+background job takes nothing: the caller takes what the job writes
+before handing it off, and an update's scratch rows when it starts.
 """
 
 from __future__ import annotations
@@ -108,6 +121,10 @@ debug_checks = False
 # its four arrays plus a thread's two scratch rows (1.5 MB) stay in a 2 MB
 # L2.
 ADADELTA_CHUNK_BYTES = 256 * 1024
+# ParamStore.copy_values copies in chunks of this many values: the 68 MB of
+# a default-size constituency model take 2.3-2.4 ms on two threads, against
+# 2.8 ms in 256 KB chunks and 4.4 ms on one thread
+_COPY_CHUNK_VALUES = 128 * 1024
 
 
 def _check_finite(name, arr):
@@ -120,8 +137,9 @@ def _check_finite(name, arr):
 # ---------------------------------------------------------------------------
 
 class _Shared:
-    """The jobs of one side_by_side call that either thread may run: the
-    helper takes them from the front, the caller from the back."""
+    """Jobs that either thread may run, of one side_by_side call or one
+    Background.add: the helper takes them from the front, the caller from
+    the back."""
 
     def __init__(self, jobs):
         self.jobs = collections.deque(jobs)
@@ -130,36 +148,74 @@ class _Shared:
         self.running = threading.Lock()
         self.error: BaseException | None = None
 
-    def serve(self):
-        """The helper's part: run jobs until none is left or one raises."""
+    def run_one(self) -> bool:
+        """The helper's part, a job at a time: run the front job; False
+        once none is left or one has raised."""
+        with self.running:
+            try:
+                job = self.jobs.popleft()
+            except IndexError:
+                return False
+            try:
+                self.context.run(job, 0)
+            except BaseException as exc:    # raised by the caller
+                self.error = exc
+                return False
+            finally:
+                # the caller goes on once the lock is free, and the job's
+                # arrays (a released model's, say) must not outlive that
+                del job
+        return True
+
+    def run_rest(self):
+        """The caller's part: run the jobs the helper has not taken, from
+        the back."""
         while True:
-            with self.running:
-                try:
-                    job = self.jobs.popleft()
-                except IndexError:
-                    return
-                try:
-                    self.context.run(job, 0)
-                except BaseException as exc:    # raised by the caller
-                    self.error = exc
-                    return
-                finally:
-                    # the caller goes on once the lock is free, and the
-                    # job's arrays (a released model's, say) must not
-                    # outlive that
-                    del job
+            try:
+                job = self.jobs.pop()
+            except IndexError:
+                return
+            job(1)
+
+    def stop(self):
+        """Leave the helper no more jobs, and wait for the one it runs."""
+        self.jobs.clear()
+        with self.running:
+            pass
 
 
 class _Helper:
-    """A daemon thread that serves one side_by_side call at a time."""
+    """A daemon thread that serves side_by_side calls one at a time and,
+    while none is pending, runs background jobs one at a time."""
 
     def __init__(self):
-        self.calls = queue.SimpleQueue()
+        self.calls = queue.SimpleQueue()    # _Shared calls; None only wakes the thread
+        self.background = collections.deque()   # Background.add's _Shared, oldest first
         threading.Thread(target=self._serve, name="shiftparse.nn helper", daemon=True).start()
 
     def _serve(self):
         while True:
-            self.calls.get().serve()
+            call = self.calls.get()
+            while call is not None and call.run_one():
+                pass
+            del call
+            # a pending call comes first: a job of it waits for one
+            # background job at most
+            while self.calls.empty() and self._background_job():
+                pass
+
+    def _background_job(self) -> bool:
+        """Run the oldest background job; False when there is none."""
+        while True:
+            try:
+                shared = self.background[0]
+            except IndexError:
+                return False
+            if shared.run_one():
+                return True
+            # none left, or one raised: its caller finishes it
+            with contextlib.suppress(ValueError):
+                self.background.remove(shared)
 
 
 _helper: _Helper | None = None
@@ -224,18 +280,55 @@ def side_by_side(jobs, caller_jobs=()):
     try:
         for job in caller_jobs:
             job()
-        while True:
-            try:
-                job = shared.jobs.pop()
-            except IndexError:
-                break
-            job(1)
+        shared.run_rest()
     finally:
-        shared.jobs.clear()     # after an error here, the helper takes no more
-        with shared.running:    # and finishes the one it has
-            pass
+        shared.stop()   # also after an error here
     if shared.error is not None:
         raise shared.error
+
+
+class Background:
+    """Jobs that the helper runs while no side_by_side call is pending,
+    one at a time and oldest first, and that finish() completes.
+
+    add(jobs) queues jobs of side_by_side's kind (called with the index of
+    the thread running them, and allocating nothing) and returns at once.
+    finish() runs on the caller those the helper has not taken, from the
+    back, waits for the one it runs, and raises the first error a job
+    raised; without a helper (one CPU) the caller runs them all there.
+    cancel() drops those not started and waits for the one running, as
+    after an error nothing more may start. Jobs must not read or write an
+    array that the caller uses before finish() returns."""
+
+    def __init__(self):
+        self._helper = _get_helper()
+        self._added: list[_Shared] = []
+
+    def add(self, jobs):
+        shared = _Shared(jobs)
+        self._added.append(shared)
+        if self._helper is not None:
+            self._helper.background.append(shared)
+            self._helper.calls.put(None)    # wakes a helper that waits for a call
+
+    def finish(self):
+        added = self._added
+        try:
+            for shared in reversed(added):
+                shared.run_rest()
+        finally:
+            self.cancel()
+        for shared in added:
+            if shared.error is not None:
+                raise shared.error
+
+    def cancel(self):
+        added, self._added = self._added, []
+        for shared in added:
+            shared.stop()
+            if self._helper is not None:
+                with contextlib.suppress(ValueError):
+                    self._helper.background.remove(shared)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +445,41 @@ class Param:
         self.ed2 = np.zeros(value.shape, value.dtype)   # E[dx^2]
 
 
+class _Update:
+    """An open ParamStore.update: its jobs, arguments and scratch rows, the
+    names of the parameters released and the row subsets to write back."""
+
+    __slots__ = ("background", "rates", "scratch", "released", "subsets")
+
+    def __init__(self, rates: tuple, scratch: np.ndarray):
+        self.background = Background()
+        self.rates = rates
+        self.scratch = scratch
+        self.released: set[str] = set()
+        self.subsets: list = []
+
+
+def _check_rates(rho: float, eps: float):
+    if not (0.0 < rho < 1.0):
+        raise ValueError("rho must lie in (0, 1)")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+
+
+def _chunks(arrays, size: int) -> list:
+    """The same slices of size values of each flattened C-contiguous array,
+    as views, chunk by chunk."""
+    flats = [arr.reshape(-1) for arr in arrays]
+    return [[flat[start:start + size] for flat in flats] for start in range(0, len(flats[0]), size)]
+
+
 class ParamStore:
     """Named trainable arrays with gradient and optimizer state."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Param] = {}
+        self._update: _Update | None = None
 
     def add(self, name: str, value: np.ndarray) -> Param:
         if name in self._params:
@@ -379,6 +501,71 @@ class ParamStore:
         for p in self:
             p.grad[...] = 0.0
 
+    def copy_values(self, out: dict[str, np.ndarray]):
+        """out[name][...] = value for every parameter, out's arrays being
+        C-contiguous, in chunk jobs on both threads."""
+        side_by_side([functools.partial(_copy, *views) for p in self
+                      for views in _chunks((out[p.name], p.value), _COPY_CHUNK_VALUES)])
+
+    @contextlib.contextmanager
+    def update(self, rho: float, eps: float, l2: float):
+        """The scope of one training update, ended by one adadelta_step(rho,
+        eps, l2), whose ADADELTA step starts early: release(params) queues
+        the chunks of parameters whose gradients are final as background
+        jobs, and the helper thread runs them while the caller goes on with
+        the backward pass (see Background); adadelta_step finishes them and
+        updates the rest. Its scratch rows are taken here, from the current
+        workspace, so that no background job takes memory. When the scope
+        ends in an error, the jobs not started are dropped and the running
+        one is awaited before the error goes on."""
+        _check_rates(rho, eps)
+        self._update = update = _Update((rho, eps, l2), self._scratch())
+        try:
+            yield
+        finally:
+            self._update = None
+            update.background.cancel()
+
+    def release(self, params):
+        """Inside update(), start the ADADELTA update of params, whose
+        gradients are final and whose values nothing reads before the
+        update's adadelta_step; elsewhere nothing."""
+        update = self._update
+        if update is not None:
+            params = list(params)
+            update.released.update(p.name for p in params)
+            update.background.add(self._adadelta_jobs(params, *update.rates, update.scratch,
+                                                      update.subsets))
+
+    def _scratch(self) -> np.ndarray:
+        """Two scratch rows of an ADADELTA chunk per thread."""
+        return take((2, 2, ADADELTA_CHUNK_BYTES // self.dtype.itemsize), self.dtype)
+
+    def _adadelta_jobs(self, params, rho, eps, l2, scratch, subsets) -> list:
+        """adadelta_step's jobs for params, chunk by chunk. The row subset
+        of a sparse parameter (see adadelta_step) is updated in a copy,
+        which goes into subsets, (param, rows, copies), to be written back
+        once the jobs have run; the jobs decay its whole accumulators."""
+        chunk = scratch.shape[-1]
+        jobs = []
+        for p in params:
+            arrays = (p.value, p.grad, p.eg2, p.ed2)
+            # the rows with a nonzero gradient include those nonzero in
+            # column 0, so if half of those are, the matrix is dense
+            if (not l2 and p.value.ndim == 2
+                    and 2 * np.count_nonzero(p.grad[:, 0]) < len(p.value)):
+                touched = np.flatnonzero(p.grad.any(axis=1))
+                if 2 * len(touched) < len(p.value):
+                    arrays = tuple(arr[touched] for arr in arrays)
+                    subsets.append((p, touched, arrays))
+                    jobs += [functools.partial(_decay, *views, rho)
+                             for views in _chunks((p.eg2, p.ed2), chunk)]
+            # walked a chunk at a time, so that the whole op sequence runs
+            # on data held in cache
+            jobs += [functools.partial(_adadelta_chunk, *views, rho, eps, l2, scratch)
+                     for views in _chunks(arrays, chunk)]
+        return jobs
+
     def adadelta_step(self, rho: float = 0.99, eps: float = 1e-7, l2: float = 0.0):
         """One ADADELTA update over every parameter; clears gradients.
 
@@ -397,39 +584,38 @@ class ParamStore:
         table) have a nonzero gradient, the op sequence runs on a copy of
         those rows only, the rest get just the two decays, and the result
         is bitwise that of the dense update.
+
+        Both threads take the chunks. Inside update(), with that update's
+        arguments, the parameters released are updated by the background
+        jobs this finishes, and the others as above.
         """
-        if not (0.0 < rho < 1.0):
-            raise ValueError("rho must lie in (0, 1)")
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        chunk = ADADELTA_CHUNK_BYTES // self.dtype.itemsize
-        chunks, subsets = [], []
-        for p in self:
-            arrays = (p.value, p.grad, p.eg2, p.ed2)
-            # the rows with a nonzero gradient include those nonzero in
-            # column 0, so if half of those are, the matrix is dense
-            if (not l2 and p.value.ndim == 2
-                    and 2 * np.count_nonzero(p.grad[:, 0]) < len(p.value)):
-                touched = np.flatnonzero(p.grad.any(axis=1))
-                if 2 * len(touched) < len(p.value):
-                    arrays = tuple(arr[touched] for arr in arrays)
-                    subsets.append((p, touched, arrays))
-                    p.eg2 *= rho
-                    p.ed2 *= rho
-            # views of C-contiguous arrays, walked a chunk at a time so that
-            # the whole op sequence runs on data held in cache
-            flats = [arr.reshape(-1) for arr in arrays]
-            chunks += [[flat[start:start + chunk] for flat in flats]
-                       for start in range(0, len(flats[0]), chunk)]
-        # both threads take chunks, each with its own two scratch rows
-        scratch = take((2, 2, chunk), self.dtype)
-        side_by_side([functools.partial(_adadelta_chunk, *arrays, rho, eps, l2, scratch)
-                      for arrays in chunks])
-        for p, rows, arrays in subsets:
+        _check_rates(rho, eps)
+        update, self._update = self._update, None
+        if update is None:
+            update = _Update((rho, eps, l2), self._scratch())
+        elif update.rates != (rho, eps, l2):
+            raise ValueError("adadelta_step takes its update's rho, eps and l2 %r"
+                             % (update.rates,))
+        jobs = self._adadelta_jobs([p for p in self if p.name not in update.released],
+                                   rho, eps, l2, update.scratch, update.subsets)
+        update.background.finish()
+        side_by_side(jobs)
+        for p, rows, arrays in update.subsets:
             p.value[rows], p.eg2[rows], p.ed2[rows] = arrays[0], arrays[2], arrays[3]
             p.grad[rows] = 0.0
         for p in self:
             _check_finite(p.name, p.value)
+
+
+def _copy(out, value, thread):
+    """out[...] = value"""
+    np.copyto(out, value)
+
+
+def _decay(eg2, ed2, rho, thread):
+    """The accumulators of a zero gradient: E[g2] <- rho E[g2], E[dx2] <- rho E[dx2]"""
+    eg2 *= rho
+    ed2 *= rho
 
 
 def _adadelta_chunk(x, g, eg2, ed2, rho, eps, l2, scratch, thread):

@@ -18,8 +18,8 @@ from shiftparse.const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE, C_SHIFT
 from shiftparse.dep_system import LEFT, RIGHT, SHIFT, DepAction, dep_initial, dep_legal
 from shiftparse.headrules import HeadRules
 from shiftparse.model import (ActionSpace, ConstConfig, ConstModel, DecodeStepLimit, DepConfig,
-                              DepModel, ModelIOError, load_model, model_grad_check,
-                              save_best, save_model)
+                              DepModel, ModelIOError, _EncoderModel, load_model,
+                              model_grad_check, save_best, save_model)
 from shiftparse.trees import Sentence, Token
 from shiftparse.vocab import Vocab, build_vocab, json_sha256
 from shiftparse import nn, synth
@@ -464,6 +464,106 @@ def test_first_layer_on_two_threads_is_bitwise_one_thread(task, monkeypatch, two
         results.append(out + [p.grad.tobytes() for p in model.store])
     assert threads == {0, 1}
     assert results[0] == results[1]
+
+
+def _fit_setup(task, precision="float64", l2=0.0, grad_clip=0.0):
+    """A model with dropout on and 200 more forms than its 6 trees use, so
+    that a minibatch of two sentences touches few rows of the word table
+    (a row-sparse ADADELTA step at l2 = 0); 3 minibatches an epoch."""
+    rng = np.random.default_rng(19)
+    lengths = (4, 6, 5, 3, 7, 4)
+    lexicon = Sentence.from_pairs([("f%d" % i, "NN") for i in range(200)])
+    sizes = dict(word_dims=8, tag_dims=6, lstm_units=8, hidden=12, minibatch=2, epochs=1,
+                 l2=l2, grad_clip=grad_clip, precision=precision, seed=3)
+    if task == "dep":
+        trees = [synth.random_projective_tree(rng, n) for n in lengths]
+        vocab = build_vocab([t.sentence for t in trees] + [lexicon], dep_trees=trees,
+                            min_form_count=1)
+        return DepModel(DepConfig(**sizes), vocab), trees
+    trees = [synth.random_const_tree(rng, n) for n in lengths]
+    vocab = build_vocab([t.sentence for t in trees] + [lexicon], const_trees=trees,
+                        min_form_count=1)
+    return ConstModel(ConstConfig(nonterminal_dims=6, **sizes), vocab), trees
+
+
+@pytest.mark.parametrize("task", ["dep", "const"])
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("l2", [0.0, 1e-8])
+@pytest.mark.parametrize("grad_clip", [0.0, 1.0])
+def test_fit_on_two_threads_is_bitwise_one_thread(task, precision, l2, grad_clip, monkeypatch,
+                                                  two_threads, at_release):
+    # two fits of 3 minibatches each, the second refreshing the first's
+    # snapshot: on one thread, where each released group's update runs in
+    # adadelta_step; on two, where the helper runs some of them during the
+    # backward pass; and with each run on the caller as it is released
+    monkeypatch.setattr(nn, "ADADELTA_CHUNK_BYTES", 512)
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    decays = []
+    decay = nn._decay
+    monkeypatch.setattr(nn, "_decay", lambda *args: decays.append(1) or decay(*args))
+    results = []
+    for run in ("one thread", "two threads", "at release"):
+        if run == "two threads":
+            threads = two_threads()
+        elif run == "at release":
+            at_release()
+        model, trees = _fit_setup(task, precision, l2, grad_clip)
+        lines = model.fit(trees) + model.fit(trees)
+        results.append([lines] + [getattr(p, a).tobytes() for p in model.store
+                                  for a in ("value", "grad", "eg2", "ed2")]
+                       + [model.best_params[p.name].tobytes() for p in model.store])
+    assert threads == {0, 1}
+    # with clipping nothing is released, and adadelta_step runs it all
+    assert (0 in two_threads.background) == (not grad_clip)
+    assert bool(decays) == (not l2)
+    assert results[0] == results[1] == results[2]
+
+
+def test_update_steps_and_snapshots_once_where_the_benchmark_traces_them(monkeypatch):
+    # bench/tracing.py wraps ParamStore.adadelta_step and
+    # _EncoderModel.snapshot: one step per minibatch, whatever runs early,
+    # and one snapshot per fit without dev trees
+    calls = []
+    for owner, name in ((nn.ParamStore, "adadelta_step"), (_EncoderModel, "snapshot")):
+        def record(*args, _name=name, _op=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(owner, name, record)
+    for grad_clip in (0.0, 1.0):
+        model, trees = _fit_setup("const", grad_clip=grad_clip)
+        calls.clear()
+        model.fit(trees)
+        assert calls == ["adadelta_step"] * 3 + ["snapshot"]
+
+
+def test_error_in_the_backward_pass_leaves_no_update_job_running(monkeypatch, helper):
+    # the classifier's groups are released, then the encoder's backward
+    # pass raises: fit re-raises only once no job of the update runs or
+    # can start
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    monkeypatch.setattr(nn, "ADADELTA_CHUNK_BYTES", 64)
+    counts = {"started": 0, "ended": 0}
+    chunk = nn._adadelta_chunk
+
+    def slow_chunk(*args):
+        counts["started"] += 1
+        time.sleep(0.001)
+        chunk(*args)
+        counts["ended"] += 1
+
+    monkeypatch.setattr(nn, "_adadelta_chunk", slow_chunk)
+    model, trees = _fit_setup("dep")
+
+    def fail(cache, denc):
+        raise RuntimeError("backward failed")
+
+    monkeypatch.setattr(model, "_encode_backward", fail)
+    with pytest.raises(RuntimeError, match="backward failed"):
+        model.fit(trees)
+    assert counts["started"] == counts["ended"]
+    assert not helper.background
+    time.sleep(0.05)
+    assert counts["started"] == counts["ended"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

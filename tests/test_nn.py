@@ -787,6 +787,40 @@ def test_side_by_side_runs_every_job_once_under_contention(monkeypatch, helper):
     assert (counts == 1).all()
 
 
+def test_background_and_side_by_side_jobs_run_once_under_contention(monkeypatch, helper):
+    # three calling threads share the helper, each making side_by_side
+    # calls while background jobs of its own wait, finished every seventh
+    # row, and switching as often as the interpreter allows; a job lost or
+    # run twice leaves a count not 1
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    counts = np.zeros((3, 1000, 4), dtype=np.int64)
+
+    def bump(cell, thread):
+        np.add(cell, 1, out=cell)
+
+    def calls(k):
+        background = nn.Background()
+        for i, row in enumerate(counts[k]):
+            background.add([functools.partial(bump, row[j:j + 1]) for j in range(2)])
+            nn.side_by_side([functools.partial(bump, row[j:j + 1]) for j in range(2, 4)])
+            if i % 7 == 6:
+                background.finish()
+        background.finish()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=calls, args=(k,)) for k in range(len(counts))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert (counts == 1).all()
+
+
 def test_side_by_side_raises_a_helper_exception_and_keeps_working(monkeypatch, helper):
     monkeypatch.setattr(nn, "_get_helper", lambda: helper)
     started = threading.Event()
@@ -814,6 +848,93 @@ def test_helper_keeps_no_array_of_a_finished_call(monkeypatch, helper):
 
     nn.side_by_side([functools.partial(add, out)], [lambda: started.wait(10)])
     del out
+    assert alive() is None
+
+
+def test_side_by_side_call_runs_before_queued_background_jobs(monkeypatch, helper):
+    # the helper is held in a background job while a call and three more
+    # background jobs wait: it serves the call next, and the caller leaves
+    # the call's job to it
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    started, release, served = threading.Event(), threading.Event(), threading.Event()
+    ran = []
+
+    def hold(thread):
+        started.set()
+        assert release.wait(10)
+        ran.append(("hold", thread))
+
+    def job(name, thread):
+        ran.append((name, thread))
+        if name == "call":
+            served.set()
+
+    def release_and_wait():
+        release.set()
+        assert served.wait(10)
+
+    background = nn.Background()
+    background.add([hold] + [functools.partial(job, name) for name in "abc"])
+    assert started.wait(10)
+    nn.side_by_side([functools.partial(job, "call")], [release_and_wait])
+    background.finish()
+    assert ran[:2] == [("hold", 0), ("call", 0)]
+    assert sorted(name for name, _ in ran[2:]) == ["a", "b", "c"]
+    assert not helper.background
+
+
+def test_background_job_error_is_raised_by_finish_and_the_helper_goes_on(monkeypatch, helper):
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    started = threading.Event()
+    out = np.zeros(3)
+
+    def fail(thread):
+        started.set()
+        raise KeyError("background job %d" % thread)
+
+    def add(thread):
+        np.add(out, 1.0, out=out)
+
+    background = nn.Background()
+    background.add([fail])
+    assert started.wait(10)
+    background.add([add, add])
+    with pytest.raises(KeyError, match="background job 0"):
+        background.finish()
+    assert out.tolist() == [2.0, 2.0, 2.0]
+    nn.side_by_side([add] * 2)
+    background.add([add])
+    background.finish()
+    assert out.tolist() == [5.0, 5.0, 5.0]
+    assert not helper.background
+
+
+def test_background_jobs_run_on_the_caller_without_a_helper(monkeypatch):
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    ran = []
+    background = nn.Background()
+    background.add([functools.partial(lambda name, thread: ran.append((name, thread)), name)
+                    for name in "ab"])
+    assert ran == []
+    background.finish()
+    assert ran == [("b", 1), ("a", 1)]
+
+
+def test_helper_keeps_no_array_of_finished_background_jobs(monkeypatch, helper):
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    out = np.zeros(3)
+    alive = weakref.ref(out)
+    started = threading.Event()
+
+    def add(out, thread):
+        started.set()
+        np.add(out, 1.0, out=out)
+
+    background = nn.Background()
+    background.add([functools.partial(add, out)])
+    assert started.wait(10)
+    background.finish()
+    del out, background
     assert alive() is None
 
 

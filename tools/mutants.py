@@ -157,6 +157,18 @@ MUTANTS = (
            "an update that fits in the workspace takes its arrays from it and "
            "allocates no new memory for them",
            ("tests/test_model.py::test_second_update_allocates_far_less_than_the_first",)),
+    Mutant("heads-released-before-backward", "src/shiftparse/model.py",
+           "            first, *others = self.space.heads\n",
+           "            self.store.release(p for p in self.store if p.name.startswith(\"head.\"))\n"
+           "            first, *others = self.space.heads\n",
+           "a parameter's update starts only once its gradient is final: the heads' W1 "
+           "gradients are still to come from the projection's backward pass",
+           ("tests/test_model.py::test_fit_on_two_threads_is_bitwise_one_thread",)),
+    Mutant("background-before-pending-call", "src/shiftparse/nn.py",
+           "            while self.calls.empty() and self._background_job():\n",
+           "            while self._background_job():\n",
+           "the helper serves a pending side_by_side call before any more background jobs",
+           ("tests/test_nn.py::test_side_by_side_call_runs_before_queued_background_jobs",)),
     Mutant("const-accepts-recall-csv", "src/shiftparse/cli.py",
            '"punct_tags", "recall_by_length", "max_bucket"', '"punct_tags", "max_bucket"',
            "eval --task const rejects --recall-by-length, which only dep writes",
