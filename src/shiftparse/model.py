@@ -34,10 +34,25 @@ Decoding builds the tables once per sentence. Training builds them once
 per minibatch over the stacked encoder rows of all its sentences (the
 operation batching of Neubig et al. 2017), so the projection and its
 backward pass, the gradients into W1 and into the encoder rows, are one
-set of per-slot GEMMs per minibatch; the classifier above the table still
-runs sentence by sentence. A training table holds only the rows some
-state of the minibatch selects, slot by slot (a label slot's block
+set of per-slot GEMMs per minibatch. A training table holds only the rows
+some state of the minibatch selects, slot by slot (a label slot's block
 whole); the label head's, only those of its labeled states.
+
+The classifier above the table scores a minibatch sentence by sentence:
+one item per sentence and head, each a forward pass, loss and backward
+pass of that sentence's states. Where the items are large enough
+(nn.CLASSIFIER_JOB_BYTES; the constituency parser's are, the dependency
+parser's are not), they are side_by_side jobs on both threads, and their
+gradients are still added in sentence order. nn's helper takes jobs from
+the front and the caller from the back, so the helper's items come first
+in that order and it adds each as it goes. The caller adds at once only
+the rows of the table's gradient that its item alone selects, a
+sentence's own encoder rows, and holds the rest (the upper layer's
+gradients, the sums for the biases, the rows of absent and label slots,
+which other sentences select too) until every job has run; then it adds
+what it holds, item by item. So every sum has the bits of the plain loop
+over the items, on one thread or two. Small items run in that loop, on
+the caller.
 
 The encoder batches the same way. Training runs it once per minibatch:
 each layer and direction is one LSTM call over all the minibatch's
@@ -60,9 +75,11 @@ layer's four after that layer's backward pass. Nothing reads them again
 in the update. nn's helper thread runs their ADADELTA chunks while the
 caller goes on backward, giving way to every side_by_side call of the
 backward pass; adadelta_step, still one call per update, finishes them
-and updates the embeddings. The result is bitwise that of one step after
-the whole backward pass. _forward_backward on its own (the gradient
-check) releases nothing.
+and updates the embeddings, whose rows the minibatch's word and tag ids
+name (ParamStore.declare_rows), so their gradients are not scanned for
+them. The result is bitwise that of one step after the whole backward
+pass. _forward_backward on its own (the gradient check) releases and
+declares nothing.
 
 Each model owns the memory it trains with, one nn.Workspace kept between
 minibatches: fit makes it current for each update (the forward-backward
@@ -72,13 +89,15 @@ an earlier update already touched (see nn.py for the page faults this
 saves). Its scopes follow the arrays' lifetimes: the encoder's caches
 and output and the first head's input gradients last the whole update;
 the first-layer tables, their gradients and the classifier's other
-scratch end with _classify, each head's states of each sentence have a
-scope of their own, and so does each layer's backward scratch. So memory
-is shared only by arrays never live at once, and the workspace holds
-about what an update's arrays took at their peak before it existed (a
-pool that reused arrays by shape, whatever their lifetimes, raised the
-peak resident memory by 25-36%). It grows to the largest minibatch seen and lives as long as the
-model. Decoding uses none and allocates as numpy does.
+scratch end with _classify, each item of the classifier has a scope of
+its own, and so does each layer's backward scratch. So memory is shared
+only by arrays never live at once, and the workspace holds about what an
+update's arrays took at their peak before it existed (a pool that reused
+arrays by shape, whatever their lifetimes, raised the peak resident
+memory by 25-36%). It grows to the largest minibatch seen and lives as
+long as the model. A second workspace holds the scratch of the
+classifier items that nn's helper thread runs, and only that thread uses
+it. Decoding uses neither and allocates as numpy does.
 
 A model is built on one path, whatever the source of its initial values.
 A new model draws them from a generator seeded with config.seed, parameter
@@ -285,6 +304,20 @@ def _add_rows(out, rows, a, b):
             out[rows] = summed
 
 
+def _add_block_product(inputs, picked, dt, out, gathered, product, thread):
+    """out += inputs[picked]^T dt, for picked a slice or sorted row indices:
+    a side_by_side job, which gathers the picked rows into scratch of the
+    caller's (thread 1) or, on the helper (0), into gathered, and there
+    forms the product in product"""
+    with nn.scratch() if thread else contextlib.nullcontext():
+        if thread or isinstance(picked, slice):
+            a = nn.gather(inputs, picked)
+        else:
+            a = np.take(inputs, picked, axis=0, mode="clip",
+                        out=gathered[:len(picked) * inputs.shape[1]].reshape(len(picked), -1))
+        nn.add_product(a.T, dt, out, product[:len(out)], thread)
+
+
 class _Initial:
     """Where a model's randomly initialised parameters get their values:
     nn's initialisers, drawn from rng in the order the parameters are added,
@@ -344,6 +377,7 @@ class _EncoderModel:
         self.best_params: Optional[dict[str, np.ndarray]] = None
         self._snapshot: Optional[dict[str, np.ndarray]] = None   # the last snapshot() made
         self._workspace = nn.Workspace()      # training's arrays, kept between updates
+        self._helper_workspace = nn.Workspace()   # the scratch of jobs nn's helper runs
         init = _Initial(self.rng if fill else None, self.store.dtype)
         try:
             self._build_encoder(init)
@@ -400,12 +434,78 @@ class _EncoderModel:
         return nn.mlp_forward(tables[prefix], st[prefix + ".b1"].value,
                               st[prefix + ".w2"].value, st[prefix + ".b2"].value, ids)
 
-    def _mlp_backward(self, prefix: str, tables, cache, dscores, dtable):
+    def _mlp_backward(self, prefix: str, tables, cache, dscores, dtable, terms=None):
         st = self.store
         nn.mlp_backward(tables[prefix], st[prefix + ".b1"].value,
                         st[prefix + ".w2"].value, st[prefix + ".b2"].value,
                         cache, dscores, dtable, st[prefix + ".b1"].grad,
-                        st[prefix + ".w2"].grad, st[prefix + ".b2"].grad)
+                        st[prefix + ".w2"].grad, st[prefix + ".b2"].grad, terms)
+
+    def _score_all(self, n: int, tables, rows, dtables, scored) -> float:
+        """The loss of the states _replay lists under the heads' tables,
+        which hold the rows rows of a table over n encoder rows; accumulates
+        the gradients of the tables (dtables) and of the heads' b1 and upper
+        layer. Each sentence's states under each head are one item
+        (_score), and the items' losses and gradients are added in sentence
+        order, so every sum has the bits of a loop over the items.
+
+        Where the items' hidden layers take nn.CLASSIFIER_JOB_BYTES each on
+        average, the items are side_by_side jobs (_score_job); smaller ones
+        run one by one on the caller, each added as it is scored."""
+        st = self.store
+        items = [(prefix, ids, np.array(gold)) for heads in scored
+                 for prefix, ids, gold in heads if gold]
+        losses = [0.0] * len(items)
+        states = sum(len(ids) for _, ids, _ in items)
+        if states * self.config.hidden * st.dtype.itemsize < nn.CLASSIFIER_JOB_BYTES * len(items):
+            for i, item in enumerate(items):
+                self._score(tables, rows, dtables, item, None, losses, i, 1)
+        else:
+            shared = {prefix: self._shared_rows(n, table_rows)
+                      for prefix, table_rows in rows.items()}
+            held = [None] * len(items)
+            with nn.scratch():
+                nn.side_by_side([partial(self._score_job, n, tables, rows, dtables, shared, items,
+                                         held, losses, i) for i in range(len(items))])
+                for (prefix, _, _), terms in zip(items, held):
+                    if terms is not None:
+                        terms.add(dtables[prefix], st[prefix + ".b1"].grad,
+                                  st[prefix + ".w2"].grad, st[prefix + ".b2"].grad)
+        loss = 0.0
+        for item_loss in losses:    # not sum(), which compensates from Python 3.12 on
+            loss += item_loss
+        return loss
+
+    def _score_job(self, n: int, tables, rows, dtables, shared, items, held, losses, i,
+                   thread):
+        """_score_all's job for its item i. The helper (thread 0) takes the
+        jobs from the front, so it has run and added every item before this
+        one, and it adds this one too as it is scored. The caller takes them
+        from the back: it adds to the table's gradient at the sentence's own
+        encoder rows, which no other item selects, and writes all else it
+        would add into terms, held[i], which _score_all adds in order once
+        every job has run. They are taken here from the caller's workspace,
+        and they last until _score_all's scope ends."""
+        terms = None
+        if thread:
+            prefix, ids, _ = items[i]
+            terms = held[i] = nn.MlpTerms(
+                np.count_nonzero(self._shared_rows(n, np.flatnonzero(np.bincount(ids.ravel())))),
+                *self.store[prefix + ".w2"].value.shape, self.store.dtype, shared[prefix])
+        self._score(tables, rows, dtables, items[i], terms, losses, i, thread)
+
+    def _score(self, tables, rows, dtables, item, terms, losses, i, thread):
+        """One item of _score_all, (head, table rows of the whole table,
+        gold outputs): its loss into losses[i], its gradients into dtables
+        and, given its terms, those, else the heads' gradients. Its scratch
+        is the running thread's own: the helper's (thread 0) workspace, or a
+        scope of the caller's current one."""
+        prefix, ids, gold = item
+        with self._helper_workspace.scope() if thread == 0 else nn.scratch():
+            ids = np.searchsorted(rows[prefix], ids)
+            scores, cache = self._mlp_forward(prefix, tables, ids)
+            losses[i], dscores = nn.nll_softmax_loss(scores, gold)
+            self._mlp_backward(prefix, tables, cache, dscores, dtables[prefix], terms)
 
     # -- encoder forward/backward -------------------------------------------
 
@@ -509,8 +609,10 @@ class _EncoderModel:
             if in_mask is not None:
                 dx *= in_mask
         np.add.at(st["emb.word"].grad, word_ids, dx[:, :cfg.word_dims])
+        st.declare_rows(st["emb.word"], word_ids)
         if cfg.use_tags:
             np.add.at(st["emb.tag"].grad, tag_ids, dx[:, cfg.word_dims:])
+            st.declare_rows(st["emb.tag"], tag_ids)
 
     # -- factored first layer -------------------------------------------------
 
@@ -549,6 +651,14 @@ class _EncoderModel:
         labels = np.arange(label_at, label_at + self.label_slots * len(self.vocab.nonterminals))
         return np.union1d(ids[:, :len(self.position_families)], labels)
 
+    def _shared_rows(self, n: int, ids) -> np.ndarray:
+        """Which of the rows ids of a table over n encoder rows states of
+        more than one sentence may select: the absent rows and the label
+        slots' blocks. A position slot's encoder rows belong to one
+        sentence each."""
+        stride = n + len(self.families)
+        return (ids >= len(self.position_families) * stride) | (ids % stride >= n)
+
     @staticmethod
     def _slot_blocks(groups, rows):
         """Per classifier slot that rows, sorted rows of the table _project
@@ -581,16 +691,19 @@ class _EncoderModel:
         """From the gradient of a table built by _project_rows, accumulate
         dW1 one slot at a time, and into dinputs the gradient of each
         group's inputs. The input gradients accumulate on the calling
-        thread, in slot order; the dW1 GEMMs run on both threads, from input
-        rows gathered here, the helper's through one product buffer."""
+        thread, in slot order; the dW1 GEMMs run on both threads
+        (_add_block_product), the helper's through one buffer of input
+        rows and one product buffer taken here."""
         w1 = self.store[prefix + ".w1"]
         blocks = list(self._slot_blocks(groups, rows))
         with nn.scratch():
+            gathered = nn.take((max((len(p) * groups[g][0].shape[1] for g, _, p, _ in blocks
+                                     if not isinstance(p, slice)), default=0),), w1.value.dtype)
             product = nn.take((max((w.stop - w.start for _, w, _, _ in blocks), default=0),
                                w1.value.shape[1]), w1.value.dtype)
             nn.side_by_side(
-                [partial(nn.add_product, nn.gather(groups[g][0], picked).T, dtable[t_rows],
-                         w1.grad[w_rows], product[:w_rows.stop - w_rows.start])
+                [partial(_add_block_product, groups[g][0], picked, dtable[t_rows],
+                         w1.grad[w_rows], gathered, product)
                  for g, w_rows, picked, t_rows in blocks],
                 [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)
                  for g, w_rows, picked, t_rows in blocks])
@@ -662,16 +775,7 @@ class _EncoderModel:
                       for prefix in self.space.heads}
             dtables = {prefix: nn.take_zeros(table.shape, table.dtype)
                        for prefix, table in tables.items()}
-            loss = 0.0
-            for heads in scored:
-                for prefix, ids, gold in heads:
-                    if gold:
-                        with nn.scratch():
-                            ids = np.searchsorted(rows[prefix], ids)
-                            scores, mcache = self._mlp_forward(prefix, tables, ids)
-                            head_loss, dscores = nn.nll_softmax_loss(scores, np.array(gold))
-                            loss += head_loss
-                            self._mlp_backward(prefix, tables, mcache, dscores, dtables[prefix])
+            loss = self._score_all(n, tables, rows, dtables, scored)
             first, *others = self.space.heads
             self._project_rows_backward(first, groups, rows[first], dtables[first], dinputs)
             for prefix in others:

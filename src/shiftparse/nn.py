@@ -42,16 +42,19 @@ The classifier takes integer row ids. Its first layer is a gather-sum
 over w1, a table of precomputed rows (one block per input slot, see
 model.py): a state's pre-activation is b1 plus the rows its ids select,
 which is x @ w1 + b1 for the dense x counting each selected row (the
-tests' reference). Training passes (m, slots) ids and decoding one state's
-(slots,) ids, through the same indexing. The backward pass accumulates
-each row's pre-activation gradient into the table gradient at the rows it
-selected, as one counts-matrix GEMM over the distinct selected rows only,
-so a large table (e.g. one stacked over a minibatch) costs no more than
-the rows actually used.
+tests' reference). Training passes (m, slots) ids, gathered and summed a
+cache-sized chunk of states at a time, and decoding one state's (slots,)
+ids in one gather; each row is summed the same way. The backward pass
+accumulates each row's pre-activation gradient into the table gradient at
+the rows it selected, as one counts-matrix GEMM over the distinct
+selected rows only, so a large table (e.g. one stacked over a minibatch)
+costs no more than the rows actually used. It can also hold back what it
+would add (MlpTerms) for a later add in a fixed order.
 
 Independent matrix work runs side by side on two threads, the "streams"
 of Appleyard et al. 2016 (side_by_side): both threads take ADADELTA's
-chunks, or model.py's per-slot first-layer GEMMs, from one queue. In a
+chunks, model.py's per-slot first-layer GEMMs, or its classifier's
+per-sentence forward, loss and backward passes, from one queue. In a
 Bi-LSTM layer, the helper takes whole GEMMs that overlap the other
 direction's step loop: forward, the backward direction's input GEMM
 while the caller runs the forward direction; backward, the forward
@@ -96,8 +99,13 @@ the operating system, and the next update faulted them in again as
 zeroed pages: 6k-10k minor page faults and 10-45 ms of kernel time per
 update, which took 130-350 ms in all. Taken from a workspace that an
 earlier update filled, they touch no fresh page. A side_by_side or
-background job takes nothing: the caller takes what the job writes
-before handing it off, and an update's scratch rows when it starts.
+background job takes nothing from the caller's workspace, which is not
+thread-safe: the caller takes what the job writes before handing it off,
+and an update's scratch rows when it starts. A job with scratch of its
+own (model.py's classifier items) takes it, on the helper,
+from a second workspace that the model keeps for the helper alone, and
+on the caller from the caller's: never from the helper's malloc arena,
+which would keep it resident.
 """
 
 from __future__ import annotations
@@ -121,6 +129,18 @@ debug_checks = False
 # its four arrays plus a thread's two scratch rows (1.5 MB) stay in a 2 MB
 # L2.
 ADADELTA_CHUNK_BYTES = 256 * 1024
+# Training's mlp_forward gathers and sums the selected w1 rows of this many
+# bytes at a time, a chunk that stays in cache: 32-40% faster at m = 100 and
+# 170 states, 13 slots and 1000 hidden units, at either precision, than one
+# (m, slots, hidden) gather, which also set the constituency workspace's peak
+GATHER_CHUNK_BYTES = 256 * 1024
+# model.py scores a minibatch's sentences as side_by_side jobs only where
+# their hidden layers take this many bytes each on average: a smaller job
+# spends much of its time in Python, where two threads take turns at the
+# GIL. Dependency training's items, about 56 KB each, took 4.0-4.4 ms per
+# update one by one and 6.0-6.3 ms as jobs; constituency training's, about
+# 800 KB each, 24 and 18 ms (2-core Xeon VM, one BLAS thread)
+CLASSIFIER_JOB_BYTES = 256 * 1024
 # ParamStore.copy_values copies in chunks of this many values: the 68 MB of
 # a default-size constituency model take 2.3-2.4 ms on two threads, against
 # 2.8 ms in 256 KB chunks and 4.4 ms on one thread
@@ -262,9 +282,10 @@ def side_by_side(jobs, caller_jobs=()):
     until then the caller runs them.
 
     Jobs must be pure numpy calls that release the GIL and write only
-    arrays no other job reads or writes, so the result does not depend on
-    which thread runs what. Run as 0, a job allocates no array (the caller
-    passes it every output, gathered input and scratch buffer): memory a
+    memory no other job reads or writes, so the result does not depend on
+    which thread runs what. Run as 0, a job allocates no large array: the
+    caller passes it every output, gathered input and scratch buffer, or
+    it takes them from a Workspace that only the helper uses. Memory a
     second thread allocates comes from its own malloc arena and stays
     resident. The helper runs jobs in a copy of the caller's context, so
     np.errstate applies to them (numpy 2 keeps it in a context variable)."""
@@ -433,7 +454,11 @@ def gather(a: np.ndarray, rows) -> np.ndarray:
 
 
 class Param:
-    __slots__ = ("name", "value", "grad", "eg2", "ed2")
+    """A named value with its gradient and ADADELTA averages. fresh is True
+    while both averages are known to be all zero, as np.zeros made them:
+    ADADELTA clears it, and so must any other code that writes them."""
+
+    __slots__ = ("name", "value", "grad", "eg2", "ed2", "fresh")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
@@ -443,19 +468,22 @@ class Param:
         self.grad = np.zeros(value.shape, value.dtype)
         self.eg2 = np.zeros(value.shape, value.dtype)   # E[g^2]
         self.ed2 = np.zeros(value.shape, value.dtype)   # E[dx^2]
+        self.fresh = True
 
 
 class _Update:
     """An open ParamStore.update: its jobs, arguments and scratch rows, the
-    names of the parameters released and the row subsets to write back."""
+    names of the parameters released, the rows declared per parameter name
+    and the row subsets to write back."""
 
-    __slots__ = ("background", "rates", "scratch", "released", "subsets")
+    __slots__ = ("background", "rates", "scratch", "released", "rows", "subsets")
 
     def __init__(self, rates: tuple, scratch: np.ndarray):
         self.background = Background()
         self.rates = rates
         self.scratch = scratch
         self.released: set[str] = set()
+        self.rows: dict[str, list] = {}
         self.subsets: list = []
 
 
@@ -535,31 +563,40 @@ class ParamStore:
             params = list(params)
             update.released.update(p.name for p in params)
             update.background.add(self._adadelta_jobs(params, *update.rates, update.scratch,
-                                                      update.subsets))
+                                                      update.rows, update.subsets))
+
+    def declare_rows(self, p: Param, rows):
+        """Inside update(), declare integer rows among which lie all rows of
+        the matrix p whose gradient this update makes nonzero (rows may
+        repeat), so that its ADADELTA step need not scan the gradient for
+        them; elsewhere nothing."""
+        if self._update is not None:
+            self._update.rows.setdefault(p.name, []).append(rows)
 
     def _scratch(self) -> np.ndarray:
         """Two scratch rows of an ADADELTA chunk per thread."""
         return take((2, 2, ADADELTA_CHUNK_BYTES // self.dtype.itemsize), self.dtype)
 
-    def _adadelta_jobs(self, params, rho, eps, l2, scratch, subsets) -> list:
+    def _adadelta_jobs(self, params, rho, eps, l2, scratch, declared, subsets) -> list:
         """adadelta_step's jobs for params, chunk by chunk. The row subset
         of a sparse parameter (see adadelta_step) is updated in a copy,
         which goes into subsets, (param, rows, copies), to be written back
-        once the jobs have run; the jobs decay its whole accumulators."""
+        once the jobs have run; the jobs decay its whole accumulators,
+        unless they are still all zero. declared maps a parameter's name to
+        the rows declare_rows gave for it."""
         chunk = scratch.shape[-1]
         jobs = []
         for p in params:
             arrays = (p.value, p.grad, p.eg2, p.ed2)
-            # the rows with a nonzero gradient include those nonzero in
-            # column 0, so if half of those are, the matrix is dense
-            if (not l2 and p.value.ndim == 2
-                    and 2 * np.count_nonzero(p.grad[:, 0]) < len(p.value)):
-                touched = np.flatnonzero(p.grad.any(axis=1))
-                if 2 * len(touched) < len(p.value):
+            if not l2 and p.value.ndim == 2:
+                touched = _touched_rows(p, declared.get(p.name))
+                if touched is not None and 2 * len(touched) < len(p.value):
                     arrays = tuple(arr[touched] for arr in arrays)
                     subsets.append((p, touched, arrays))
-                    jobs += [functools.partial(_decay, *views, rho)
-                             for views in _chunks((p.eg2, p.ed2), chunk)]
+                    if not p.fresh:
+                        jobs += [functools.partial(_decay, *views, rho)
+                                 for views in _chunks((p.eg2, p.ed2), chunk)]
+            p.fresh = False
             # walked a chunk at a time, so that the whole op sequence runs
             # on data held in cache
             jobs += [functools.partial(_adadelta_chunk, *views, rho, eps, l2, scratch)
@@ -579,11 +616,14 @@ class ParamStore:
         is cleared.
 
         With l2 = 0, a coordinate of zero gradient only decays its
-        accumulators: E[g2] <- rho E[g2], E[dx2] <- rho E[dx2], x unchanged.
-        So where fewer than half the rows of a matrix (e.g. an embedding
-        table) have a nonzero gradient, the op sequence runs on a copy of
-        those rows only, the rest get just the two decays, and the result
-        is bitwise that of the dense update.
+        accumulators: E[g2] <- rho E[g2], E[dx2] <- rho E[dx2], x unchanged;
+        the op sequence gives it those very bits. So where fewer than half
+        the rows of a matrix (e.g. an embedding table) have a nonzero
+        gradient, the op sequence runs on a copy of those rows only, the
+        rest get just the two decays (none while the accumulators are still
+        all zero, see Param.fresh), and the result is bitwise that of the
+        dense update. The rows are those declared for it inside update()
+        (declare_rows), where that was done, else those the gradient shows.
 
         Both threads take the chunks. Inside update(), with that update's
         arguments, the parameters released are updated by the background
@@ -597,7 +637,7 @@ class ParamStore:
             raise ValueError("adadelta_step takes its update's rho, eps and l2 %r"
                              % (update.rates,))
         jobs = self._adadelta_jobs([p for p in self if p.name not in update.released],
-                                   rho, eps, l2, update.scratch, update.subsets)
+                                   rho, eps, l2, update.scratch, update.rows, update.subsets)
         update.background.finish()
         side_by_side(jobs)
         for p, rows, arrays in update.subsets:
@@ -605,6 +645,19 @@ class ParamStore:
             p.grad[rows] = 0.0
         for p in self:
             _check_finite(p.name, p.value)
+
+
+def _touched_rows(p: Param, declared):
+    """Sorted rows of the matrix p holding every nonzero of its gradient:
+    the declared rows, where there are any, else the gradient's nonzero
+    rows, or None where half of its rows or more are nonzero."""
+    if declared is not None:
+        return np.unique(np.concatenate(declared))
+    # the rows with a nonzero gradient include those nonzero in column 0,
+    # so if half of those are, the matrix is dense
+    if 2 * np.count_nonzero(p.grad[:, 0]) >= len(p.value):
+        return None
+    return np.flatnonzero(p.grad.any(axis=1))
 
 
 def _copy(out, value, thread):
@@ -942,10 +995,19 @@ def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
     """Affine -> ReLU -> affine over the rows of w1 that the integer ids x,
     (m, slots) or (slots,), select: the hidden pre-activation is b1 plus
     the sum of the selected rows. Returns (scores, cache), scores (m, K)
-    or (K,)."""
+    or (K,). Training's (m, slots) ids gather and sum GATHER_CHUNK_BYTES
+    of rows at a time, each row summed as w1[x].sum(axis=-2) sums it."""
     pre = take(x.shape[:-1] + w1.shape[1:], w1.dtype)
     with scratch():
-        np.add.reduce(gather(w1, x), axis=-2, out=pre)     # w1[x].sum(axis=-2)
+        if x.ndim == 1:
+            np.add.reduce(gather(w1, x), axis=-2, out=pre)
+        else:
+            rows = max(1, GATHER_CHUNK_BYTES // (x.shape[1] * w1.shape[1] * w1.itemsize))
+            part = take((min(rows, len(x)),) + x.shape[1:] + w1.shape[1:], w1.dtype)
+            for start in range(0, len(x), rows):
+                ids = x[start:start + rows]
+                np.take(w1, ids, axis=0, out=part[:len(ids)], mode="clip")
+                np.add.reduce(part[:len(ids)], axis=-2, out=pre[start:start + rows])
     pre += b1
     hid = np.maximum(pre, 0.0, out=take(pre.shape, pre.dtype))
     scores = np.matmul(hid, w2, out=take(hid.shape[:-1] + w2.shape[1:], hid.dtype))
@@ -954,30 +1016,104 @@ def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
     return scores, (x, pre, hid)
 
 
-def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2):
+def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2, terms=None):
     """Backward for mlp_forward over (m, slots) ids, given (m, K) dscores;
     accumulates into the d* arrays, dw1 receiving each row's pre-activation
-    gradient at every row of w1 it selected."""
-    x, pre, hid = cache
+    gradient at every row of w1 it selected.
+
+    Given terms, an MlpTerms taken for this call (passed positionally), it
+    adds to dw1 only at the rows that terms.shared leaves out, which no
+    other call selects, and writes everything else it would add into terms:
+    terms.add(dw1, db1, dw2, db2) adds that later, by the same ops. So calls
+    that run on two threads can be added in a fixed order."""
+    x = cache[0]
     with scratch():
-        dw2 += np.matmul(hid.T, dscores, out=take(dw2.shape, dw2.dtype))
-        db2 += dscores.sum(axis=0)
+        used, inverse = np.unique(x.ravel(), return_inverse=True)
+        own = terms if terms is not None else MlpTerms(len(used), *w2.shape, dscores.dtype)
+        _mlp_terms(w2, cache, dscores, used, inverse, dw1, own)
+        if terms is None:
+            own.add(dw1, db1, dw2, db2)
+
+
+class MlpTerms:
+    """What an mlp_backward call adds to the gradients, held until add():
+    the product for dW2, the sums for db2 and db1, and the products for the
+    rows of dw1 that other calls may select too, with those rows. shared
+    marks such rows of dw1 (a boolean mask; None marks them all). Its arrays
+    are taken on construction, for that many rows at most."""
+
+    __slots__ = ("dw2", "db2", "db1", "drows", "used", "shared")
+
+    def __init__(self, rows: int, hidden: int, classes: int, dtype, shared=None):
+        self.dw2 = take((hidden, classes), dtype)
+        self.db2 = take((classes,), dtype)
+        self.db1 = take((hidden,), dtype)
+        self.drows = take((rows, hidden), dtype)
+        self.used = None
+        self.shared = shared
+
+    def add(self, dw1, db1, dw2, db2):
+        """dW2 += hid^T dscores, db2 += sum(dscores), db1 += sum(dpre) and
+        dw1[used] += counts dpre at the rows held, as mlp_backward adds them."""
+        dw2 += self.dw2
+        db2 += self.db2
+        db1 += self.db1
+        _scatter_add(dw1, self.used, self.drows[:len(self.used)])
+
+
+def _scatter_add(out, rows, values, at=None):
+    """out[rows] += values[at], or values itself without at, for sorted
+    distinct rows, GATHER_CHUNK_BYTES of rows at a time"""
+    step = max(1, GATHER_CHUNK_BYTES // (math.prod(out.shape[1:]) * out.itemsize))
+    with scratch():
+        summed = take((min(step, len(rows)),) + out.shape[1:], out.dtype)
+        picked = None if at is None else take(summed.shape, values.dtype)
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            part = summed[:len(chunk)]
+            np.take(out, chunk, axis=0, out=part, mode="clip")
+            if at is None:
+                part += values[start:start + step]
+            else:
+                part += np.take(values, at[start:start + step], axis=0,
+                                out=picked[:len(chunk)], mode="clip")
+            out[chunk] = part
+
+
+def _mlp_terms(w2, cache, dscores, used, inverse, dw1, terms):
+    """mlp_backward's products and sums, into terms, or into dw1 at the rows
+    terms.shared leaves out; used and inverse are np.unique's of the ids."""
+    x, pre, hid = cache
+    np.matmul(hid.T, dscores, out=terms.dw2)
+    np.add.reduce(dscores, axis=0, out=terms.db2)
+    # the table rows' products, and then, where some go to dw1, their own
+    # buffer, which outlives dpre
+    if terms.shared is None:
+        product = terms.drows[:len(used)]
+    else:
+        product = take((len(used), pre.shape[1]), pre.dtype)
+    with scratch():
         dpre = np.matmul(dscores, w2.T, out=take(pre.shape, pre.dtype))    # dhid
         dpre *= np.greater(pre, 0.0, out=take(pre.shape, bool))
-        db1 += dpre.sum(axis=0)
+        np.add.reduce(dpre, axis=0, out=terms.db1)
         # counts[r, i]: how often row i selected the r-th distinct selected
         # row of w1; as a GEMM this is far faster than np.add.at over the
         # (m, slots, hidden) scatter, and it spans only the selected rows,
         # so its cost does not grow with the table
         m = len(x)
-        used, inverse = np.unique(x.ravel(), return_inverse=True)
-        counts = np.bincount((inverse.reshape(x.shape) * m + np.arange(m)[:, None]).ravel(),
-                             minlength=len(used) * m)
-        weights = take((len(used), m), dpre.dtype)
-        np.copyto(weights, counts.reshape(len(used), m), casting="unsafe")
-        rows = gather(dw1, used)
-        rows += np.matmul(weights, dpre, out=take(rows.shape, rows.dtype))
-        dw1[used] = rows
+        weights = take_zeros((len(used), m), dpre.dtype)
+        np.add.at(weights.reshape(-1), (inverse.reshape(x.shape) * m + np.arange(m)[:, None]),
+                  1.0)
+        np.matmul(weights, dpre, out=product)
+    if terms.shared is None:
+        terms.used = used
+        return
+    held = terms.shared[used]
+    own = np.flatnonzero(~held)
+    _scatter_add(dw1, used[own], product, own)
+    held = np.flatnonzero(held)
+    np.take(product, held, axis=0, out=terms.drows[:len(held)])
+    terms.used = used[held]
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import signal
 import struct
+import sys
 import time
 import traceback
 import tracemalloc
@@ -339,7 +340,7 @@ def test_minibatch_gradients_equal_sum_of_sentences(task, hierarchical):
         assert np.abs(batch_grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
 
 
-def _minibatch(task):
+def _minibatch(task, precision="float64"):
     """A hierarchical dep or a flat const model, values moved off their
     init, with a minibatch of sentences of several lengths."""
     rng = np.random.default_rng(13)
@@ -347,12 +348,13 @@ def _minibatch(task):
         trees = [synth.random_projective_tree(rng, n) for n in (7, 2, 11, 5)]
         vocab = build_vocab([t.sentence for t in trees], dep_trees=trees, min_form_count=1)
         model = DepModel(DepConfig(word_dims=8, tag_dims=6, lstm_units=8, hidden=12,
-                                   hierarchical=True, seed=3), vocab)
+                                   hierarchical=True, precision=precision, seed=3), vocab)
     else:
         trees = [synth.random_const_tree(rng, n) for n in (7, 2, 11, 5)]
         vocab = build_vocab([t.sentence for t in trees], const_trees=trees, min_form_count=1)
         model = ConstModel(ConstConfig(word_dims=8, tag_dims=6, nonterminal_dims=6,
-                                       lstm_units=8, hidden=12, seed=3), vocab)
+                                       lstm_units=8, hidden=12, precision=precision, seed=3),
+                           vocab)
     for p in model.store:
         p.value[...] += rng.standard_normal(p.value.shape) * 0.1
     return model, [(t, model._oracle(t)) for t in trees]
@@ -466,6 +468,70 @@ def test_first_layer_on_two_threads_is_bitwise_one_thread(task, monkeypatch, two
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("task", ["dep", "const"])
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_classifier_on_two_threads_is_bitwise_one_thread(task, precision, monkeypatch,
+                                                        two_threads):
+    # _classify's items (a sentence's states under a head) one after another,
+    # each added as it is scored; as jobs on one thread; and as jobs on two,
+    # their held terms added in sentence order once all have run. dep:
+    # hierarchical, the label head scoring labeled states only; const: flat,
+    # with label slots. Sentences of uneven lengths share absent rows, and
+    # for const label rows, of the tables.
+    model, batch = _minibatch(task, precision)
+    n = sum(len(tree.sentence) for tree, _ in batch)
+    enc = np.random.default_rng(5).standard_normal((n, model.enc_dims)).astype(precision)
+    scored = model._replay(batch, n)
+    for prefix in model.space.heads:
+        selected = [np.unique(ids) for heads in scored for head, ids, gold in heads
+                    if head == prefix and gold]
+        common = np.intersect1d(selected[0], selected[2])
+        assert model._shared_rows(n, common).any()
+        if model.label_slots:
+            assert model._shared_rows(n, common).sum() > len(model.families)
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    results = []
+    for run in ("items one by one", "jobs on one thread", "jobs on two threads"):
+        if run == "jobs on one thread":
+            monkeypatch.setattr(nn, "CLASSIFIER_JOB_BYTES", 0)
+        elif run == "jobs on two threads":
+            threads = two_threads()
+        model.store.zero_grads()
+        loss, denc = model._classify(enc, scored)
+        results.append([loss, denc.tobytes()] + [p.grad.tobytes() for p in model.store])
+    assert threads == {0, 1}
+    assert results[0] == results[1] == results[2]
+
+
+def test_classifier_jobs_keep_their_bits_under_frequent_thread_switches(monkeypatch, helper):
+    # the jobs write one gradient while the caller's write others and the
+    # terms they hold: with the interpreter switching threads every 10 us,
+    # 20 runs on two threads each give the bits of the plain loop
+    model, batch = _minibatch("const")
+    n = sum(len(tree.sentence) for tree, _ in batch)
+    enc = np.random.default_rng(5).standard_normal((n, model.enc_dims))
+    scored = model._replay(batch, n)
+
+    def run():
+        model.store.zero_grads()
+        loss, denc = model._classify(enc, scored)
+        return [loss, denc.tobytes()] + [p.grad.tobytes() for p in model.store]
+
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    want = run()
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    monkeypatch.setattr(nn, "CLASSIFIER_JOB_BYTES", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        deadline = time.monotonic() + 10.0
+        for _ in range(20):
+            assert run() == want
+            assert time.monotonic() < deadline
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _fit_setup(task, precision="float64", l2=0.0, grad_clip=0.0):
     """A model with dropout on and 200 more forms than its 6 trees use, so
     that a minibatch of two sentences touches few rows of the word table
@@ -564,6 +630,70 @@ def test_error_in_the_backward_pass_leaves_no_update_job_running(monkeypatch, he
     assert not helper.background
     time.sleep(0.05)
     assert counts["started"] == counts["ended"]
+
+
+def test_error_in_a_classifier_job_leaves_no_job_running(monkeypatch, helper):
+    # the third item's loss of an update raises, on whichever thread runs
+    # it: fit re-raises once no job of the update runs or can start, and a
+    # fresh model then trains as one that never saw the error
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    monkeypatch.setattr(nn, "CLASSIFIER_JOB_BYTES", 0)
+    reference, trees = _fit_setup("dep")
+    reference.fit(trees)
+    counts = {"started": 0, "ended": 0, "losses": 0}
+    score, loss = _EncoderModel._score, nn.nll_softmax_loss
+
+    def slow_score(*args):
+        counts["started"] += 1
+        try:
+            time.sleep(0.002)
+            score(*args)
+        finally:
+            counts["ended"] += 1
+
+    def failing_loss(scores, gold):
+        counts["losses"] += 1
+        if counts["losses"] == 3:
+            raise RuntimeError("loss failed")
+        return loss(scores, gold)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_EncoderModel, "_score", slow_score)
+        patch.setattr(nn, "nll_softmax_loss", failing_loss)
+        model, _ = _fit_setup("dep")
+        with pytest.raises(RuntimeError, match="loss failed"):
+            model.fit(trees)
+        assert counts["started"] == counts["ended"] and counts["losses"] >= 3
+        assert not helper.background
+        time.sleep(0.05)
+        assert counts["started"] == counts["ended"]
+    fresh, _ = _fit_setup("dep")
+    fresh.fit(trees)
+    assert ([p.value.tobytes() for p in fresh.store]
+            == [p.value.tobytes() for p in reference.store])
+
+
+def test_fit_declares_the_word_rows_and_keeps_the_scanned_bits(monkeypatch):
+    # fit declares the word and tag rows of each minibatch to its update,
+    # and adadelta_step updates those rows instead of scanning the gradient
+    # for them; two fits of 3 minibatches each, with and without declaring
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    declared = []
+    touched = nn._touched_rows
+    monkeypatch.setattr(nn, "_touched_rows", lambda p, rows: (
+        declared.append((p.name, rows is not None)) or touched(p, rows)))
+    results = []
+    for run in ("scanned", "declared"):
+        with monkeypatch.context() as patch:
+            if run == "scanned":
+                patch.setattr(nn.ParamStore, "declare_rows", lambda self, p, rows: None)
+            model, trees = _fit_setup("dep")
+            declared.clear()
+            lines = model.fit(trees) + model.fit(trees)
+        assert ("emb.word", run == "declared") in declared
+        results.append([lines] + [getattr(p, a).tobytes() for p in model.store
+                                  for a in ("value", "grad", "eg2", "ed2")])
+    assert results[0] == results[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import sys
@@ -447,6 +448,55 @@ def _mlp_store_loss(store, ids, gold):
     return loss
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mlp_forward_chunks_keep_the_single_gather_bits(monkeypatch, dtype):
+    # training's (m, slots) ids are gathered and summed a chunk of rows at a
+    # time; with chunks of 4 rows, 3, 4 and 5 states give the bits of one
+    # gather of all the rows, with a workspace current and without one
+    rng = np.random.default_rng(21)
+    slots, hidden = 5, 7
+    table, b1, w2, b2 = (a.astype(dtype) for a in _mlp_case(rng, 30, hidden, 4))
+    monkeypatch.setattr(nn, "GATHER_CHUNK_BYTES", 4 * slots * hidden * np.dtype(dtype).itemsize)
+    for m in (3, 4, 5):
+        ids = rng.integers(0, 30, size=(m, slots))
+        pre = np.add.reduce(table[ids], axis=-2)
+        pre += b1
+        scores = np.maximum(pre, 0.0) @ w2
+        scores += b2
+        for workspace in (None, nn.Workspace()):
+            with workspace.scope() if workspace else contextlib.nullcontext():
+                got, (_, got_pre, _) = nn.mlp_forward(table, b1, w2, b2, ids)
+                assert got_pre.tobytes() == pre.tobytes(), (m, workspace)
+                assert got.tobytes() == scores.tobytes(), (m, workspace)
+
+
+def test_mlp_backward_terms_added_later_give_the_bits_of_adding_at_once():
+    # three calls over one table: rows 0-4 are shared, which any call may
+    # select, and each call selects other rows of its own. Held as terms,
+    # with only its own rows added to dw1 by the call, and added in call
+    # order afterwards, they give every bit of three calls that add as they
+    # go; nothing else is added before that
+    rng = np.random.default_rng(22)
+    table, b1, w2, b2 = _mlp_case(rng, 20, offset=0.1)
+    shared = np.arange(20) < 5
+    direct = [np.zeros_like(a) for a in (table, b1, w2, b2)]
+    later = [np.zeros_like(a) for a in (table, b1, w2, b2)]
+    terms = []
+    for m, own in ((4, 5), (6, 10), (3, 15)):
+        ids = np.concatenate([rng.integers(0, 5, (m, 2)), rng.integers(own, own + 5, (m, 2))],
+                             axis=1)
+        scores, cache = nn.mlp_forward(table, b1, w2, b2, ids)
+        _, dscores = nn.nll_softmax_loss(scores, rng.integers(0, 3, m))
+        nn.mlp_backward(table, b1, w2, b2, cache, dscores, *direct)
+        terms.append(nn.MlpTerms(len(np.unique(ids[:, :2])), 6, 3, table.dtype, shared))
+        nn.mlp_backward(table, b1, w2, b2, cache, dscores, *later, terms[-1])
+        assert later[0][own:own + 5].any()
+    assert not later[0][:5].any() and not any(a.any() for a in later[1:])
+    for held in terms:
+        held.add(*later)
+    assert [a.tobytes() for a in later] == [a.tobytes() for a in direct]
+
+
 def test_mlp_zero_weights():
     scores, _ = nn.mlp_forward(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)),
                                np.zeros(2), np.array([[0, 1, 2], [2, 2, 1]]))
@@ -683,6 +733,50 @@ def test_adadelta_skips_zero_gradient_rows_bitwise(monkeypatch):
             assert not p.grad.any()
             moved = p.value[untouched] != value[untouched]
             assert untouched.any() and (moved.all() if l2 else not moved.any())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adadelta_declared_rows_give_the_scanned_bits(monkeypatch, dtype):
+    # a (40, 6) table over four updates, its rows declared inside update()
+    # (repeated, and some whose gradient is all zero), against the same
+    # gradients found by scanning and the same values as a vector, which is
+    # always updated densely; the first update of fresh accumulators decays
+    # none of them, and the sequence runs on exactly the declared rows
+    rng = np.random.default_rng(23)
+    rho, eps = 0.95, 1e-6
+    sizes, decays = [], []
+    sqrt, decay = np.sqrt, nn._decay
+    monkeypatch.setattr(np, "sqrt", lambda x, out=None: sizes.append(np.size(x)) or sqrt(x, out=out))
+    monkeypatch.setattr(nn, "_decay", lambda *args: decays.append(1) or decay(*args))
+    value = rng.standard_normal((40, 6)).astype(dtype)
+    declared, scanned, flat = (nn.ParamStore(dtype) for _ in range(3))
+    for store in (declared, scanned):
+        store.add("emb", value.copy())
+    flat.add("emb", value.reshape(-1).copy())
+    for step, (nonzero, zero) in enumerate((([3, 17], [8]), ([17, 30, 31, 39], [30, 2]),
+                                            ([], [9]), ([0, 5], []))):
+        grad = np.zeros((40, 6), dtype=dtype)
+        grad[nonzero] = rng.standard_normal((len(nonzero), 6))
+        for store in (declared, scanned, flat):
+            store["emb"].grad[...] = grad.reshape(store["emb"].grad.shape)
+        runs = []
+        for store in (declared, scanned):
+            sizes.clear()
+            decays.clear()
+            if store is declared:
+                with store.update(rho, eps, 0.0):
+                    store.declare_rows(store["emb"], np.array(nonzero + zero, dtype=np.intp))
+                    store.adadelta_step(rho, eps, 0.0)
+            else:
+                store.adadelta_step(rho, eps, 0.0)
+            runs.append(sum(sizes))
+            assert bool(decays) == (step > 0)
+        assert runs == [2 * 6 * len(set(nonzero + zero)), 2 * 6 * len(nonzero)]
+        flat.adadelta_step(rho, eps, 0.0)
+        for name in ("value", "grad", "eg2", "ed2"):
+            want = getattr(flat["emb"], name).tobytes()
+            assert getattr(declared["emb"], name).tobytes() == want, (step, name)
+            assert getattr(scanned["emb"], name).tobytes() == want, (step, name)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -169,6 +169,19 @@ MUTANTS = (
            "            while self._background_job():\n",
            "the helper serves a pending side_by_side call before any more background jobs",
            ("tests/test_nn.py::test_side_by_side_call_runs_before_queued_background_jobs",)),
+    Mutant("classifier-accumulates-in-reverse", "src/shiftparse/model.py",
+           "                for (prefix, _, _), terms in zip(items, held):\n",
+           "                for (prefix, _, _), terms in reversed(list(zip(items, held))):\n",
+           "the terms the caller's classifier jobs hold are added in sentence order, as "
+           "one thread adds them; back to front, the rows and sums they share round "
+           "differently",
+           ("tests/test_model.py::test_classifier_on_two_threads_is_bitwise_one_thread",)),
+    Mutant("classifier-gather-drops-last-chunk", "src/shiftparse/nn.py",
+           "            for start in range(0, len(x), rows):\n",
+           "            for start in range(0, len(x) - rows, rows):\n",
+           "training's gather-sum of the selected w1 rows covers every chunk of states, "
+           "the last and shorter one too",
+           ("tests/test_nn.py::test_mlp_forward_chunks_keep_the_single_gather_bits",)),
     Mutant("const-accepts-recall-csv", "src/shiftparse/cli.py",
            '"punct_tags", "recall_by_length", "max_bucket"', '"punct_tags", "max_bucket"',
            "eval --task const rejects --recall-by-length, which only dep writes",
@@ -217,13 +230,13 @@ def main() -> int:
             # pytest exits 1 when tests ran and failed; anything else (an
             # import or collection error) does not show that a test noticed
             verdict = "killed" if code == 1 else "SURVIVED (pytest exit %d)" % code
-            print("%-32s %s" % (m.name, verdict), flush=True)
+            print("%-34s %s" % (m.name, verdict), flush=True)
             if code != 1:
                 bad.append(m.name)
             shutil.rmtree(copy)
     for m in MUTANTS:
         if m.equivalent and m.name not in bad:
-            print("%-32s equivalent: %s" % (m.name, m.equivalent))
+            print("%-34s equivalent: %s" % (m.name, m.equivalent))
     return 1 if bad else 0
 
 
