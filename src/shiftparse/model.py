@@ -42,17 +42,18 @@ The classifier above the table scores a minibatch sentence by sentence:
 one item per sentence and head, each a forward pass, loss and backward
 pass of that sentence's states. Where the items are large enough
 (nn.CLASSIFIER_JOB_BYTES; the constituency parser's are, the dependency
-parser's are not), they are side_by_side jobs on both threads, and their
-gradients are still added in sentence order. nn's helper takes jobs from
-the front and the caller from the back, so the helper's items come first
-in that order and it adds each as it goes. The caller adds at once only
-the rows of the table's gradient that its item alone selects, a
-sentence's own encoder rows, and holds the rest (the upper layer's
-gradients, the sums for the biases, the rows of absent and label slots,
-which other sentences select too) until every job has run; then it adds
-what it holds, item by item. So every sum has the bits of the plain loop
-over the items, on one thread or two. Small items run in that loop, on
-the caller.
+parser's are not), they are side_by_side jobs on both threads; smaller
+ones run one by one on the caller. Either way the gradients are added in
+sentence order. An item that finds every item before it added adds its
+own as it goes. Any other adds at once only the rows of the table's
+gradient that it alone selects, a sentence's own encoder rows, and holds
+the rest (the upper layer's gradients, the sums for the biases, the rows
+of absent and label slots, which other sentences select too) until every
+item has run; then what is held is added, item by item. nn's helper
+takes jobs from the front, so it never holds; the caller takes them from
+the back, and on one CPU runs them all in order, holding nothing. So
+every sum has the bits of the plain loop over the items, on one thread
+or two.
 
 The encoder batches the same way. Training runs it once per minibatch:
 each layer and direction is one LSTM call over all the minibatch's
@@ -95,9 +96,10 @@ only by arrays never live at once, and the workspace holds about what an
 update's arrays took at their peak before it existed (a pool that reused
 arrays by shape, whatever their lifetimes, raised the peak resident
 memory by 25-36%). It grows to the largest minibatch seen and lives as
-long as the model. A second workspace holds the scratch of the
-classifier items that nn's helper thread runs, and only that thread uses
-it. Decoding uses neither and allocates as numpy does.
+long as the model. The jobs that nn's helper thread runs for an update
+take their scratch from the workspace's twin (see nn.py), which only
+that thread uses, a job at a time. Decoding uses neither and allocates
+as numpy does.
 
 A model is built on one path, whatever the source of its initial values.
 A new model draws them from a generator seeded with config.seed, parameter
@@ -304,20 +306,6 @@ def _add_rows(out, rows, a, b):
             out[rows] = summed
 
 
-def _add_block_product(inputs, picked, dt, out, gathered, product, thread):
-    """out += inputs[picked]^T dt, for picked a slice or sorted row indices:
-    a side_by_side job, which gathers the picked rows into scratch of the
-    caller's (thread 1) or, on the helper (0), into gathered, and there
-    forms the product in product"""
-    with nn.scratch() if thread else contextlib.nullcontext():
-        if thread or isinstance(picked, slice):
-            a = nn.gather(inputs, picked)
-        else:
-            a = np.take(inputs, picked, axis=0, mode="clip",
-                        out=gathered[:len(picked) * inputs.shape[1]].reshape(len(picked), -1))
-        nn.add_product(a.T, dt, out, product[:len(out)], thread)
-
-
 class _Initial:
     """Where a model's randomly initialised parameters get their values:
     nn's initialisers, drawn from rng in the order the parameters are added,
@@ -377,7 +365,6 @@ class _EncoderModel:
         self.best_params: Optional[dict[str, np.ndarray]] = None
         self._snapshot: Optional[dict[str, np.ndarray]] = None   # the last snapshot() made
         self._workspace = nn.Workspace()      # training's arrays, kept between updates
-        self._helper_workspace = nn.Workspace()   # the scratch of jobs nn's helper runs
         init = _Initial(self.rng if fill else None, self.store.dtype)
         try:
             self._build_encoder(init)
@@ -450,62 +437,56 @@ class _EncoderModel:
         order, so every sum has the bits of a loop over the items.
 
         Where the items' hidden layers take nn.CLASSIFIER_JOB_BYTES each on
-        average, the items are side_by_side jobs (_score_job); smaller ones
-        run one by one on the caller, each added as it is scored."""
+        average, the items are side_by_side jobs; smaller ones run one by one
+        on the caller. Either way each item adds what it can at once, and
+        what it holds is added here, in item order, once all have run."""
         st = self.store
         items = [(prefix, ids, np.array(gold)) for heads in scored
                  for prefix, ids, gold in heads if gold]
-        losses = [0.0] * len(items)
-        states = sum(len(ids) for _, ids, _ in items)
-        if states * self.config.hidden * st.dtype.itemsize < nn.CLASSIFIER_JOB_BYTES * len(items):
-            for i, item in enumerate(items):
-                self._score(tables, rows, dtables, item, None, losses, i, 1)
-        else:
-            shared = {prefix: self._shared_rows(n, table_rows)
-                      for prefix, table_rows in rows.items()}
-            held = [None] * len(items)
-            with nn.scratch():
-                nn.side_by_side([partial(self._score_job, n, tables, rows, dtables, shared, items,
-                                         held, losses, i) for i in range(len(items))])
-                for (prefix, _, _), terms in zip(items, held):
-                    if terms is not None:
-                        terms.add(dtables[prefix], st[prefix + ".b1"].grad,
-                                  st[prefix + ".w2"].grad, st[prefix + ".b2"].grad)
+        # per item its loss and the terms it holds, and how many items from
+        # the front have added all their gradients
+        losses, held, added = [0.0] * len(items), [None] * len(items), [0]
+        jobs = [partial(self._score, n, tables, rows, dtables, items, losses, held, added, i)
+                for i in range(len(items))]
+        hidden_bytes = sum(len(ids) for _, ids, _ in items) * self.config.hidden * st.dtype.itemsize
+        with nn.scratch():
+            if hidden_bytes < nn.CLASSIFIER_JOB_BYTES * len(items):
+                for job in jobs:
+                    job(1)
+            else:
+                nn.side_by_side(jobs)
+            for (prefix, _, _), terms in zip(items, held):
+                if terms is not None:
+                    terms.add(dtables[prefix], st[prefix + ".b1"].grad,
+                              st[prefix + ".w2"].grad, st[prefix + ".b2"].grad)
         loss = 0.0
         for item_loss in losses:    # not sum(), which compensates from Python 3.12 on
             loss += item_loss
         return loss
 
-    def _score_job(self, n: int, tables, rows, dtables, shared, items, held, losses, i,
-                   thread):
-        """_score_all's job for its item i. The helper (thread 0) takes the
-        jobs from the front, so it has run and added every item before this
-        one, and it adds this one too as it is scored. The caller takes them
-        from the back: it adds to the table's gradient at the sentence's own
-        encoder rows, which no other item selects, and writes all else it
-        would add into terms, held[i], which _score_all adds in order once
-        every job has run. They are taken here from the caller's workspace,
-        and they last until _score_all's scope ends."""
+    def _score(self, n: int, tables, rows, dtables, items, losses, held, added, i, thread):
+        """_score_all's item i, (head, table rows of the whole table, gold
+        outputs): its loss into losses[i], its gradients into dtables and the
+        heads' gradients. Where every item before it has added all of its
+        own, it adds them as it goes, and then counts itself in added[0].
+        Else it adds only the rows of the table's gradient at its sentence's
+        own encoder rows, which no other item selects, and holds the rest in
+        held[i], taken from the caller's scope, for _score_all to add in
+        order. nn's helper takes items from the front, so only the caller
+        holds, and on one thread no item does."""
+        prefix, ids, gold = items[i]
         terms = None
-        if thread:
-            prefix, ids, _ = items[i]
-            terms = held[i] = nn.MlpTerms(
-                np.count_nonzero(self._shared_rows(n, np.flatnonzero(np.bincount(ids.ravel())))),
-                *self.store[prefix + ".w2"].value.shape, self.store.dtype, shared[prefix])
-        self._score(tables, rows, dtables, items[i], terms, losses, i, thread)
-
-    def _score(self, tables, rows, dtables, item, terms, losses, i, thread):
-        """One item of _score_all, (head, table rows of the whole table,
-        gold outputs): its loss into losses[i], its gradients into dtables
-        and, given its terms, those, else the heads' gradients. Its scratch
-        is the running thread's own: the helper's (thread 0) workspace, or a
-        scope of the caller's current one."""
-        prefix, ids, gold = item
-        with self._helper_workspace.scope() if thread == 0 else nn.scratch():
+        if added[0] != i:
+            w2 = self.store[prefix + ".w2"].value
+            terms = held[i] = nn.MlpTerms(np.count_nonzero(self._shared_rows(n, np.unique(ids))),
+                                          *w2.shape, w2.dtype, self._shared_rows(n, rows[prefix]))
+        with nn.scratch():
             ids = np.searchsorted(rows[prefix], ids)
             scores, cache = self._mlp_forward(prefix, tables, ids)
             losses[i], dscores = nn.nll_softmax_loss(scores, gold)
             self._mlp_backward(prefix, tables, cache, dscores, dtables[prefix], terms)
+        if terms is None:
+            added[0] += 1
 
     # -- encoder forward/backward -------------------------------------------
 
@@ -677,36 +658,30 @@ class _EncoderModel:
 
     def _project_rows(self, prefix: str, groups, rows):
         """A head's first-layer table at rows only, sorted rows of the table
-        _project builds: row i is that table's row rows[i]. The slots' GEMMs
-        run on two threads, from input rows gathered here."""
+        _project builds: row i is that table's row rows[i]. The slots' GEMMs,
+        each from the slot's input rows gathered in its job, run on two
+        threads."""
         w1 = self.store[prefix + ".w1"].value
         table = nn.take((len(rows), w1.shape[1]), w1.dtype)
-        with nn.scratch():
-            nn.side_by_side([partial(nn.set_product, nn.gather(groups[g][0], picked), w1[w_rows],
-                                     table[t_rows])
-                             for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows)])
+        nn.side_by_side([partial(nn.set_gathered_product, groups[g][0], picked, w1[w_rows],
+                                 table[t_rows])
+                         for g, w_rows, picked, t_rows in self._slot_blocks(groups, rows)])
         return table
 
     def _project_rows_backward(self, prefix: str, groups, rows, dtable, dinputs):
         """From the gradient of a table built by _project_rows, accumulate
         dW1 one slot at a time, and into dinputs the gradient of each
         group's inputs. The input gradients accumulate on the calling
-        thread, in slot order; the dW1 GEMMs run on both threads
-        (_add_block_product), the helper's through one buffer of input
-        rows and one product buffer taken here."""
+        thread, in slot order; the dW1 GEMMs, each from the slot's input
+        rows gathered in its job, run on both threads."""
         w1 = self.store[prefix + ".w1"]
         blocks = list(self._slot_blocks(groups, rows))
-        with nn.scratch():
-            gathered = nn.take((max((len(p) * groups[g][0].shape[1] for g, _, p, _ in blocks
-                                     if not isinstance(p, slice)), default=0),), w1.value.dtype)
-            product = nn.take((max((w.stop - w.start for _, w, _, _ in blocks), default=0),
-                               w1.value.shape[1]), w1.value.dtype)
-            nn.side_by_side(
-                [partial(_add_block_product, groups[g][0], picked, dtable[t_rows],
-                         w1.grad[w_rows], gathered, product)
-                 for g, w_rows, picked, t_rows in blocks],
-                [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)
-                 for g, w_rows, picked, t_rows in blocks])
+        nn.side_by_side(
+            [partial(nn.add_gathered_product, groups[g][0], picked, dtable[t_rows],
+                     w1.grad[w_rows])
+             for g, w_rows, picked, t_rows in blocks],
+            [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)
+             for g, w_rows, picked, t_rows in blocks])
 
     def _slot_ids(self, n: int, rows, offset: int = 0):
         """Table rows selected by feature rows [(positions, label ids)] of a

@@ -5,6 +5,7 @@ import os
 import signal
 import struct
 import sys
+import threading
 import time
 import traceback
 import tracemalloc
@@ -473,8 +474,11 @@ def test_first_layer_on_two_threads_is_bitwise_one_thread(task, monkeypatch, two
 def test_classifier_on_two_threads_is_bitwise_one_thread(task, precision, monkeypatch,
                                                         two_threads):
     # _classify's items (a sentence's states under a head) one after another,
-    # each added as it is scored; as jobs on one thread; and as jobs on two,
-    # their held terms added in sentence order once all have run. dep:
+    # each added as it is scored; as jobs on one thread (one CPU), where each
+    # finds every item before it added and none holds its terms; and as
+    # jobs on two, where the helper's items wait until two of the caller's
+    # have found an item before them not yet added and held their terms,
+    # which are added in sentence order once all have run. dep:
     # hierarchical, the label head scoring labeled states only; const: flat,
     # with label slots. Sentences of uneven lengths share absent rows, and
     # for const label rows, of the tables.
@@ -489,17 +493,40 @@ def test_classifier_on_two_threads_is_bitwise_one_thread(task, precision, monkey
         assert model._shared_rows(n, common).any()
         if model.label_slots:
             assert model._shared_rows(n, common).sum() > len(model.families)
+    held, holding = [], threading.Event()
+
+    class Counted(nn.MlpTerms):
+        __slots__ = ()
+
+        def __init__(self, rows, hidden, classes, dtype, shared=None):
+            if shared is not None:     # an item's terms, held for a later add
+                held.append(rows)
+                if len(held) == 2:
+                    holding.set()
+            super().__init__(rows, hidden, classes, dtype, shared)
+
+    score = _EncoderModel._score
+
+    def after_two_hold(*args):
+        if not args[-1]:
+            assert holding.wait(10), "two classifier items did not hold their terms in 10 s"
+        score(*args)
+
+    monkeypatch.setattr(nn, "MlpTerms", Counted)
     monkeypatch.setattr(nn, "_get_helper", lambda: None)
     results = []
     for run in ("items one by one", "jobs on one thread", "jobs on two threads"):
         if run == "jobs on one thread":
             monkeypatch.setattr(nn, "CLASSIFIER_JOB_BYTES", 0)
         elif run == "jobs on two threads":
+            assert held == []
             threads = two_threads()
+            monkeypatch.setattr(_EncoderModel, "_score", after_two_hold)
         model.store.zero_grads()
         loss, denc = model._classify(enc, scored)
         results.append([loss, denc.tobytes()] + [p.grad.tobytes() for p in model.store])
     assert threads == {0, 1}
+    assert len(held) >= 2
     assert results[0] == results[1] == results[2]
 
 

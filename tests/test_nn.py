@@ -945,6 +945,46 @@ def test_helper_keeps_no_array_of_a_finished_call(monkeypatch, helper):
     assert alive() is None
 
 
+def test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace(monkeypatch,
+                                                                              helper):
+    # under a caller's scope, what a job on the helper takes lies in the
+    # twin of the caller's workspace, and is released when the job ends;
+    # with no workspace current, the job gets plain numpy and no workspace
+    # gets a twin
+    monkeypatch.setattr(nn, "_get_helper", lambda: helper)
+    seen = []
+
+    def job(started, thread):
+        started.set()
+        with nn.scratch():
+            seen.append((thread, nn.take((1000,), np.float64), nn.gather(np.eye(3), np.arange(2))))
+        seen.append(nn.take((10,), np.float64))
+
+    def on_the_helper():
+        started = threading.Event()
+        nn.side_by_side([functools.partial(job, started)], [lambda: started.wait(10)])
+
+    workspace = nn.Workspace()
+    with workspace.scope():
+        nn.take((100,), np.float64)
+        top = workspace._top
+        on_the_helper()
+        assert workspace._top == top
+    twin = vars(workspace)["twin"]
+    assert twin._top == 0
+    thread, taken, gathered, after = *seen[0], seen[1]
+    assert thread == 0
+    for array in (taken, gathered, after):
+        assert any(np.shares_memory(array, memory) for _, _, memory, _ in twin._blocks)
+        assert not any(np.shares_memory(array, memory) for _, _, memory, _ in workspace._blocks)
+    seen.clear()
+    idle = nn.Workspace()
+    on_the_helper()
+    thread, taken, gathered, after = *seen[0], seen[1]
+    assert thread == 0 and "twin" not in vars(idle)
+    assert taken.base is None and after.base is None and gathered.base is None
+
+
 def test_side_by_side_call_runs_before_queued_background_jobs(monkeypatch, helper):
     # the helper is held in a background job while a call and three more
     # background jobs wait: it serves the call next, and the caller leaves

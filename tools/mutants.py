@@ -170,12 +170,24 @@ MUTANTS = (
            "the helper serves a pending side_by_side call before any more background jobs",
            ("tests/test_nn.py::test_side_by_side_call_runs_before_queued_background_jobs",)),
     Mutant("classifier-accumulates-in-reverse", "src/shiftparse/model.py",
-           "                for (prefix, _, _), terms in zip(items, held):\n",
-           "                for (prefix, _, _), terms in reversed(list(zip(items, held))):\n",
+           "            for (prefix, _, _), terms in zip(items, held):\n",
+           "            for (prefix, _, _), terms in reversed(list(zip(items, held))):\n",
            "the terms the caller's classifier jobs hold are added in sentence order, as "
            "one thread adds them; back to front, the rows and sums they share round "
            "differently",
            ("tests/test_model.py::test_classifier_on_two_threads_is_bitwise_one_thread",)),
+    Mutant("classifier-holds-nothing", "src/shiftparse/model.py",
+           "        if added[0] != i:\n", "        if False:\n",
+           "a classifier item that finds an item before it not yet added holds what it "
+           "adds to rows and sums the items share; added at once, they go in out of "
+           "sentence order",
+           ("tests/test_model.py::test_classifier_on_two_threads_is_bitwise_one_thread",)),
+    Mutant("helper-scratch-in-callers-workspace", "src/shiftparse/nn.py",
+           "            self.context.run(_current.set, self.twin)\n", "",
+           "a job on the helper takes its scratch from the twin of the caller's workspace, "
+           "never from the caller's own, which the caller takes from at the same time",
+           ("tests/test_nn.py::"
+            "test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace",)),
     Mutant("classifier-gather-drops-last-chunk", "src/shiftparse/nn.py",
            "            for start in range(0, len(x), rows):\n",
            "            for start in range(0, len(x) - rows, rows):\n",
@@ -230,13 +242,13 @@ def main() -> int:
             # pytest exits 1 when tests ran and failed; anything else (an
             # import or collection error) does not show that a test noticed
             verdict = "killed" if code == 1 else "SURVIVED (pytest exit %d)" % code
-            print("%-34s %s" % (m.name, verdict), flush=True)
+            print("%-36s %s" % (m.name, verdict), flush=True)
             if code != 1:
                 bad.append(m.name)
             shutil.rmtree(copy)
     for m in MUTANTS:
         if m.equivalent and m.name not in bad:
-            print("%-34s equivalent: %s" % (m.name, m.equivalent))
+            print("%-36s equivalent: %s" % (m.name, m.equivalent))
     return 1 if bad else 0
 
 
