@@ -9,10 +9,10 @@ file can override the defaults and flags override both. A bad value exits
 model header. TASKS holds all that tells the tasks apart, eval's scores
 aside, and a flag that only the other task takes is a usage error naming
 it. Every input is read as UTF-8, as it is parsed, and a line that is not
-is a data error naming the file and the line. Every
-command is deterministic given --seed at a fixed BLAS thread count, which
-CI and bench/run.py pin to one: unset, OpenBLAS takes one thread per CPU,
-and its GEMMs round differently.
+is a data error naming the file and the line. The command is shiftparse
+or python -m shiftparse (__main__.py), which runs OpenBLAS on one thread
+unless OPENBLAS_NUM_THREADS is set; every command is then deterministic
+given --seed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.
@@ -403,7 +403,3 @@ def main(argv=None) -> int:
     except (TreeReadError, ModelIOError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

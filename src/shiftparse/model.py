@@ -8,7 +8,7 @@ label embeddings for constituency), and a ReLU classifier scores the next
 action. Training is teacher-forced along the static-oracle action sequence
 with summed negative log softmax losses, minibatched ADADELTA updates, and
 dropout on every LSTM output connection. Decoding is greedy argmax over
-legality-masked scores; ties break toward the lowest action index.
+the scores of the legal actions; ties break toward the lowest action index.
 
 The two parsers differ only in their feature slots (label slots exist for
 constituency only) and their action inventory, an Action subclass and the
@@ -18,6 +18,16 @@ to the label head, and each action sequence's gold targets. It alone reads
 the hierarchical switch, so training and the decision rule (the best legal
 column, then the label head's best label where the column leaves it open)
 are written once.
+
+A decode step does only its state's own work: it extracts the state's
+features, adds them to per-sentence bases to get its table rows, runs the
+classifier once per head it needs, takes the best of the legal columns'
+scores and applies a prebuilt action. All else is built ahead: per model,
+the space's actions (one immutable Action per column and label), its
+ascending legal columns per set of legal kinds, made on first use (at most
+8 sets for dependencies, 16 for constituents), and the label slots' ids by
+label name; per sentence, the heads' tables and arrays and the bases of
+each slot's table rows, the arithmetic training's replay shares.
 
 Absent feature slots use learned vectors, one per slot family (stack
 positions vs. queue position); absent label slots use the reserved NONE
@@ -174,6 +184,11 @@ class ActionSpace:
     to choose. Flat: the unlabeled kinds in order, then each labeled kind
     expanded over the labels. targets gives an action sequence's gold
     outputs per head.
+
+    What decoding reads per state is built ahead: actions holds per column
+    its actions, one per label in label-head order where the column leaves
+    the label open, else the one; legal_columns gives the columns of a set
+    of legal kinds, each distinct set's once.
     """
 
     def __init__(self, action_cls: type[Action], labels: Sequence[str], hierarchical: bool):
@@ -182,7 +197,6 @@ class ActionSpace:
         self.kinds = tuple(labeled)
         self.labels = tuple(labels)
         self.label_id = {label: i for i, label in enumerate(self.labels)}
-        kind_id = {kind: i for i, kind in enumerate(self.kinds)}
         self.columns = [(k, None) for k in self.kinds if hierarchical or not labeled[k]]
         self.columns += [(k, l) for k in self.kinds if labeled[k] and not hierarchical
                          for l in self.labels]
@@ -191,14 +205,21 @@ class ActionSpace:
         # each action's first-head column, by (kind, label)
         self.column_id = {(k, label): i for i, (k, l) in enumerate(self.columns)
                           for label in (self.labels if self.open[i] else (l,))}
-        # structural kind of each column, to expand a legality mask
-        self.column_kind = np.array([kind_id[k] for k, _ in self.columns], dtype=np.intp)
+        self.actions = [tuple(action_cls(k, label) for label in self.labels) if self.open[i]
+                        else (action_cls(k, l),) for i, (k, l) in enumerate(self.columns)]
+        self._legal_columns: dict[frozenset, np.ndarray] = {}
         self.heads = ("head.struct", "head.label") if hierarchical else ("head.flat",)
         self.sizes = (len(self.columns), len(self.labels))[:len(self.heads)]
 
-    def mask(self, legal) -> np.ndarray:
-        """Legality over the structural kinds, from a set of legal kinds."""
-        return np.array([kind in legal for kind in self.kinds])
+    def legal_columns(self, legal) -> np.ndarray:
+        """The first-head columns, ascending, of the kinds in legal, a set of
+        legal kinds; built once per distinct set (at most 2 ** kinds)."""
+        key = frozenset(legal)
+        columns = self._legal_columns.get(key)
+        if columns is None:
+            columns = self._legal_columns[key] = np.array(
+                [c for c, (kind, _) in enumerate(self.columns) if kind in legal], dtype=np.intp)
+        return columns
 
     def targets(self, actions) -> list:
         """Per head, the states of actions it scores (an index into them)
@@ -416,10 +437,14 @@ class _EncoderModel:
         self.store.add(prefix + ".w2", init.glorot(hidden, out_dim))
         self.store.add(prefix + ".b2", np.zeros(out_dim, dtype=dt))
 
-    def _mlp_forward(self, prefix: str, tables, ids):
+    def _head(self, prefix: str, table):
+        """What nn.mlp_forward takes of a head besides the ids: its table,
+        b1, w2 and b2."""
         st = self.store
-        return nn.mlp_forward(tables[prefix], st[prefix + ".b1"].value,
-                              st[prefix + ".w2"].value, st[prefix + ".b2"].value, ids)
+        return table, st[prefix + ".b1"].value, st[prefix + ".w2"].value, st[prefix + ".b2"].value
+
+    def _mlp_forward(self, prefix: str, tables, ids):
+        return nn.mlp_forward(*self._head(prefix, tables[prefix]), ids)
 
     def _mlp_backward(self, prefix: str, tables, cache, dscores, dtable, terms=None):
         st = self.store
@@ -683,17 +708,26 @@ class _EncoderModel:
             [partial(_add_rows, dinputs[g], picked, dtable[t_rows], w1.value[w_rows].T)
              for g, w_rows, picked, t_rows in blocks])
 
-    def _slot_ids(self, n: int, rows, offset: int = 0):
-        """Table rows selected by feature rows [(positions, label ids)] of a
-        sentence whose first word is encoder row offset of a table built
-        over n encoder rows, as an (m, slots) integer array."""
+    def _slot_ids(self, n: int, offset: int = 0):
+        """For a sentence whose first word is encoder row offset of a table
+        built over n encoder rows, the function from a state's features
+        (positions, label ids) to the table rows they select, a list in slot
+        order. Each position slot's base and absent rows and each label
+        slot's base are computed here, once per sentence; a state's rows
+        are then base + position (or the absent row) and base + label id."""
         stride = n + len(self.families)
         label_at = len(self.position_families) * stride
         n_labels = len(self.vocab.nonterminals)
-        return np.array([[k * stride + (n + self.absent_row[k] if p is None else offset + p)
-                          for k, p in enumerate(positions)]
-                         + [label_at + j * n_labels + label for j, label in enumerate(labels)]
-                         for positions, labels in rows], dtype=np.intp)
+        slots = [(k * stride + offset, k * stride + n + absent)
+                 for k, absent in enumerate(self.absent_row)]
+        label_bases = [label_at + j * n_labels for j in range(self.label_slots)]
+
+        def ids(features):
+            positions, labels = features
+            return ([absent if p is None else base + p
+                     for (base, absent), p in zip(slots, positions)]
+                    + [base + label for base, label in zip(label_bases, labels)])
+        return ids
 
     # -- training --------------------------------------------------------------
 
@@ -718,12 +752,12 @@ class _EncoderModel:
         scored = []
         for (tree, actions), offset in zip(batch, accumulate([0] + [len(t.sentence)
                                                                for t, _ in batch])):
-            rows = []
+            slot_ids, rows = self._slot_ids(n, offset), []
             state = self._initial(len(tree.sentence))
             for action in actions:
-                rows.append(self._features(state))
+                rows.append(slot_ids(self._features(state)))
                 state = self._apply(state, action)
-            ids = self._slot_ids(n, rows, offset)
+            ids = np.array(rows, dtype=np.intp)
             scored.append([(head, ids[states], gold)
                            for head, (states, gold) in self.space.targets(actions)])
         return scored
@@ -851,22 +885,26 @@ class _EncoderModel:
 
     # -- decoding --------------------------------------------------------------
 
-    def _decide(self, tables, ids, mask):
-        """The best action for one state's table rows ids (from _slot_ids)
-        among those legal under mask, a boolean array over the structural
-        kinds: the first head's best legal column, its label, where the
-        column leaves it open, the label head's best."""
+    def _decide(self, heads, ids, legal):
+        """The best action for one state's table rows ids among those legal,
+        a set of legal kinds, heads giving per head what nn.mlp_forward takes
+        besides the ids (_head): the first head's best legal column, the
+        lowest of them on a tie, its label, where the column leaves it open,
+        the label head's best."""
         space = self.space
-        scores, _ = self._mlp_forward(space.heads[0], tables, ids)
-        column = int(np.argmax(np.where(mask[space.column_kind], scores, -np.inf)))
-        kind, label = space.columns[column]
+        scores, _ = nn.mlp_forward(*heads[0], ids)
+        columns = space.legal_columns(legal)
+        column = columns[scores[columns].argmax()]
+        actions = space.actions[column]
         if space.open[column]:
-            lscores, _ = self._mlp_forward(space.heads[1], tables, ids)
-            label = space.labels[int(np.argmax(lscores))]
-        return space.action_cls(kind, label)
+            lscores, _ = nn.mlp_forward(*heads[1], ids)
+            return actions[lscores.argmax()]
+        return actions[0]
 
     def _decode(self, sentence: Sentence):
-        """Greedy decode of one sentence to its terminal state.
+        """Greedy decode of one sentence to its terminal state. The heads'
+        tables and arrays are read once per sentence, and so are the bases
+        of the states' table rows (_slot_ids).
 
         A derivation makes n shifts and at most n-1 reductions, and an item
         takes at most promote_cap promotes after it is made (dependency
@@ -876,14 +914,15 @@ class _EncoderModel:
         enc, _ = self._encode([sentence], False, None)
         bound = (2 * n - 1) * (1 + getattr(self.config, "promote_cap", 0))
         tables = self._project(enc)
+        heads = [self._head(prefix, tables[prefix]) for prefix in self.space.heads]
+        slot_ids = self._slot_ids(n)
         state = self._initial(n)
         while not state.is_terminal:
             if state.step >= bound:
                 raise DecodeStepLimit("decoder exceeded its step bound: sentence length %d, "
                                       "step %d" % (n, state.step))
-            ids = self._slot_ids(n, [self._features(state)])[0]
-            action = self._decide(tables, ids, self.space.mask(self._legal(state)))
-            state = self._apply(state, action)
+            ids = np.array(slot_ids(self._features(state)), dtype=np.intp)
+            state = self._apply(state, self._decide(heads, ids, self._legal(state)))
         return state
 
 
@@ -939,6 +978,8 @@ class ConstModel(_EncoderModel):
         # the label slots share the nonterminal table (NONE included)
         self.store.add("emb.nonterminal",
                        init.embedding(len(vocab.nonterminals), cfg.nonterminal_dims))
+        # a label slot's nonterminal id by label name, None for an absent one
+        self._label_ids = {**vocab.nonterminals, None: vocab.nonterminal_id(None)}
         self._add_heads(init, vocab.nonterminal_names[:vocab.num_nonterminals],
                         len(CONST_LABEL_SLOTS))
 
@@ -956,7 +997,8 @@ class ConstModel(_EncoderModel):
 
     def _features(self, state):
         feats = extract_const(state)
-        return feats.positions, [self.vocab.nonterminal_id(l) for l in feats.labels]
+        label_ids = self._label_ids
+        return feats.positions, [label_ids[l] for l in feats.labels]
 
     def parse(self, sentence: Sentence) -> ConstTree:
         """Greedy decode; the promote cap plus legality masking bounds the

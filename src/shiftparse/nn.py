@@ -79,9 +79,8 @@ on at least two CPUs (os.sched_getaffinity); a forked child starts its
 own; without it, the caller runs every job itself.
 Every output element goes through the same op sequence on either
 thread, so results are bitwise those of one thread and do not depend on
-the CPU count, provided the BLAS thread count is fixed: left unset,
-OpenBLAS takes one thread per CPU and its GEMMs round differently. CI and
-bench/run.py pin one BLAS thread.
+the CPU count, at the one BLAS thread the shiftparse command runs with
+(see __main__.py).
 
 Training memory belongs to the model that trains (a Workspace, see
 model.py), not to the ops. An op takes its large arrays through take(),
@@ -91,8 +90,11 @@ tanh c, h, backward factors, dZ, previous-row gather, product buffers and
 dxs; the MLP's gathered w1 rows, pre-activations, hidden units, scores
 and backward scratch; softmax's probabilities; ADADELTA's scratch. An op
 that releases scratch of its own before returning does so in scratch().
-With no workspace current (decoding, or a caller of the ops), each is a
-new numpy array. The reason is the kernel: freed at the end of each
+With no workspace current (a caller of the ops), each is a new numpy
+array, ADADELTA's scratch rows aligned as a workspace's are. Decoding
+has no workspace, and its one-state classifier pass, run once or twice
+per decode step, makes no take() or scratch() call at all. The reason
+for workspaces is the kernel: freed at the end of each
 update, the 30 MB (dependency parser) to 55 MB (constituency parser) of
 such arrays of a ten-sentence update at the paper's sizes went back to
 the operating system, and the next update faulted them in again as
@@ -376,6 +378,14 @@ _NO_SCOPE = contextlib.nullcontext()
 _FIRST_BLOCK = 32 << 20
 
 
+def _aligned(nbytes: int) -> np.ndarray:
+    """nbytes of uninitialised memory that start on a cache line (np.empty's
+    start 16 bytes past one)."""
+    memory = np.empty(nbytes + _ALIGN, np.uint8)
+    lead = -memory.ctypes.data % _ALIGN
+    return memory[lead:lead + nbytes]
+
+
 class Workspace:
     """Memory that training keeps from one update to the next.
 
@@ -394,9 +404,9 @@ class Workspace:
     current they allocate as numpy does."""
 
     def __init__(self):
-        # (first byte, end, memory, offset of its first aligned byte), with
-        # bytes numbered on from one block to the next
-        self._blocks: list[tuple[int, int, np.ndarray, int]] = []
+        # (first byte, end, memory), with bytes numbered on from one block
+        # to the next
+        self._blocks: list[tuple[int, int, np.ndarray]] = []
         self._top = 0       # the bytes below are taken by the open scopes
 
     @functools.cached_property
@@ -409,17 +419,16 @@ class Workspace:
         open scope ends."""
         dtype = np.dtype(dtype)
         nbytes = -(-math.prod(shape) * dtype.itemsize // _ALIGN) * _ALIGN
-        for start, end, memory, lead in self._blocks:
+        for start, end, memory in self._blocks:
             at = max(self._top, start)
             if at + nbytes <= end:
                 break
         else:
             start = at = self._blocks[-1][1] if self._blocks else 0
-            memory = np.empty(max(nbytes, start, _FIRST_BLOCK) + _ALIGN, np.uint8)
-            lead = -memory.ctypes.data % _ALIGN
-            self._blocks.append((start, start + len(memory) - _ALIGN, memory, lead))
+            memory = _aligned(max(nbytes, start, _FIRST_BLOCK))
+            self._blocks.append((start, start + len(memory), memory))
         self._top = at + nbytes
-        return np.ndarray(shape, dtype, buffer=memory, offset=lead + at - start)
+        return np.ndarray(shape, dtype, buffer=memory, offset=at - start)
 
     @contextlib.contextmanager
     def scope(self):
@@ -588,8 +597,16 @@ class ParamStore:
             self._update.rows.setdefault(p.name, []).append(rows)
 
     def _scratch(self) -> np.ndarray:
-        """Two scratch rows of an ADADELTA chunk per thread."""
-        return take((2, 2, ADADELTA_CHUNK_BYTES // self.dtype.itemsize), self.dtype)
+        """Two scratch rows of an ADADELTA chunk per thread, each starting
+        on a cache line: taken from the current workspace, or with none
+        current, memory of their own. np.empty's start 16 bytes past one,
+        and a float64 chunk took 241-301 us on them against 232-282 on
+        aligned rows (2-core Xeon VM)."""
+        shape = (2, 2, ADADELTA_CHUNK_BYTES // self.dtype.itemsize)
+        if _current.get() is not None:
+            return take(shape, self.dtype)
+        memory = _aligned(math.prod(shape) * self.dtype.itemsize)
+        return np.ndarray(shape, self.dtype, buffer=memory)
 
     def _adadelta_jobs(self, params, rho, eps, l2, scratch, declared, subsets) -> list:
         """adadelta_step's jobs for params, chunk by chunk. The row subset
@@ -1014,21 +1031,26 @@ def mlp_forward(w1, b1, w2, b2, x: np.ndarray):
     (m, slots) or (slots,), select: the hidden pre-activation is b1 plus
     the sum of the selected rows. Returns (scores, cache), scores (m, K)
     or (K,). Training's (m, slots) ids gather and sum GATHER_CHUNK_BYTES
-    of rows at a time, each row summed as w1[x].sum(axis=-2) sums it."""
-    pre = take(x.shape[:-1] + w1.shape[1:], w1.dtype)
-    with scratch():
-        if x.ndim == 1:
-            np.add.reduce(gather(w1, x), axis=-2, out=pre)
-        else:
+    of rows at a time, each row summed as w1[x].sum(axis=-2) sums it, into
+    arrays taken from the current workspace. Decoding's one state, (slots,)
+    ids, is one gather and sum into new arrays, by the same ops."""
+    if x.ndim == 1:
+        pre = np.add.reduce(w1[x], axis=-2)
+        pre += b1
+        hid = np.maximum(pre, 0.0)
+        scores = np.matmul(hid, w2)
+    else:
+        pre = take(x.shape[:-1] + w1.shape[1:], w1.dtype)
+        with scratch():
             rows = max(1, GATHER_CHUNK_BYTES // (x.shape[1] * w1.shape[1] * w1.itemsize))
             part = take((min(rows, len(x)),) + x.shape[1:] + w1.shape[1:], w1.dtype)
             for start in range(0, len(x), rows):
                 ids = x[start:start + rows]
                 np.take(w1, ids, axis=0, out=part[:len(ids)], mode="clip")
                 np.add.reduce(part[:len(ids)], axis=-2, out=pre[start:start + rows])
-    pre += b1
-    hid = np.maximum(pre, 0.0, out=take(pre.shape, pre.dtype))
-    scores = np.matmul(hid, w2, out=take(hid.shape[:-1] + w2.shape[1:], hid.dtype))
+        pre += b1
+        hid = np.maximum(pre, 0.0, out=take(pre.shape, pre.dtype))
+        scores = np.matmul(hid, w2, out=take(hid.shape[:-1] + w2.shape[1:], hid.dtype))
     scores += b2
     _check_finite("mlp_forward", scores)
     return scores, (x, pre, hid)

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
@@ -672,3 +677,37 @@ def test_tree_nested_past_the_bound_is_data_error(tmp_path, command, capsys):
             "eval": ["--gold", str(path), "--pred", str(path)]}[command]
     assert main([command, "--task", "const"] + argv) == 2
     assert "line 1: brackets nested deeper than %d" % MAX_BRACKET_DEPTH in capsys.readouterr().err
+
+
+_BLAS_PROBE = """
+import json, os, sys
+loaded = 'numpy' in sys.modules
+if sys.argv[1] == 'command':
+    import shiftparse.__main__ as command
+    loaded = loaded or 'numpy' in sys.modules
+    try:
+        command.main(['--help'])
+    except SystemExit:
+        pass
+else:
+    import shiftparse
+    loaded = loaded or 'numpy' in sys.modules
+    shiftparse.DepModel
+print(json.dumps([loaded, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')]))
+"""
+
+
+@pytest.mark.parametrize("entry, user, seen", [
+    ("command", None, "1"), ("command", "2", "2"), ("command", "", ""), ("library", None, None),
+], ids=["command-default", "command-user-value", "command-user-empty", "library"])
+def test_command_runs_one_blas_thread_unless_the_user_sets_it(entry, user, seen):
+    # a fresh process: the command sets OPENBLAS_NUM_THREADS before numpy
+    # loads, and keeps any value the user gave; importing the package as a
+    # library loads no numpy and leaves the variable to the caller
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, entry], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [False, True, seen]

@@ -18,6 +18,7 @@ import pytest
 from shiftparse.const_system import (C_ADJ_LEFT, C_ADJ_RIGHT, C_PROMOTE, C_SHIFT,
                                      ConstAction, const_initial)
 from shiftparse.dep_system import LEFT, RIGHT, SHIFT, DepAction, dep_initial, dep_legal
+from shiftparse.features import extract_const, extract_dep
 from shiftparse.headrules import HeadRules
 from shiftparse.model import (ActionSpace, ConstConfig, ConstModel, DecodeStepLimit, DepConfig,
                               DepModel, ModelIOError, _EncoderModel, load_model,
@@ -28,23 +29,24 @@ from shiftparse import nn, synth
 from shiftparse.headrules import assign_heads
 
 
-def small_dep_setup(hierarchical=True, layers=2, use_tags=True, seed=3):
+def small_dep_setup(hierarchical=True, layers=2, use_tags=True, seed=3, precision="float64"):
     rng = np.random.default_rng(5)
     trees = [synth.random_projective_tree(rng, 5) for _ in range(3)]
     vocab = build_vocab([t.sentence for t in trees], dep_trees=trees, min_form_count=1)
     config = DepConfig(word_dims=8, tag_dims=6, lstm_units=8, layers=layers,
                        hidden=12, dropout=0.0, word_dropout=0.0,
-                       hierarchical=hierarchical, use_tags=use_tags, seed=seed)
+                       hierarchical=hierarchical, use_tags=use_tags, seed=seed,
+                       precision=precision)
     return DepModel(config, vocab), trees
 
 
-def small_const_setup(hierarchical=False, layers=2, seed=3):
+def small_const_setup(hierarchical=False, layers=2, seed=3, precision="float64"):
     rng = np.random.default_rng(6)
     trees = [synth.random_const_tree(rng, 5) for _ in range(3)]
     vocab = build_vocab([t.sentence for t in trees], const_trees=trees, min_form_count=1)
     config = ConstConfig(word_dims=8, tag_dims=6, nonterminal_dims=6, lstm_units=8,
                          layers=layers, hidden=12, dropout=0.0, word_dropout=0.0,
-                         l2=0.0, hierarchical=hierarchical, seed=seed)
+                         l2=0.0, hierarchical=hierarchical, seed=seed, precision=precision)
     return ConstModel(config, vocab), trees
 
 
@@ -106,10 +108,22 @@ def _force_scores(model, prefix, scores):
     model.store[prefix + ".b2"].value[...] = np.asarray(scores, dtype=np.float64)
 
 
+def _decoder_heads(model, enc):
+    """Per head, what _decide passes nn.mlp_forward besides the ids, for a
+    sentence encoded as enc."""
+    tables = model._project(enc)
+    return [model._head(prefix, tables[prefix]) for prefix in model.space.heads]
+
+
+def _state_ids(model, n, features):
+    """One state's table rows, as decoding takes them."""
+    return np.array(model._slot_ids(n)(features), dtype=np.intp)
+
+
 def _decide_at(model, enc, state, legal):
     """The model's decision for one state of a sentence encoded as enc."""
-    ids = model._slot_ids(len(enc), [model._features(state)])
-    return model._decide(model._project(enc), ids[0], model.space.mask(legal))
+    return model._decide(_decoder_heads(model, enc),
+                         _state_ids(model, len(enc), model._features(state)), legal)
 
 
 def _dense_input(model, enc, features):
@@ -140,7 +154,7 @@ def test_table_scores_match_materialised_first_layer(setup, hierarchical):
             features = model._features(state)
             absent += sum(p is None for p in features[0])
             none_label += sum(l == model.vocab.nonterminal_id(None) for l in features[1])
-            ids = model._slot_ids(n, [features])[0]
+            ids = _state_ids(model, n, features)
             x = _dense_input(model, enc, features)
             for prefix in model.space.heads:
                 w1, b1, w2, b2 = (model.store[prefix + part].value
@@ -213,34 +227,124 @@ def test_hierarchical_choice_invariant_to_label_score_shift():
     assert first.kind == second.kind == LEFT
 
 
+def _masked_decision(model, heads, ids, legal):
+    """The decision rule as a boolean mask over the structural kinds gives
+    it: the mask expanded to the columns, the illegal columns' scores set
+    to -inf, then the argmax; the label head's argmax where the column
+    leaves the label open."""
+    space = model.space
+    mask = np.array([kind in legal for kind in space.kinds])
+    column_kind = np.array([space.kinds.index(kind) for kind, _ in space.columns])
+    scores, _ = nn.mlp_forward(*heads[0], ids)
+    column = int(np.argmax(np.where(mask[column_kind], scores, -np.inf)))
+    kind, label = space.columns[column]
+    if space.open[column]:
+        lscores, _ = nn.mlp_forward(*heads[1], ids)
+        label = space.labels[int(np.argmax(lscores))]
+    return space.action_cls(kind, label)
+
+
 @pytest.mark.parametrize("setup", [small_dep_setup, small_const_setup], ids=["dep", "const"])
 @pytest.mark.parametrize("hierarchical", [True, False], ids=["hierarchical", "flat"])
 def test_decide_breaks_ties_toward_the_lowest_column_and_label(setup, hierarchical):
-    # scores drawn from {0, 1, 2} tie often; under every non-empty set of
-    # legal kinds the decision is the lowest legal column of top score and,
+    # at both precisions, under every non-empty set of legal kinds, in one
+    # model so that the space's legal columns are looked up again, the
+    # decision is the one the masked rule gives; scores drawn from {0, 1, 2}
+    # tie often, and then it is the lowest legal column of top score and,
     # where that column leaves the label open, the lowest label of top score
-    model, _ = setup(hierarchical=hierarchical, seed=11)
+    for precision in ("float64", "float32"):
+        _decide_ties_at(setup(hierarchical=hierarchical, seed=11, precision=precision)[0])
+
+
+def _decide_ties_at(model):
     space = model.space
     ids = np.zeros(len(model.position_families) + model.label_slots, dtype=np.intp)
+    enc = np.zeros((3, model.enc_dims), model.store.dtype)
     rng = np.random.default_rng(18)
     ties = 0
-    for _ in range(10):
-        scores = [list(rng.integers(0, 3, size).astype(float)) for size in space.sizes]
+    for draw in range(20):
+        tied = draw % 2 == 0
+        scores = [rng.integers(0, 3, size).astype(float) if tied else rng.standard_normal(size)
+                  for size in space.sizes]
         for prefix, head_scores in zip(space.heads, scores):
             _force_scores(model, prefix, head_scores)
-        tables = model._project(np.zeros((3, model.enc_dims)))
+        heads = _decoder_heads(model, enc)
         for legal in itertools.product((False, True), repeat=len(space.kinds)):
             if not any(legal):
                 continue
-            columns = [c for c, kind in enumerate(space.column_kind) if legal[kind]]
+            kinds = {kind for kind, on in zip(space.kinds, legal) if on}
+            action = model._decide(heads, ids, kinds)
+            assert action == _masked_decision(model, heads, ids, kinds)
+            if not tied:
+                continue
+            columns = [c for c, (kind, _) in enumerate(space.columns) if kind in kinds]
             best = max(scores[0][c] for c in columns)
             column = min(c for c in columns if scores[0][c] == best)
             ties += sum(scores[0][c] == best for c in columns) > 1
             kind, label = space.columns[column]
             if space.open[column]:
-                label = space.labels[scores[1].index(max(scores[1]))]
-            assert model._decide(tables, ids, np.array(legal)) == space.action_cls(kind, label)
+                label = space.labels[list(scores[1]).index(max(scores[1]))]
+            assert action == space.action_cls(kind, label)
     assert ties
+
+
+@pytest.mark.parametrize("setup", [small_dep_setup, small_const_setup], ids=["dep", "const"])
+@pytest.mark.parametrize("hierarchical", [True, False], ids=["hierarchical", "flat"])
+def test_prebuilt_actions_equal_freshly_constructed_ones(setup, hierarchical):
+    # per column, one action per label where the column leaves the label
+    # open, else the column's own; together every action of the inventory
+    model, _ = setup(hierarchical=hierarchical)
+    space = model.space
+    assert len(space.actions) == len(space.columns)
+    for column, ((kind, label), actions) in enumerate(zip(space.columns, space.actions)):
+        labels = space.labels if space.open[column] else (label,)
+        assert actions == tuple(space.action_cls(kind, l) for l in labels)
+        assert all(type(a) is space.action_cls for a in actions)
+        for action in actions:
+            assert space.column_id[action.kind, action.label] == column
+            with pytest.raises(AttributeError):     # frozen, so safe to share
+                action.label = "X"
+    assert sum(map(len, space.actions)) == len(space.column_id)
+
+
+def _reference_slot_ids(model, n, rows, offset=0):
+    """The table rows of feature rows [(positions, label ids)] of a sentence
+    whose first word is encoder row offset of a table over n encoder rows,
+    each computed whole from the table's layout, as an (m, slots) array."""
+    stride = n + len(model.families)
+    label_at = len(model.position_families) * stride
+    n_labels = len(model.vocab.nonterminals)
+    return np.array([[k * stride + (n + model.absent_row[k] if p is None else offset + p)
+                      for k, p in enumerate(positions)]
+                     + [label_at + j * n_labels + label for j, label in enumerate(labels)]
+                     for positions, labels in rows], dtype=np.intp)
+
+
+@pytest.mark.parametrize("setup", [small_dep_setup, small_const_setup], ids=["dep", "const"])
+def test_slot_ids_from_per_sentence_bases_match_the_table_layout(setup):
+    # every oracle state of the corpus, one sentence at a time as decoding
+    # takes them and stacked over the minibatch as _replay does; the label
+    # ids come from the vocabulary
+    model, trees = setup()
+    extract = extract_const if setup is small_const_setup else extract_dep
+    batch = [(tree, model._oracle(tree)) for tree in trees]
+    n = sum(len(tree.sentence) for tree in trees)
+    scored = model._replay(batch, n)
+    offset = 0
+    for (tree, actions), heads in zip(batch, scored):
+        length = len(tree.sentence)
+        rows, state = [], model._initial(length)
+        for action in actions:
+            rows.append(model._features(state))
+            labels = getattr(extract(state), "labels", ())
+            assert list(rows[-1][1]) == [model.vocab.nonterminal_id(l) for l in labels]
+            state = model._apply(state, action)
+        one = _reference_slot_ids(model, length, rows)
+        assert np.array_equal(np.array([model._slot_ids(length)(f) for f in rows]), one)
+        stacked = _reference_slot_ids(model, n, rows, offset)
+        for (head, ids, _), (_, (states, _)) in zip(heads, model.space.targets(actions)):
+            assert ids.dtype == np.intp and np.array_equal(ids, stacked[states])
+        offset += length
 
 
 def test_promote_masked_beyond_cap():
@@ -888,6 +992,11 @@ def test_second_fit_allocates_less_than_the_parameters():
                                seed=1), vocab)
     params = sum(p.value.nbytes for p in model.store)
     model.fit(trees)
+    # the helper's workspace twin makes its first block (32 MB) on its first
+    # take, in whichever fit the helper first takes scratch: make it here, so
+    # that the traced fit measures what the snapshot and the update allocate
+    with model._workspace.twin.scope():
+        nn.take((1,), np.uint8)
     tracemalloc.start()
     try:
         model.fit(trees)

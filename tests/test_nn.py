@@ -470,6 +470,34 @@ def test_mlp_forward_chunks_keep_the_single_gather_bits(monkeypatch, dtype):
                 assert got.tobytes() == scores.tobytes(), (m, workspace)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_state_mlp_forward_gives_the_bits_of_its_row_without_the_workspace(dtype):
+    # decoding's (slots,) ids: the pre-activation and hidden units are
+    # bitwise the matching row of an (m, slots) call, and the scores those
+    # of a (1, slots) call; the m-row call's scores come from a GEMM, whose
+    # rows may round otherwise than one row's. Inside a workspace scope the
+    # one-state call takes nothing from it
+    rng = np.random.default_rng(23)
+    table, b1, w2, b2 = (a.astype(dtype) for a in _mlp_case(rng, 40, 9, 5))
+    ids = rng.integers(0, 40, size=(6, 13))
+    workspace = nn.Workspace()
+    with workspace.scope():
+        batch, (_, pre, hid) = nn.mlp_forward(table, b1, w2, b2, ids)
+        for i, row in enumerate(ids):
+            top = workspace._top
+            scores, (x, row_pre, row_hid) = nn.mlp_forward(table, b1, w2, b2, row)
+            assert workspace._top == top
+            assert not any(np.shares_memory(a, memory) for a in (scores, row_pre, row_hid)
+                           for _, _, memory in workspace._blocks)
+            assert x is row and scores.shape == (5,) and scores.dtype == dtype
+            assert row_pre.tobytes() == pre[i].tobytes()
+            assert row_hid.tobytes() == hid[i].tobytes()
+            one, _ = nn.mlp_forward(table, b1, w2, b2, row[None])
+            assert scores.tobytes() == one[0].tobytes()
+            np.testing.assert_allclose(scores, batch[i],
+                                       rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+
 def test_mlp_backward_terms_added_later_give_the_bits_of_adding_at_once():
     # three calls over one table: rows 0-4 are shared, which any call may
     # select, and each call selects other rows of its own. Held as terms,
@@ -697,6 +725,32 @@ def test_adadelta_in_place_update_is_bitwise_the_formula():
             assert np.array_equal(p.eg2, eg2)
             assert np.array_equal(p.ed2, ed2)
             assert np.all(p.grad == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adadelta_outside_a_workspace_takes_cache_aligned_scratch_rows(monkeypatch, dtype):
+    # with no workspace current (a library caller's step, outside fit) the
+    # chunks still run through scratch rows that start on a cache line, as
+    # a workspace's do; in-place or inside update(), on every chunk
+    starts = []
+    chunk = nn._adadelta_chunk
+
+    def recording(x, g, eg2, ed2, rho, eps, l2, scratch, thread):
+        starts.extend(row.ctypes.data % 64 for row in scratch[thread])
+        chunk(x, g, eg2, ed2, rho, eps, l2, scratch, thread)
+
+    monkeypatch.setattr(nn, "_adadelta_chunk", recording)
+    rng = np.random.default_rng(12)
+    store = nn.ParamStore(dtype)
+    store.add("w", rng.standard_normal(nn.ADADELTA_CHUNK_BYTES // np.dtype(dtype).itemsize + 5)
+              .astype(dtype))
+    store.add("v", rng.standard_normal((3, 4)).astype(dtype))
+    for early in (False, True):
+        for p in store:
+            p.grad[...] = 1.0
+        with store.update(0.9, 1e-6, 0.0) if early else contextlib.nullcontext():
+            store.adadelta_step(0.9, 1e-6, 0.0)
+    assert len(starts) == 2 * 2 * 3 and not any(starts)
 
 
 def test_adadelta_skips_zero_gradient_rows_bitwise(monkeypatch):
@@ -975,8 +1029,8 @@ def test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace(mon
     thread, taken, gathered, after = *seen[0], seen[1]
     assert thread == 0
     for array in (taken, gathered, after):
-        assert any(np.shares_memory(array, memory) for _, _, memory, _ in twin._blocks)
-        assert not any(np.shares_memory(array, memory) for _, _, memory, _ in workspace._blocks)
+        assert any(np.shares_memory(array, memory) for _, _, memory in twin._blocks)
+        assert not any(np.shares_memory(array, memory) for _, _, memory in workspace._blocks)
     seen.clear()
     idle = nn.Workspace()
     on_the_helper()

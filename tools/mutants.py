@@ -47,11 +47,40 @@ MUTANTS = (
            "scale those above it to the limit",
            ("tests/test_model.py::test_clip_grads_scales_to_the_limit_only_above_it",)),
     Mutant("ties-to-highest-column", "src/shiftparse/model.py",
-           "column = int(np.argmax(np.where(mask[space.column_kind], scores, -np.inf)))",
-           "column = int(len(scores) - 1 - np.argmax("
-           "np.where(mask[space.column_kind], scores, -np.inf)[::-1]))",
+           "column = columns[scores[columns].argmax()]",
+           "column = columns[len(columns) - 1 - scores[columns][::-1].argmax()]",
            "decoding breaks ties toward the lowest legal column",
            ("tests/test_model.py::test_decide_breaks_ties_toward_the_lowest_column_and_label",)),
+    Mutant("legal-columns-ignore-a-kind", "src/shiftparse/model.py",
+           "        key = frozenset(legal)\n",
+           "        key = frozenset(legal) - {self.kinds[-1]}\n",
+           "the legal columns are kept per set of legal kinds; keyed without one kind, two "
+           "sets share the columns of whichever came first",
+           ("tests/test_model.py::test_decide_breaks_ties_toward_the_lowest_column_and_label",)),
+    Mutant("dep-oracle-reduces-right-early", "src/shiftparse/dep_system.py",
+           "elif heads[s0] == s1 and collected[s0] == n_children[s0]:",
+           "elif heads[s0] == s1:",
+           "the oracle attaches s0 under s1 only once s0 has all its dependents; earlier, "
+           "those still in the queue lose their head",
+           ("tests/test_dep_system.py::test_roundtrip_property_random_trees",)),
+    Mutant("const-oracle-drops-a-left-sister", "src/shiftparse/const_system.py",
+           "        for _ in range(h):\n", "        for _ in range(h - 1):\n",
+           "every left sister waiting on the stack is adjoined to its promoted head",
+           ("tests/test_const_system.py::test_roundtrip_property_random_trees",)),
+    Mutant("lstm-input-gate-derivative", "src/shiftparse/nn.py",
+           "_sigmoid_factor(i, g, t, factors[:, :hidden])",
+           "np.multiply(g, i, out=factors[:, :hidden])",
+           "BPTT through the input gate multiplies by the sigmoid's derivative",
+           ("tests/test_nn.py::test_lstm_forward_backward_matches_finite_differences",)),
+    Mutant("lstm-output-gate-derivative", "src/shiftparse/nn.py",
+           "_sigmoid_factor(o, tanh_cs, t, factors[:, 2 * hidden:s3])",
+           "np.multiply(tanh_cs, o, out=factors[:, 2 * hidden:s3])",
+           "BPTT through the output gate multiplies by the sigmoid's derivative",
+           ("tests/test_nn.py::test_lstm_forward_backward_matches_finite_differences",)),
+    Mutant("load-accepts-trailing-bytes", "src/shiftparse/model.py",
+           "        if size != end:\n", "        if size < end:\n",
+           "a model file holds exactly the blocks its config implies, no trailing bytes",
+           ("tests/test_model.py::test_load_requires_the_payload_to_end_with_the_file",)),
     Mutant("word-dropout-rate", "src/shiftparse/model.py",
            "cfg.word_dropout / (cfg.word_dropout + count)",
            "cfg.word_dropout / (cfg.word_dropout + count + 1)",
