@@ -6,10 +6,10 @@ are the fields of the library's config dataclasses spelled with dashes
 set with --hierarchical, --flat and --no-tags. A flat key=value config
 file can override the defaults and flags override both. A bad value exits
 2 with the field named, whether it came from a flag, a config file or a
-model header. TASKS holds all that tells the tasks apart, eval's scores
-aside, and a flag that only the other task takes is a usage error naming
-it. Every input is read as UTF-8, as it is parsed, and a line that is not
-is a data error naming the file and the line. The command is shiftparse
+model header. TASKS holds all that tells the tasks apart, and a flag
+that only the other task takes is a usage error naming it. Every input
+is read as UTF-8, as it is parsed, and a line that is not is a data
+error naming the file and the line. The command is shiftparse
 or python -m shiftparse (__main__.py), which runs OpenBLAS on one thread
 unless OPENBLAS_NUM_THREADS is set; every command is then deterministic
 given --seed.
@@ -105,13 +105,43 @@ def _const_reader(args):
     return lambda lines: [assign_heads(t, rules) for t in read_brackets(lines)]
 
 
+def _eval_dep(args):
+    gold = read_conll(_read_lines(args.gold))
+    pred = read_conll(_read_lines(args.pred))
+    punct = frozenset(args.punct_tags.split(",")) if args.punct_tags else None
+    score = score_dep(gold, pred, exclude_punct=not args.include_punct,
+                      punct_tags=punct)
+    # before any output, so a bad --max-bucket prints no scores, with or
+    # without a table to write
+    max_bucket = 10 if args.max_bucket is None else args.max_bucket
+    rows = (arc_recall_by_length(gold, pred, max_bucket=max_bucket)
+            if args.recall_by_length or args.max_bucket is not None else None)
+    print("uas=%.2f" % score.uas)
+    print("las=%.2f" % score.las)
+    print("correct_heads=%d correct_labeled=%d scored=%d"
+          % (score.correct_heads, score.correct_labeled, score.scored))
+    if args.recall_by_length:
+        _write_output(args.recall_by_length, recall_table_csv(rows))
+
+
+def _eval_const(args):
+    score = score_brackets(read_brackets(_read_lines(args.gold)),
+                           read_brackets(_read_lines(args.pred)),
+                           ignore_root=not args.keep_root)
+    print("precision=%.2f" % score.precision)
+    print("recall=%.2f" % score.recall)
+    print("f1=%.2f" % score.f1)
+    print("matched=%d gold=%d predicted=%d"
+          % (score.matched, score.gold, score.predicted))
+
+
 @dataclass(frozen=True)
 class _Task:
     """What the commands need of a task that its model class (which names
     the config and action classes) does not know. gold_reader(args) returns
     the reader of a gold file's lines; flags are the dests of the command
     flags only this task takes; gradcheck_config holds the toy config's
-    fields of this task alone."""
+    fields of this task alone; evaluate(args) prints eval's scores."""
     model: type
     flags: tuple
     gold_reader: Callable
@@ -121,6 +151,7 @@ class _Task:
     replay: Callable
     random_tree: Callable
     gradcheck_config: dict
+    evaluate: Callable
 
     def vocab(self, trees, min_form_count: int):
         return build_vocab([t.sentence for t in trees], min_form_count=min_form_count,
@@ -133,13 +164,13 @@ TASKS = {task.model.task: task for task in (
           vocab_keyword="dep_trees", oracle=dep_oracle,
           replay=lambda tree, actions: dep_replay(tree.sentence, actions,
                                                   root_label=tree.label_of(tree.root)),
-          random_tree=synth.random_projective_tree, gradcheck_config={}),
+          random_tree=synth.random_projective_tree, gradcheck_config={}, evaluate=_eval_dep),
     _Task(model=ConstModel, flags=("keep_root", "head_rules"),
           gold_reader=_const_reader, write_trees=write_brackets,
           vocab_keyword="const_trees", oracle=const_oracle,
           replay=lambda tree, actions: const_replay(tree.sentence, actions),
           random_tree=synth.random_const_tree,
-          gradcheck_config={"nonterminal_dims": 6, "l2": 0.0}),
+          gradcheck_config={"nonterminal_dims": 6, "l2": 0.0}, evaluate=_eval_const),
 )}
 
 # every config field of either task, as a flag's dest and type
@@ -244,32 +275,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.task == "dep":
-        gold = read_conll(_read_lines(args.gold))
-        pred = read_conll(_read_lines(args.pred))
-        punct = frozenset(args.punct_tags.split(",")) if args.punct_tags else None
-        score = score_dep(gold, pred, exclude_punct=not args.include_punct,
-                          punct_tags=punct)
-        # before any output, so a bad --max-bucket prints no scores, with or
-        # without a table to write
-        max_bucket = 10 if args.max_bucket is None else args.max_bucket
-        rows = (arc_recall_by_length(gold, pred, max_bucket=max_bucket)
-                if args.recall_by_length or args.max_bucket is not None else None)
-        print("uas=%.2f" % score.uas)
-        print("las=%.2f" % score.las)
-        print("correct_heads=%d correct_labeled=%d scored=%d"
-              % (score.correct_heads, score.correct_labeled, score.scored))
-        if args.recall_by_length:
-            _write_output(args.recall_by_length, recall_table_csv(rows))
-    else:
-        score = score_brackets(read_brackets(_read_lines(args.gold)),
-                               read_brackets(_read_lines(args.pred)),
-                               ignore_root=not args.keep_root)
-        print("precision=%.2f" % score.precision)
-        print("recall=%.2f" % score.recall)
-        print("f1=%.2f" % score.f1)
-        print("matched=%d gold=%d predicted=%d"
-              % (score.matched, score.gold, score.predicted))
+    TASKS[args.task].evaluate(args)
     return 0
 
 

@@ -108,8 +108,8 @@ arrays by shape, whatever their lifetimes, raised the peak resident
 memory by 25-36%). It grows to the largest minibatch seen and lives as
 long as the model. The jobs that nn's helper thread runs for an update
 take their scratch from the workspace's twin (see nn.py), which only
-that thread uses, a job at a time. Decoding uses neither and allocates
-as numpy does.
+that thread uses, a job at a time; ADADELTA's two scratch rows are each
+thread's own. Decoding uses neither and allocates as numpy does.
 
 A model is built on one path, whatever the source of its initial values.
 A new model draws them from a generator seeded with config.seed, parameter
@@ -477,7 +477,7 @@ class _EncoderModel:
         with nn.scratch():
             if hidden_bytes < nn.CLASSIFIER_JOB_BYTES * len(items):
                 for job in jobs:
-                    job(1)
+                    job()
             else:
                 nn.side_by_side(jobs)
             for (prefix, _, _), terms in zip(items, held):
@@ -489,7 +489,7 @@ class _EncoderModel:
             loss += item_loss
         return loss
 
-    def _score(self, n: int, tables, rows, dtables, items, losses, held, added, i, thread):
+    def _score(self, n: int, tables, rows, dtables, items, losses, held, added, i):
         """_score_all's item i, (head, table rows of the whole table, gold
         outputs): its loss into losses[i], its gradients into dtables and the
         heads' gradients. Where every item before it has added all of its

@@ -88,14 +88,13 @@ take_zeros() and gather(), which read the current workspace from a
 context variable, so the ops keep their signatures: the LSTM's gates, c,
 tanh c, h, backward factors, dZ, previous-row gather, product buffers and
 dxs; the MLP's gathered w1 rows, pre-activations, hidden units, scores
-and backward scratch; softmax's probabilities; ADADELTA's scratch. An op
-that releases scratch of its own before returning does so in scratch().
-With no workspace current (a caller of the ops), each is a new numpy
-array, ADADELTA's scratch rows aligned as a workspace's are. Decoding
-has no workspace, and its one-state classifier pass, run once or twice
-per decode step, makes no take() or scratch() call at all. The reason
-for workspaces is the kernel: freed at the end of each
-update, the 30 MB (dependency parser) to 55 MB (constituency parser) of
+and backward scratch; softmax's probabilities. An op that releases
+scratch of its own before returning does so in scratch(). With no
+workspace current (a caller of the ops), each is a new numpy array.
+Decoding has no workspace, and its one-state classifier pass, run once
+or twice per decode step, makes no take() or scratch() call at all. The
+reason for workspaces is the kernel: freed at the end of each update,
+the 30 MB (dependency parser) to 55 MB (constituency parser) of
 such arrays of a ten-sentence update at the paper's sizes went back to
 the operating system, and the next update faulted them in again as
 zeroed pages: 6k-10k minor page faults and 10-45 ms of kernel time per
@@ -104,9 +103,11 @@ earlier update filled, they touch no fresh page. A workspace is not
 thread-safe, so a job takes its scratch where it runs: on the caller from
 the current workspace, on the helper from that workspace's twin, released
 when the job ends; never from the helper's malloc arena, which would keep
-it resident. A caller takes only what outlives a job, such as its output,
-and an update's ADADELTA scratch rows, a pair per thread (a take per chunk
-made a float64 chunk take 147 us instead of 142, 2-core Xeon VM).
+it resident. A caller takes only what outlives a job, such as its output.
+ADADELTA's two scratch rows are the exception: each thread makes its own
+pair on its first chunk and keeps it for its life (a take per chunk made a
+float64 chunk take 147 us instead of 142, 2-core Xeon VM), so a job need
+not know which thread runs it.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class _Shared:
                 return False
             top = self.twin._top if self.twin is not None else 0
             try:
-                self.context.run(job, 0)
+                self.context.run(job)
             except BaseException as exc:    # raised by the caller
                 self.error = exc
                 return False
@@ -205,7 +206,7 @@ class _Shared:
                 job = self.jobs.pop()
             except IndexError:
                 return
-            job(1)
+            job()
 
     def stop(self):
         """Leave the helper no more jobs, and wait for the one it runs."""
@@ -279,17 +280,15 @@ if hasattr(os, "register_at_fork"):
 def side_by_side(jobs, caller_jobs=()):
     """Run independent jobs on two threads and return when all are done.
 
+    Every job, of jobs and of caller_jobs, is a callable of no arguments.
     The helper thread takes jobs from the front of jobs; the caller runs
-    caller_jobs (callables of no arguments) in order, then takes jobs from
-    the back, so it never waits for a helper that is slow to start, only
-    for the job the helper is running. A job of jobs is called with the
-    index of the thread running it, 0 for the helper and 1 for the caller,
-    so that it can use scratch memory of that thread's own. Without a
-    helper the caller runs them all. Raises the caller's exception, or
-    else the helper's. A caller job may call side_by_side itself (as
-    bilstm_backward's does): the helper serves one call at a time, so it
-    takes the inner call's jobs once this call has none left for it, and
-    until then the caller runs them.
+    caller_jobs in order, then takes jobs from the back, so it never waits
+    for a helper that is slow to start, only for the job the helper is
+    running. Without a helper the caller runs them all. Raises the caller's
+    exception, or else the helper's. A caller job may call side_by_side
+    itself (as bilstm_backward's does): the helper serves one call at a
+    time, so it takes the inner call's jobs once this call has none left
+    for it, and until then the caller runs them.
 
     Jobs must be pure numpy calls that release the GIL and write only
     memory no other job reads or writes, so the result does not depend on
@@ -301,10 +300,8 @@ def side_by_side(jobs, caller_jobs=()):
     job ends."""
     helper = _get_helper() if jobs else None
     if helper is None:
-        for job in caller_jobs:
+        for job in (*caller_jobs, *jobs):
             job()
-        for job in jobs:
-            job(1)
         return
     shared = _Shared(jobs)
     helper.calls.put(shared)
@@ -322,9 +319,8 @@ class Background:
     """Jobs that the helper runs while no side_by_side call is pending,
     one at a time and oldest first, and that finish() completes.
 
-    add(jobs) queues jobs of side_by_side's kind (called with the index of
-    the thread running them, and taking their scratch as those do) and
-    returns at once.
+    add(jobs) queues jobs of side_by_side's kind (callables of no
+    arguments, taking their scratch as those do) and returns at once.
     finish() runs on the caller those the helper has not taken, from the
     back, waits for the one it runs, and raises the first error a job
     raised; without a helper (one CPU) the caller runs them all there.
@@ -477,11 +473,9 @@ def gather(a: np.ndarray, rows) -> np.ndarray:
 
 
 class Param:
-    """A named value with its gradient and ADADELTA averages. fresh is True
-    while both averages are known to be all zero, as np.zeros made them:
-    ADADELTA clears it, and so must any other code that writes them."""
+    """A named value with its gradient and ADADELTA averages."""
 
-    __slots__ = ("name", "value", "grad", "eg2", "ed2", "fresh")
+    __slots__ = ("name", "value", "grad", "eg2", "ed2")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
@@ -491,20 +485,18 @@ class Param:
         self.grad = np.zeros(value.shape, value.dtype)
         self.eg2 = np.zeros(value.shape, value.dtype)   # E[g^2]
         self.ed2 = np.zeros(value.shape, value.dtype)   # E[dx^2]
-        self.fresh = True
 
 
 class _Update:
-    """An open ParamStore.update: its jobs, arguments and scratch rows, the
-    names of the parameters released, the rows declared per parameter name
-    and the row subsets to write back."""
+    """An open ParamStore.update: its jobs and arguments, the names of the
+    parameters released, the rows declared per parameter name and the row
+    subsets to write back."""
 
-    __slots__ = ("background", "rates", "scratch", "released", "rows", "subsets")
+    __slots__ = ("background", "rates", "released", "rows", "subsets")
 
-    def __init__(self, rates: tuple, scratch: np.ndarray):
+    def __init__(self, rates: tuple):
         self.background = Background()
         self.rates = rates
-        self.scratch = scratch
         self.released: set[str] = set()
         self.rows: dict[str, list] = {}
         self.subsets: list = []
@@ -565,12 +557,11 @@ class ParamStore:
         the chunks of parameters whose gradients are final as background
         jobs, and the helper thread runs them while the caller goes on with
         the backward pass (see Background); adadelta_step finishes them and
-        updates the rest. Its scratch rows are taken here, from the current
-        workspace, a pair per thread. When the scope
-        ends in an error, the jobs not started are dropped and the running
-        one is awaited before the error goes on."""
+        updates the rest. When the scope ends in an error, the jobs not
+        started are dropped and the running one is awaited before the error
+        goes on."""
         _check_rates(rho, eps)
-        self._update = update = _Update((rho, eps, l2), self._scratch())
+        self._update = update = _Update((rho, eps, l2))
         try:
             yield
         finally:
@@ -585,8 +576,8 @@ class ParamStore:
         if update is not None:
             params = list(params)
             update.released.update(p.name for p in params)
-            update.background.add(self._adadelta_jobs(params, *update.rates, update.scratch,
-                                                      update.rows, update.subsets))
+            update.background.add(self._adadelta_jobs(params, *update.rates, update.rows,
+                                                      update.subsets))
 
     def declare_rows(self, p: Param, rows):
         """Inside update(), declare integer rows among which lie all rows of
@@ -596,26 +587,14 @@ class ParamStore:
         if self._update is not None:
             self._update.rows.setdefault(p.name, []).append(rows)
 
-    def _scratch(self) -> np.ndarray:
-        """Two scratch rows of an ADADELTA chunk per thread, each starting
-        on a cache line: taken from the current workspace, or with none
-        current, memory of their own. np.empty's start 16 bytes past one,
-        and a float64 chunk took 241-301 us on them against 232-282 on
-        aligned rows (2-core Xeon VM)."""
-        shape = (2, 2, ADADELTA_CHUNK_BYTES // self.dtype.itemsize)
-        if _current.get() is not None:
-            return take(shape, self.dtype)
-        memory = _aligned(math.prod(shape) * self.dtype.itemsize)
-        return np.ndarray(shape, self.dtype, buffer=memory)
-
-    def _adadelta_jobs(self, params, rho, eps, l2, scratch, declared, subsets) -> list:
+    def _adadelta_jobs(self, params, rho, eps, l2, declared, subsets) -> list:
         """adadelta_step's jobs for params, chunk by chunk. The row subset
         of a sparse parameter (see adadelta_step) is updated in a copy,
         which goes into subsets, (param, rows, copies), to be written back
-        once the jobs have run; the jobs decay its whole accumulators,
-        unless they are still all zero. declared maps a parameter's name to
-        the rows declare_rows gave for it."""
-        chunk = scratch.shape[-1]
+        once the jobs have run; the jobs decay its whole accumulators.
+        declared maps a parameter's name to the rows declare_rows gave for
+        it."""
+        chunk = ADADELTA_CHUNK_BYTES // self.dtype.itemsize
         jobs = []
         for p in params:
             arrays = (p.value, p.grad, p.eg2, p.ed2)
@@ -624,13 +603,11 @@ class ParamStore:
                 if touched is not None and 2 * len(touched) < len(p.value):
                     arrays = tuple(arr[touched] for arr in arrays)
                     subsets.append((p, touched, arrays))
-                    if not p.fresh:
-                        jobs += [functools.partial(_decay, *views, rho)
-                                 for views in _chunks((p.eg2, p.ed2), chunk)]
-            p.fresh = False
+                    jobs += [functools.partial(_decay, *views, rho)
+                             for views in _chunks((p.eg2, p.ed2), chunk)]
             # walked a chunk at a time, so that the whole op sequence runs
             # on data held in cache
-            jobs += [functools.partial(_adadelta_chunk, *views, rho, eps, l2, scratch)
+            jobs += [functools.partial(_adadelta_chunk, *views, rho, eps, l2)
                      for views in _chunks(arrays, chunk)]
         return jobs
 
@@ -651,8 +628,7 @@ class ParamStore:
         the op sequence gives it those very bits. So where fewer than half
         the rows of a matrix (e.g. an embedding table) have a nonzero
         gradient, the op sequence runs on a copy of those rows only, the
-        rest get just the two decays (none while the accumulators are still
-        all zero, see Param.fresh), and the result is bitwise that of the
+        rest get just the two decays, and the result is bitwise that of the
         dense update. The rows are those declared for it inside update()
         (declare_rows), where that was done, else those the gradient shows.
 
@@ -663,12 +639,12 @@ class ParamStore:
         _check_rates(rho, eps)
         update, self._update = self._update, None
         if update is None:
-            update = _Update((rho, eps, l2), self._scratch())
+            update = _Update((rho, eps, l2))
         elif update.rates != (rho, eps, l2):
             raise ValueError("adadelta_step takes its update's rho, eps and l2 %r"
                              % (update.rates,))
         jobs = self._adadelta_jobs([p for p in self if p.name not in update.released],
-                                   rho, eps, l2, update.scratch, update.rows, update.subsets)
+                                   rho, eps, l2, update.rows, update.subsets)
         update.background.finish()
         side_by_side(jobs)
         for p, rows, arrays in update.subsets:
@@ -691,21 +667,33 @@ def _touched_rows(p: Param, declared):
     return np.flatnonzero(p.grad.any(axis=1))
 
 
-def _copy(out, value, thread):
+def _copy(out, value):
     """out[...] = value"""
     np.copyto(out, value)
 
 
-def _decay(eg2, ed2, rho, thread):
+def _decay(eg2, ed2, rho):
     """The accumulators of a zero gradient: E[g2] <- rho E[g2], E[dx2] <- rho E[dx2]"""
     eg2 *= rho
     ed2 *= rho
 
 
-def _adadelta_chunk(x, g, eg2, ed2, rho, eps, l2, scratch, thread):
+# each thread's two ADADELTA scratch rows, as a (2, row bytes) array made
+# on the thread's first chunk and made again only for a longer chunk
+_thread_rows = threading.local()
+
+
+def _adadelta_chunk(x, g, eg2, ed2, rho, eps, l2):
     """ParamStore.adadelta_step's op sequence on one chunk of a parameter's
-    value, gradient and accumulators, through the thread's scratch rows."""
-    a, b = scratch[thread, :, :len(x)]
+    value, gradient and accumulators, through the running thread's two
+    scratch rows. Each starts on a cache line: np.empty's start 16 bytes
+    past one, and a float64 chunk took 241-301 us on them against 232-282
+    on aligned rows (2-core Xeon VM)."""
+    rows = getattr(_thread_rows, "rows", None)
+    if rows is None or rows.shape[1] < x.nbytes:
+        size = -(-max(x.nbytes, ADADELTA_CHUNK_BYTES) // _ALIGN) * _ALIGN
+        rows = _thread_rows.rows = _aligned(2 * size).reshape(2, size)
+    a, b = rows.view(x.dtype)[:, :len(x)]
     if l2:
         np.multiply(l2, x, out=a)
         g += a
@@ -807,30 +795,30 @@ def _block(start: int, size: int):
 # jobs for side_by_side; each keeps the op sequence of the expression in its
 # docstring, so either thread gives the same bits
 
-def set_product(a, b, out, thread):
+def set_product(a, b, out):
     """out = a @ b"""
     np.matmul(a, b, out=out)
 
 
-def set_gathered_product(a, rows, b, out, thread):
+def set_gathered_product(a, rows, b, out):
     """out = gather(a, rows) @ b"""
     with scratch():
         np.matmul(gather(a, rows), b, out=out)
 
 
-def add_product(a, b, out, thread):
+def add_product(a, b, out):
     """out += a @ b"""
     with scratch():
         out += np.matmul(a, b, out=take(out.shape, np.result_type(a, b)))
 
 
-def add_gathered_product(a, rows, b, out, thread):
+def add_gathered_product(a, rows, b, out):
     """out += gather(a, rows)^T @ b"""
     with scratch():
-        add_product(gather(a, rows).T, b, out, thread)
+        add_product(gather(a, rows).T, b, out)
 
 
-def _lstm_input(w, b, xs, out, thread):
+def _lstm_input(w, b, xs, out):
     """out = xs @ W_x + b: the input-side gate pre-activations of every row"""
     np.matmul(xs, w[:xs.shape[1]], out=out)
     out += b
@@ -858,7 +846,7 @@ def lstm_forward(w: np.ndarray, b: np.ndarray, xs):
     if gates is None:
         # input-side pre-activations of every row, activated block by block below
         gates = take((n, 4 * hidden), xs.dtype)     # i,f,o,g
-        _lstm_input(w, b, xs, gates, 1)
+        _lstm_input(w, b, xs, gates)
     s3 = 3 * hidden
     w_h = w[input_size:]
     cs = take((n, hidden), xs.dtype)

@@ -1,8 +1,14 @@
+import sys
 import threading
 
 import pytest
 
 from shiftparse import nn
+
+
+def running_thread() -> str:
+    """"helper" on a thread that nn._Helper started, else "caller"."""
+    return "helper" if threading.current_thread().name == "shiftparse.nn helper" else "caller"
 
 
 @pytest.fixture(scope="session")
@@ -18,10 +24,12 @@ def two_threads(monkeypatch, helper):
     From then on the caller runs none of a call's shared jobs until the
     helper has started one, and takes none of a one-job call's, so both
     threads surely run some jobs of a call with two or more and the helper
-    runs a lone one; the returned set collects the index of every thread
-    that ran one. Likewise a Background's finish() waits until the helper
+    runs a lone one; while a call runs, the threads switch every
+    microsecond, so the two threads often run job bodies at once.
+    The returned set collects running_thread() of every thread that ran a
+    shared job. Likewise a Background's finish() waits until the helper
     has started one of its jobs, if it has any; the function's attribute
-    background collects the index of every thread that ran one of those."""
+    background collects the threads that ran one of those."""
     threads = set()
     side_by_side = nn.side_by_side
 
@@ -35,11 +43,11 @@ def two_threads(monkeypatch, helper):
             self.queued = self.queued or bool(jobs)
 
             def wrap(job):
-                def run(thread):
-                    if not thread:
+                def run():
+                    if running_thread() == "helper":
                         self.started.set()
-                    switch_on.background.add(thread)
-                    job(thread)
+                    switch_on.background.add(running_thread())
+                    job()
                 return run
 
             super().add([wrap(job) for job in jobs])
@@ -56,18 +64,27 @@ def two_threads(monkeypatch, helper):
             assert started.wait(10), "the helper ran no job in 10 s"
 
         def wrap(job):
-            def run(thread):
-                if thread:
-                    wait_for_the_helper()
-                else:
+            def run():
+                me = running_thread()
+                if me == "helper":
                     started.set()
-                threads.add(thread)
-                job(thread)
+                else:
+                    wait_for_the_helper()
+                threads.add(me)
+                job()
             return run
 
         # the caller would leave the helper nothing if it took a lone job
         own = [*caller_jobs, wait_for_the_helper] if len(jobs) == 1 else caller_jobs
-        side_by_side([wrap(job) for job in jobs], own)
+        # job bodies are a few microseconds at test sizes: without frequent
+        # switches the thread that goes on first ends its job before the
+        # other thread runs again
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            side_by_side([wrap(job) for job in jobs], own)
+        finally:
+            sys.setswitchinterval(interval)
 
     def switch_on():
         monkeypatch.setattr(nn, "_get_helper", lambda: helper)
@@ -86,7 +103,7 @@ def at_release(monkeypatch):
     class AtOnce(nn.Background):
         def add(self, jobs):
             for job in jobs:
-                job(1)
+                job()
 
     def switch_on():
         monkeypatch.setattr(nn, "Background", AtOnce)

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from shiftparse import nn
+
+from conftest import running_thread
 
 
 def make_store(**arrays):
@@ -248,7 +251,7 @@ def test_bilstm_layer_on_two_threads_is_bitwise_per_direction(monkeypatch, two_t
     runs = [per_direction(), scheduled()]
     threads = two_threads()
     runs.append(scheduled())
-    assert threads == {0, 1}
+    assert threads == {"helper", "caller"}
     assert all(a.dtype == dtype for direction in runs[0] for a in direction)
     want = [[a.tobytes() for a in direction] for direction in runs[0]]
     for run in runs[1:]:
@@ -693,9 +696,10 @@ def test_adadelta_l2_adds_weighted_value_to_gradient():
 
 
 def test_adadelta_in_place_update_is_bitwise_the_formula():
-    # l2 > 0 on tensors of different sizes, so each is updated through a
-    # different slice of the shared scratch buffers, over several steps; "d"
-    # spans two full chunks and a ragged third of 3 values
+    # l2 > 0 on tensors of different sizes, so each chunk runs through a
+    # slice of a different length of the running thread's two scratch rows,
+    # over several steps; "d" spans two full chunks and a ragged third of 3
+    # values
     rng = np.random.default_rng(11)
     rho, eps, l2 = 0.95, 1e-6, 1e-3
     for dtype in (np.float64, np.float32):
@@ -728,29 +732,59 @@ def test_adadelta_in_place_update_is_bitwise_the_formula():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_adadelta_outside_a_workspace_takes_cache_aligned_scratch_rows(monkeypatch, dtype):
-    # with no workspace current (a library caller's step, outside fit) the
-    # chunks still run through scratch rows that start on a cache line, as
-    # a workspace's do; in-place or inside update(), on every chunk
-    starts = []
+def test_adadelta_outside_a_workspace_takes_cache_aligned_scratch_rows(monkeypatch, two_threads,
+                                                                        dtype):
+    # every chunk runs through the two scratch rows of the thread that runs
+    # it, which start on a cache line: outside a workspace (a library
+    # caller's step, outside fit) or inside one, which they do not come
+    # from, in place or inside update(); the helper's rows are not the
+    # caller's, and each thread keeps its own from one step to the next
+    seen = {"helper": [], "caller": []}
     chunk = nn._adadelta_chunk
 
-    def recording(x, g, eg2, ed2, rho, eps, l2, scratch, thread):
-        starts.extend(row.ctypes.data % 64 for row in scratch[thread])
-        chunk(x, g, eg2, ed2, rho, eps, l2, scratch, thread)
+    def recording(*args):
+        chunk(*args)
+        seen[running_thread()].append(nn._thread_rows.rows)
 
     monkeypatch.setattr(nn, "_adadelta_chunk", recording)
+    two_threads()
     rng = np.random.default_rng(12)
     store = nn.ParamStore(dtype)
     store.add("w", rng.standard_normal(nn.ADADELTA_CHUNK_BYTES // np.dtype(dtype).itemsize + 5)
               .astype(dtype))
     store.add("v", rng.standard_normal((3, 4)).astype(dtype))
-    for early in (False, True):
+    workspace = nn.Workspace()
+    for early, scope in itertools.product((False, True), (contextlib.nullcontext, workspace.scope)):
         for p in store:
             p.grad[...] = 1.0
-        with store.update(0.9, 1e-6, 0.0) if early else contextlib.nullcontext():
+        with scope(), store.update(0.9, 1e-6, 0.0) if early else contextlib.nullcontext():
             store.adadelta_step(0.9, 1e-6, 0.0)
-    assert len(starts) == 2 * 2 * 3 and not any(starts)
+    assert sum(map(len, seen.values())) == 4 * 3
+    for rows in seen.values():
+        assert rows and all(r is rows[0] for r in rows)
+        assert all(row.ctypes.data % 64 == 0 for row in rows[-1])
+        assert not any(np.shares_memory(rows[-1], memory) for _, _, memory in workspace._blocks)
+    assert not np.shares_memory(seen["helper"][-1], seen["caller"][-1])
+
+
+def test_adadelta_scratch_rows_grow_with_the_chunk(monkeypatch):
+    # a new thread makes its rows on its first chunk, at least a chunk
+    # long, and makes them again only for a longer chunk
+    monkeypatch.setattr(nn, "_get_helper", lambda: None)
+    store, shapes = make_store(x=np.arange(100.0)), []
+
+    def steps():
+        for size in (256, 64, 512):
+            monkeypatch.setattr(nn, "ADADELTA_CHUNK_BYTES", size)
+            store["x"].grad[...] = 1.0
+            store.adadelta_step()
+            shapes.append(nn._thread_rows.rows.shape)
+
+    thread = threading.Thread(target=steps)
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert shapes == [(2, 256), (2, 256), (2, 512)]
 
 
 def test_adadelta_skips_zero_gradient_rows_bitwise(monkeypatch):
@@ -794,8 +828,8 @@ def test_adadelta_declared_rows_give_the_scanned_bits(monkeypatch, dtype):
     # a (40, 6) table over four updates, its rows declared inside update()
     # (repeated, and some whose gradient is all zero), against the same
     # gradients found by scanning and the same values as a vector, which is
-    # always updated densely; the first update of fresh accumulators decays
-    # none of them, and the sequence runs on exactly the declared rows
+    # always updated densely; every update decays the whole accumulators,
+    # and the sequence runs on exactly the declared rows
     rng = np.random.default_rng(23)
     rho, eps = 0.95, 1e-6
     sizes, decays = [], []
@@ -824,7 +858,7 @@ def test_adadelta_declared_rows_give_the_scanned_bits(monkeypatch, dtype):
             else:
                 store.adadelta_step(rho, eps, 0.0)
             runs.append(sum(sizes))
-            assert bool(decays) == (step > 0)
+            assert decays
         assert runs == [2 * 6 * len(set(nonzero + zero)), 2 * 6 * len(nonzero)]
         flat.adadelta_step(rho, eps, 0.0)
         for name in ("value", "grad", "eg2", "ed2"):
@@ -856,7 +890,7 @@ def test_adadelta_on_two_threads_is_bitwise_one_thread(monkeypatch, two_threads,
             store.adadelta_step(rho=0.95, eps=1e-6, l2=l2)
         results.append([getattr(p, a).tobytes() for p in store
                         for a in ("value", "grad", "eg2", "ed2")])
-    assert threads == {0, 1}
+    assert threads == {"helper", "caller"}
     assert results[0] == results[1]
 
 
@@ -867,19 +901,20 @@ def test_side_by_side_caller_takes_the_jobs_the_helper_has_not(monkeypatch, help
     started, release = threading.Event(), threading.Event()
     ran = []
 
-    def hold(thread):
+    def hold():
         started.set()
         assert release.wait(10)
-        ran.append(("hold", thread))
+        ran.append(("hold", running_thread()))
 
-    def job(name, thread):
-        ran.append((name, thread))
+    def job(name):
+        ran.append((name, running_thread()))
         if name == "a":
             release.set()
 
     nn.side_by_side([hold] + [functools.partial(job, name) for name in "abc"],
-                    [lambda: started.wait(10), lambda: ran.append(("own", 1))])
-    assert ran == [("own", 1), ("c", 1), ("b", 1), ("a", 1), ("hold", 0)]
+                    [lambda: started.wait(10), lambda: ran.append(("own", running_thread()))])
+    assert ran == [("own", "caller"), ("c", "caller"), ("b", "caller"), ("a", "caller"),
+                   ("hold", "helper")]
 
 
 def test_side_by_side_caller_job_may_call_it_again(monkeypatch, helper):
@@ -890,13 +925,13 @@ def test_side_by_side_caller_job_may_call_it_again(monkeypatch, helper):
     started, release = threading.Event(), threading.Event()
     ran = []
 
-    def hold(thread):
+    def hold():
         started.set()
         assert release.wait(10)
-        ran.append(("hold", thread))
+        ran.append(("hold", running_thread()))
 
-    def job(name, thread):
-        ran.append((name, thread))
+    def job(name):
+        ran.append((name, running_thread()))
 
     def inner():
         assert started.wait(10)
@@ -904,8 +939,8 @@ def test_side_by_side_caller_job_may_call_it_again(monkeypatch, helper):
         release.set()
 
     nn.side_by_side([hold, functools.partial(job, "a")], [inner])
-    assert ran[:3] == [("z", 1), ("y", 1), ("x", 1)]
-    assert sorted(name for name, _ in ran[3:]) == ["a", "hold"] and ("hold", 0) in ran
+    assert ran[:3] == [("z", "caller"), ("y", "caller"), ("x", "caller")]
+    assert sorted(name for name, _ in ran[3:]) == ["a", "hold"] and ("hold", "helper") in ran
 
 
 def test_side_by_side_runs_every_job_once_under_contention(monkeypatch, helper):
@@ -914,7 +949,7 @@ def test_side_by_side_runs_every_job_once_under_contention(monkeypatch, helper):
     monkeypatch.setattr(nn, "_get_helper", lambda: helper)
     counts = np.zeros((3, 1000, 2), dtype=np.int64)
 
-    def bump(cell, thread):
+    def bump(cell):
         np.add(cell, 1, out=cell)
 
     def calls(k):
@@ -943,7 +978,7 @@ def test_background_and_side_by_side_jobs_run_once_under_contention(monkeypatch,
     monkeypatch.setattr(nn, "_get_helper", lambda: helper)
     counts = np.zeros((3, 1000, 4), dtype=np.int64)
 
-    def bump(cell, thread):
+    def bump(cell):
         np.add(cell, 1, out=cell)
 
     def calls(k):
@@ -974,13 +1009,13 @@ def test_side_by_side_raises_a_helper_exception_and_keeps_working(monkeypatch, h
     started = threading.Event()
     out = np.zeros(3)
 
-    def fail(thread):
+    def fail():
         started.set()
-        raise KeyError("helper job %d" % thread)
+        raise KeyError("job on the %s" % running_thread())
 
-    with pytest.raises(KeyError, match="helper job 0"):
+    with pytest.raises(KeyError, match="job on the helper"):
         nn.side_by_side([fail], [lambda: started.wait(10)])
-    nn.side_by_side([lambda thread: np.add(out, 1.0, out=out)] * 2)
+    nn.side_by_side([lambda: np.add(out, 1.0, out=out)] * 2)
     assert out.tolist() == [2.0, 2.0, 2.0]
 
 
@@ -990,7 +1025,7 @@ def test_helper_keeps_no_array_of_a_finished_call(monkeypatch, helper):
     alive = weakref.ref(out)
     started = threading.Event()
 
-    def add(out, thread):
+    def add(out):
         started.set()
         np.add(out, 1.0, out=out)
 
@@ -1008,10 +1043,10 @@ def test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace(mon
     monkeypatch.setattr(nn, "_get_helper", lambda: helper)
     seen = []
 
-    def job(started, thread):
+    def job(started):
         started.set()
         with nn.scratch():
-            seen.append((thread, nn.take((1000,), np.float64), nn.gather(np.eye(3), np.arange(2))))
+            seen.append((running_thread(), nn.take((1000,), np.float64), nn.gather(np.eye(3), np.arange(2))))
         seen.append(nn.take((10,), np.float64))
 
     def on_the_helper():
@@ -1027,7 +1062,7 @@ def test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace(mon
     twin = vars(workspace)["twin"]
     assert twin._top == 0
     thread, taken, gathered, after = *seen[0], seen[1]
-    assert thread == 0
+    assert thread == "helper"
     for array in (taken, gathered, after):
         assert any(np.shares_memory(array, memory) for _, _, memory in twin._blocks)
         assert not any(np.shares_memory(array, memory) for _, _, memory in workspace._blocks)
@@ -1035,7 +1070,7 @@ def test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace(mon
     idle = nn.Workspace()
     on_the_helper()
     thread, taken, gathered, after = *seen[0], seen[1]
-    assert thread == 0 and "twin" not in vars(idle)
+    assert thread == "helper" and "twin" not in vars(idle)
     assert taken.base is None and after.base is None and gathered.base is None
 
 
@@ -1047,13 +1082,13 @@ def test_side_by_side_call_runs_before_queued_background_jobs(monkeypatch, helpe
     started, release, served = threading.Event(), threading.Event(), threading.Event()
     ran = []
 
-    def hold(thread):
+    def hold():
         started.set()
         assert release.wait(10)
-        ran.append(("hold", thread))
+        ran.append(("hold", running_thread()))
 
-    def job(name, thread):
-        ran.append((name, thread))
+    def job(name):
+        ran.append((name, running_thread()))
         if name == "call":
             served.set()
 
@@ -1066,7 +1101,7 @@ def test_side_by_side_call_runs_before_queued_background_jobs(monkeypatch, helpe
     assert started.wait(10)
     nn.side_by_side([functools.partial(job, "call")], [release_and_wait])
     background.finish()
-    assert ran[:2] == [("hold", 0), ("call", 0)]
+    assert ran[:2] == [("hold", "helper"), ("call", "helper")]
     assert sorted(name for name, _ in ran[2:]) == ["a", "b", "c"]
     assert not helper.background
 
@@ -1076,18 +1111,18 @@ def test_background_job_error_is_raised_by_finish_and_the_helper_goes_on(monkeyp
     started = threading.Event()
     out = np.zeros(3)
 
-    def fail(thread):
+    def fail():
         started.set()
-        raise KeyError("background job %d" % thread)
+        raise KeyError("background job on the %s" % running_thread())
 
-    def add(thread):
+    def add():
         np.add(out, 1.0, out=out)
 
     background = nn.Background()
     background.add([fail])
     assert started.wait(10)
     background.add([add, add])
-    with pytest.raises(KeyError, match="background job 0"):
+    with pytest.raises(KeyError, match="background job on the helper"):
         background.finish()
     assert out.tolist() == [2.0, 2.0, 2.0]
     nn.side_by_side([add] * 2)
@@ -1101,11 +1136,11 @@ def test_background_jobs_run_on_the_caller_without_a_helper(monkeypatch):
     monkeypatch.setattr(nn, "_get_helper", lambda: None)
     ran = []
     background = nn.Background()
-    background.add([functools.partial(lambda name, thread: ran.append((name, thread)), name)
+    background.add([functools.partial(lambda name: ran.append((name, running_thread())), name)
                     for name in "ab"])
     assert ran == []
     background.finish()
-    assert ran == [("b", 1), ("a", 1)]
+    assert ran == [("b", "caller"), ("a", "caller")]
 
 
 def test_helper_keeps_no_array_of_finished_background_jobs(monkeypatch, helper):
@@ -1114,7 +1149,7 @@ def test_helper_keeps_no_array_of_finished_background_jobs(monkeypatch, helper):
     alive = weakref.ref(out)
     started = threading.Event()
 
-    def add(out, thread):
+    def add(out):
         started.set()
         np.add(out, 1.0, out=out)
 
@@ -1133,9 +1168,9 @@ def test_helper_jobs_run_under_the_callers_errstate(monkeypatch, helper):
     big, out = np.full(4, 1e308), np.empty(4)
     threads = []
 
-    def overflow(started, thread):
+    def overflow(started):
         started.set()
-        threads.append(thread)
+        threads.append(running_thread())
         np.multiply(big, big, out=out)
 
     for errstate in ({"all": "raise"}, {"over": "ignore"}):
@@ -1149,7 +1184,7 @@ def test_helper_jobs_run_under_the_callers_errstate(monkeypatch, helper):
             else:
                 # ignored: no RuntimeWarning, which the test run turns into an error
                 assert errstate == {"over": "ignore"} and np.isinf(out).all()
-    assert threads == [0, 0]
+    assert threads == ["helper", "helper"]
 
 
 def test_adadelta_order_invariance():

@@ -217,6 +217,12 @@ MUTANTS = (
            "never from the caller's own, which the caller takes from at the same time",
            ("tests/test_nn.py::"
             "test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace",)),
+    Mutant("adadelta-rows-shared-by-threads", "src/shiftparse/nn.py",
+           "_thread_rows = threading.local()", '_thread_rows = type("Rows", (), {})()',
+           "each thread runs its ADADELTA chunks through scratch rows of its own; rows that "
+           "both threads write at once mix two chunks' values",
+           ("tests/test_nn.py::test_adadelta_in_place_update_is_bitwise_the_formula",
+            "tests/test_nn.py::test_adadelta_on_two_threads_is_bitwise_one_thread")),
     Mutant("classifier-gather-drops-last-chunk", "src/shiftparse/nn.py",
            "            for start in range(0, len(x), rows):\n",
            "            for start in range(0, len(x) - rows, rows):\n",
