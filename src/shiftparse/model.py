@@ -642,6 +642,13 @@ class _EncoderModel:
             w_at, t_at = w_rows.stop, t_rows.stop
         return out
 
+    def _layout(self, n: int) -> tuple[int, int, int]:
+        """The rows of the table _slot_groups lays out over n encoder rows:
+        the length of a position slot's block, the first row of the label
+        slots' blocks and the length of one of those."""
+        stride = n + len(self.families)
+        return stride, len(self.position_families) * stride, len(self.vocab.nonterminals)
+
     def _project(self, enc):
         """Per head, the first-layer table of one sentence: each slot's block
         of rows is its group's inputs times the slot's block of W1, so the
@@ -653,8 +660,8 @@ class _EncoderModel:
     def _table_rows(self, n: int, ids) -> np.ndarray:
         """The sorted rows of a table over n encoder rows that (m, slots) ids
         select, with every label slot's block whole."""
-        label_at = len(self.position_families) * (n + len(self.families))
-        labels = np.arange(label_at, label_at + self.label_slots * len(self.vocab.nonterminals))
+        _, label_at, n_labels = self._layout(n)
+        labels = np.arange(label_at, label_at + self.label_slots * n_labels)
         return np.union1d(ids[:, :len(self.position_families)], labels)
 
     def _shared_rows(self, n: int, ids) -> np.ndarray:
@@ -662,8 +669,8 @@ class _EncoderModel:
         more than one sentence may select: the absent rows and the label
         slots' blocks. A position slot's encoder rows belong to one
         sentence each."""
-        stride = n + len(self.families)
-        return (ids >= len(self.position_families) * stride) | (ids % stride >= n)
+        stride, label_at, _ = self._layout(n)
+        return (ids >= label_at) | (ids % stride >= n)
 
     @staticmethod
     def _slot_blocks(groups, rows):
@@ -715,9 +722,7 @@ class _EncoderModel:
         order. Each position slot's base and absent rows and each label
         slot's base are computed here, once per sentence; a state's rows
         are then base + position (or the absent row) and base + label id."""
-        stride = n + len(self.families)
-        label_at = len(self.position_families) * stride
-        n_labels = len(self.vocab.nonterminals)
+        stride, label_at, n_labels = self._layout(n)
         slots = [(k * stride + offset, k * stride + n + absent)
                  for k, absent in enumerate(self.absent_row)]
         label_bases = [label_at + j * n_labels for j in range(self.label_slots)]

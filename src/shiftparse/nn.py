@@ -52,9 +52,9 @@ costs no more than the rows actually used. It can also hold back what it
 would add (MlpTerms) for a later add in a fixed order.
 
 Independent matrix work runs side by side on two threads, the "streams"
-of Appleyard et al. 2016 (side_by_side): both threads take ADADELTA's
-chunks, model.py's per-slot first-layer GEMMs, or its classifier's
-per-sentence forward, loss and backward passes, from one queue. In a
+of Appleyard et al. 2016: both threads take the jobs of a Batch,
+ADADELTA's chunks, model.py's per-slot first-layer GEMMs, or its
+classifier's per-sentence forward, loss and backward passes. In a
 Bi-LSTM layer, the helper takes whole GEMMs that overlap the other
 direction's step loop: forward, the backward direction's input GEMM
 while the caller runs the forward direction; backward, the forward
@@ -64,15 +64,15 @@ direction's three. A step loop always runs on the calling thread: two
 of them at once only take turns at the GIL. A GEMM is never split
 across the threads, as a split by rows can change its bits.
 
-The helper also runs background jobs (Background), which a caller queues
-and goes on: a training update (ParamStore.update) queues a parameter
-group's ADADELTA chunks as soon as its gradient is final, and the
-helper runs them during the rest of the backward pass, where it would
-otherwise wait in the step loops. Its rule: a pending side_by_side call
-first, and else one background job, oldest first, before it looks
-again; so a GEMM of a call waits for one chunk at most. adadelta_step
-finishes what is left of the queue on both threads, then updates the
-parameters not released.
+The helper keeps one list of batches and runs the front job of the
+first, one job at a time. A side_by_side call, whose caller waits, puts
+its batch at the front; queued work, whose caller goes on, at the back:
+a training update (ParamStore.update) queues a parameter group's
+ADADELTA chunks as soon as its gradient is final, and the helper runs
+them during the rest of the backward pass, where it would otherwise
+wait in the step loops. So a GEMM of a call waits for one chunk at
+most. adadelta_step finishes the queued batches on both threads, then
+updates the parameters not released.
 
 The second thread starts on first use, and only when the process may run
 on at least two CPUs (os.sched_getaffinity); a forked child starts its
@@ -158,12 +158,29 @@ def _check_finite(name, arr):
 # second thread
 # ---------------------------------------------------------------------------
 
-class _Shared:
-    """Jobs that either thread may run, of one side_by_side call or one
-    Background.add: the helper takes them from the front, the caller from
-    the back."""
+class Batch:
+    """Jobs that either thread may run: the helper takes them from the
+    front, the caller from the back.
 
-    def __init__(self, jobs):
+    Every job is a callable of no arguments. Creating a batch puts it on
+    the helper's list, at the front when first (a side_by_side call, whose
+    caller waits for it) and else at the back (queued work, whose caller
+    goes on); with no helper (one CPU) it is put nowhere. finish() runs on
+    the caller, from the back, the jobs the helper has not taken, waits for
+    the one it runs, takes the batch off the list, and raises the error a
+    job raised. cancel() drops the jobs not started and waits for the one
+    running, as after an error nothing more may start. Jobs must be pure
+    numpy calls that release the GIL and write only memory that no other
+    job reads or writes, nor the caller before finish() returns, so the
+    result does not depend on which thread runs what.
+
+    The helper runs jobs in a copy of the caller's context, so np.errstate
+    applies to them (numpy 2 keeps it in a context variable), and where the
+    caller has a workspace current, its twin is current there instead: a
+    job takes its scratch with take() and scratch() on either thread, and
+    on the helper it is released when the job ends."""
+
+    def __init__(self, jobs, first=False):
         self.jobs = collections.deque(jobs)
         self.context = contextvars.copy_context()
         # where the caller has a workspace, the helper's jobs take its twin's
@@ -175,6 +192,10 @@ class _Shared:
         # held by the helper from taking a job until it has run it
         self.running = threading.Lock()
         self.error: BaseException | None = None
+        helper = self.helper = _get_helper()
+        if helper is not None:
+            (helper.batches.appendleft if first else helper.batches.append)(self)
+            helper.wake.put(None)
 
     def run_one(self) -> bool:
         """The helper's part, a job at a time: run the front job, and
@@ -198,55 +219,58 @@ class _Shared:
                 del job
         return True
 
-    def run_rest(self):
-        """The caller's part: run the jobs the helper has not taken, from
-        the back."""
-        while True:
-            try:
-                job = self.jobs.pop()
-            except IndexError:
-                return
-            job()
+    def finish(self):
+        try:
+            while True:
+                try:
+                    job = self.jobs.pop()
+                except IndexError:
+                    break
+                job()
+        finally:
+            self.cancel()   # also after an error here
+        if self.error is not None:
+            raise self.error
 
-    def stop(self):
-        """Leave the helper no more jobs, and wait for the one it runs."""
+    def cancel(self):
         self.jobs.clear()
         with self.running:
             pass
+        if self.helper is not None:
+            try:
+                self.helper.batches.remove(self)
+            except ValueError:  # the helper took it off
+                pass
 
 
 class _Helper:
-    """A daemon thread that serves side_by_side calls one at a time and,
-    while none is pending, runs background jobs one at a time."""
+    """A daemon thread that runs the front job of the first batch on its
+    list, one job at a time."""
 
     def __init__(self):
-        self.calls = queue.SimpleQueue()    # _Shared calls; None only wakes the thread
-        self.background = collections.deque()   # Background.add's _Shared, oldest first
+        self.batches = collections.deque()
+        self.wake = queue.SimpleQueue()     # a token per batch added
         threading.Thread(target=self._serve, name="shiftparse.nn helper", daemon=True).start()
 
     def _serve(self):
         while True:
-            call = self.calls.get()
-            while call is not None and call.run_one():
-                pass
-            del call
-            # a pending call comes first: a job of it waits for one
-            # background job at most
-            while self.calls.empty() and self._background_job():
+            self.wake.get()
+            while self._run_front():
                 pass
 
-    def _background_job(self) -> bool:
-        """Run the oldest background job; False when there is none."""
-        while True:
-            try:
-                shared = self.background[0]
-            except IndexError:
-                return False
-            if shared.run_one():
-                return True
+    def _run_front(self) -> bool:
+        """Run the front job of the first batch; False when there is none."""
+        try:
+            batch = self.batches[0]
+        except IndexError:
+            return False
+        if not batch.run_one():
             # none left, or one raised: its caller finishes it
-            with contextlib.suppress(ValueError):
-                self.background.remove(shared)
+            try:
+                self.batches.remove(batch)
+            except ValueError:  # its caller took it off
+                pass
+        return True
 
 
 _helper: _Helper | None = None
@@ -280,83 +304,26 @@ if hasattr(os, "register_at_fork"):
 def side_by_side(jobs, caller_jobs=()):
     """Run independent jobs on two threads and return when all are done.
 
-    Every job, of jobs and of caller_jobs, is a callable of no arguments.
-    The helper thread takes jobs from the front of jobs; the caller runs
-    caller_jobs in order, then takes jobs from the back, so it never waits
-    for a helper that is slow to start, only for the job the helper is
-    running. Without a helper the caller runs them all. Raises the caller's
-    exception, or else the helper's. A caller job may call side_by_side
-    itself (as bilstm_backward's does): the helper serves one call at a
-    time, so it takes the inner call's jobs once this call has none left
-    for it, and until then the caller runs them.
-
-    Jobs must be pure numpy calls that release the GIL and write only
-    memory no other job reads or writes, so the result does not depend on
-    which thread runs what. The helper runs jobs in a copy of the caller's
-    context, so np.errstate applies to them (numpy 2 keeps it in a context
-    variable), and where the caller has a workspace current, its twin is
-    current there instead: a job takes its scratch with take() and
-    scratch() on either thread, and on the helper it is released when the
-    job ends."""
-    helper = _get_helper() if jobs else None
-    if helper is None:
+    jobs become a Batch at the front of the helper's list, so the
+    helper's next job is one of them; the caller runs caller_jobs in order
+    and then finishes the batch, so it never waits for a helper that is
+    slow to start, only for the job the helper is running. Without a
+    helper the caller runs caller_jobs and then jobs, in order. Raises the
+    caller's exception, or else the helper's. A caller job may call side_by_side itself (as
+    bilstm_backward's does): that call's batch goes in front of this one,
+    so a free helper takes its jobs first."""
+    if not jobs or _get_helper() is None:
         for job in (*caller_jobs, *jobs):
             job()
         return
-    shared = _Shared(jobs)
-    helper.calls.put(shared)
+    batch = Batch(jobs, first=True)
     try:
         for job in caller_jobs:
             job()
-        shared.run_rest()
-    finally:
-        shared.stop()   # also after an error here
-    if shared.error is not None:
-        raise shared.error
-
-
-class Background:
-    """Jobs that the helper runs while no side_by_side call is pending,
-    one at a time and oldest first, and that finish() completes.
-
-    add(jobs) queues jobs of side_by_side's kind (callables of no
-    arguments, taking their scratch as those do) and returns at once.
-    finish() runs on the caller those the helper has not taken, from the
-    back, waits for the one it runs, and raises the first error a job
-    raised; without a helper (one CPU) the caller runs them all there.
-    cancel() drops those not started and waits for the one running, as
-    after an error nothing more may start. Jobs must not read or write an
-    array that the caller uses before finish() returns."""
-
-    def __init__(self):
-        self._helper = _get_helper()
-        self._added: list[_Shared] = []
-
-    def add(self, jobs):
-        shared = _Shared(jobs)
-        self._added.append(shared)
-        if self._helper is not None:
-            self._helper.background.append(shared)
-            self._helper.calls.put(None)    # wakes a helper that waits for a call
-
-    def finish(self):
-        added = self._added
-        try:
-            for shared in reversed(added):
-                shared.run_rest()
-        finally:
-            self.cancel()
-        for shared in added:
-            if shared.error is not None:
-                raise shared.error
-
-    def cancel(self):
-        added, self._added = self._added, []
-        for shared in added:
-            shared.stop()
-            if self._helper is not None:
-                with contextlib.suppress(ValueError):
-                    self._helper.background.remove(shared)
+    except BaseException:
+        batch.cancel()
+        raise
+    batch.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +455,14 @@ class Param:
 
 
 class _Update:
-    """An open ParamStore.update: its jobs and arguments, the names of the
-    parameters released, the rows declared per parameter name and the row
-    subsets to write back."""
+    """An open ParamStore.update: its queued batches and arguments, the
+    names of the parameters released, the rows declared per parameter name
+    and the row subsets to write back."""
 
-    __slots__ = ("background", "rates", "released", "rows", "subsets")
+    __slots__ = ("batches", "rates", "released", "rows", "subsets")
 
     def __init__(self, rates: tuple):
-        self.background = Background()
+        self.batches: list[Batch] = []
         self.rates = rates
         self.released: set[str] = set()
         self.rows: dict[str, list] = {}
@@ -554,19 +521,19 @@ class ParamStore:
     def update(self, rho: float, eps: float, l2: float):
         """The scope of one training update, ended by one adadelta_step(rho,
         eps, l2), whose ADADELTA step starts early: release(params) queues
-        the chunks of parameters whose gradients are final as background
-        jobs, and the helper thread runs them while the caller goes on with
-        the backward pass (see Background); adadelta_step finishes them and
-        updates the rest. When the scope ends in an error, the jobs not
-        started are dropped and the running one is awaited before the error
-        goes on."""
+        the chunks of parameters whose gradients are final as a Batch, and
+        the helper thread runs them while the caller goes on with the
+        backward pass; adadelta_step finishes them and updates the rest.
+        When the scope ends in an error, the jobs not started are dropped
+        and the running one is awaited before the error goes on."""
         _check_rates(rho, eps)
         self._update = update = _Update((rho, eps, l2))
         try:
             yield
         finally:
             self._update = None
-            update.background.cancel()
+            for batch in update.batches:
+                batch.cancel()
 
     def release(self, params):
         """Inside update(), start the ADADELTA update of params, whose
@@ -576,8 +543,8 @@ class ParamStore:
         if update is not None:
             params = list(params)
             update.released.update(p.name for p in params)
-            update.background.add(self._adadelta_jobs(params, *update.rates, update.rows,
-                                                      update.subsets))
+            update.batches.append(Batch(self._adadelta_jobs(params, *update.rates, update.rows,
+                                                            update.subsets)))
 
     def declare_rows(self, p: Param, rows):
         """Inside update(), declare integer rows among which lie all rows of
@@ -633,8 +600,8 @@ class ParamStore:
         (declare_rows), where that was done, else those the gradient shows.
 
         Both threads take the chunks. Inside update(), with that update's
-        arguments, the parameters released are updated by the background
-        jobs this finishes, and the others as above.
+        arguments, the parameters released are updated by the queued
+        batches this finishes, newest first, and the others as above.
         """
         _check_rates(rho, eps)
         update, self._update = self._update, None
@@ -645,7 +612,8 @@ class ParamStore:
                              % (update.rates,))
         jobs = self._adadelta_jobs([p for p in self if p.name not in update.released],
                                    rho, eps, l2, update.rows, update.subsets)
-        update.background.finish()
+        for batch in reversed(update.batches):
+            batch.finish()
         side_by_side(jobs)
         for p, rows, arrays in update.subsets:
             p.value[rows], p.eg2[rows], p.ed2[rows] = arrays[0], arrays[2], arrays[3]

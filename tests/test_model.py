@@ -760,7 +760,7 @@ def test_error_in_the_backward_pass_leaves_no_update_job_running(monkeypatch, he
     with pytest.raises(RuntimeError, match="backward failed"):
         model.fit(trees)
     assert counts["started"] == counts["ended"]
-    assert not helper.background
+    assert not helper.batches
     time.sleep(0.05)
     assert counts["started"] == counts["ended"]
 
@@ -797,7 +797,7 @@ def test_error_in_a_classifier_job_leaves_no_job_running(monkeypatch, helper):
         with pytest.raises(RuntimeError, match="loss failed"):
             model.fit(trees)
         assert counts["started"] == counts["ended"] and counts["losses"] >= 3
-        assert not helper.background
+        assert not helper.batches
         time.sleep(0.05)
         assert counts["started"] == counts["ended"]
     fresh, _ = _fit_setup("dep")

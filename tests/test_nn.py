@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -918,9 +919,9 @@ def test_side_by_side_caller_takes_the_jobs_the_helper_has_not(monkeypatch, help
 
 
 def test_side_by_side_caller_job_may_call_it_again(monkeypatch, helper):
-    # the helper serves the outer call first: held in its first job, it
-    # leaves the caller every job of the inner call, then each outer job
-    # runs once
+    # the inner call's batch goes in front of the outer one's: the helper,
+    # held in the outer call's first job, leaves the caller every job of
+    # the inner call, then each outer job runs once
     monkeypatch.setattr(nn, "_get_helper", lambda: helper)
     started, release = threading.Event(), threading.Event()
     ran = []
@@ -941,6 +942,29 @@ def test_side_by_side_caller_job_may_call_it_again(monkeypatch, helper):
     nn.side_by_side([hold, functools.partial(job, "a")], [inner])
     assert ran[:3] == [("z", "caller"), ("y", "caller"), ("x", "caller")]
     assert sorted(name for name, _ in ran[3:]) == ["a", "hold"] and ("hold", "helper") in ran
+    # a free helper takes the inner call's job before the outer call's
+    # remaining ones
+    started.clear()
+    release.clear()
+    ran.clear()
+    served = threading.Event()
+
+    def inner_job():
+        job("x")
+        served.set()
+
+    def release_and_wait():
+        release.set()
+        assert served.wait(10)
+
+    def inner_on_a_free_helper():
+        assert started.wait(10)
+        nn.side_by_side([inner_job], [release_and_wait])
+
+    nn.side_by_side([hold] + [functools.partial(job, name) for name in "ab"],
+                    [inner_on_a_free_helper])
+    assert ran[:2] == [("hold", "helper"), ("x", "helper")]
+    assert sorted(name for name, _ in ran[2:]) == ["a", "b"]
 
 
 def test_side_by_side_runs_every_job_once_under_contention(monkeypatch, helper):
@@ -972,9 +996,9 @@ def test_side_by_side_runs_every_job_once_under_contention(monkeypatch, helper):
 
 def test_background_and_side_by_side_jobs_run_once_under_contention(monkeypatch, helper):
     # three calling threads share the helper, each making side_by_side
-    # calls while background jobs of its own wait, finished every seventh
-    # row, and switching as often as the interpreter allows; a job lost or
-    # run twice leaves a count not 1
+    # calls while queued batches of its own wait, finished newest first
+    # every seventh row, and switching as often as the interpreter allows;
+    # a job lost or run twice leaves a count not 1
     monkeypatch.setattr(nn, "_get_helper", lambda: helper)
     counts = np.zeros((3, 1000, 4), dtype=np.int64)
 
@@ -982,13 +1006,13 @@ def test_background_and_side_by_side_jobs_run_once_under_contention(monkeypatch,
         np.add(cell, 1, out=cell)
 
     def calls(k):
-        background = nn.Background()
+        batches = []
         for i, row in enumerate(counts[k]):
-            background.add([functools.partial(bump, row[j:j + 1]) for j in range(2)])
+            batches.append(nn.Batch([functools.partial(bump, row[j:j + 1]) for j in range(2)]))
             nn.side_by_side([functools.partial(bump, row[j:j + 1]) for j in range(2, 4)])
-            if i % 7 == 6:
-                background.finish()
-        background.finish()
+            if i % 7 == 6 or i == len(counts[k]) - 1:
+                while batches:
+                    batches.pop().finish()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1016,6 +1040,26 @@ def test_side_by_side_raises_a_helper_exception_and_keeps_working(monkeypatch, h
     with pytest.raises(KeyError, match="job on the helper"):
         nn.side_by_side([fail], [lambda: started.wait(10)])
     nn.side_by_side([lambda: np.add(out, 1.0, out=out)] * 2)
+    assert out.tolist() == [2.0, 2.0, 2.0]
+    # a caller job that raises leaves no batch on the helper's list, and
+    # no job of it runs after the call: the helper is held until the
+    # call's jobs are dropped
+    def hold():
+        call = helper.batches[0]
+        started.set()
+        for _ in range(10000):
+            if not call.jobs:
+                break
+            time.sleep(0.001)
+
+    def caller_fails():
+        assert started.wait(10)
+        raise KeyError("caller job")
+
+    started.clear()
+    with pytest.raises(KeyError, match="caller job"):
+        nn.side_by_side([hold] + [lambda: np.add(out, 1.0, out=out)] * 2, [caller_fails])
+    assert not helper.batches
     assert out.tolist() == [2.0, 2.0, 2.0]
 
 
@@ -1075,9 +1119,9 @@ def test_helper_job_takes_its_scratch_from_the_twin_of_the_callers_workspace(mon
 
 
 def test_side_by_side_call_runs_before_queued_background_jobs(monkeypatch, helper):
-    # the helper is held in a background job while a call and three more
-    # background jobs wait: it serves the call next, and the caller leaves
-    # the call's job to it
+    # the helper is held in a queued batch's job while a call and three
+    # more jobs of that batch wait: the call's batch goes in front, so the
+    # helper serves it next, and the caller leaves the call's job to it
     monkeypatch.setattr(nn, "_get_helper", lambda: helper)
     started, release, served = threading.Event(), threading.Event(), threading.Event()
     ran = []
@@ -1096,14 +1140,13 @@ def test_side_by_side_call_runs_before_queued_background_jobs(monkeypatch, helpe
         release.set()
         assert served.wait(10)
 
-    background = nn.Background()
-    background.add([hold] + [functools.partial(job, name) for name in "abc"])
+    queued = nn.Batch([hold] + [functools.partial(job, name) for name in "abc"])
     assert started.wait(10)
     nn.side_by_side([functools.partial(job, "call")], [release_and_wait])
-    background.finish()
+    queued.finish()
     assert ran[:2] == [("hold", "helper"), ("call", "helper")]
     assert sorted(name for name, _ in ran[2:]) == ["a", "b", "c"]
-    assert not helper.background
+    assert not helper.batches
 
 
 def test_background_job_error_is_raised_by_finish_and_the_helper_goes_on(monkeypatch, helper):
@@ -1113,33 +1156,31 @@ def test_background_job_error_is_raised_by_finish_and_the_helper_goes_on(monkeyp
 
     def fail():
         started.set()
-        raise KeyError("background job on the %s" % running_thread())
+        raise KeyError("queued job on the %s" % running_thread())
 
     def add():
         np.add(out, 1.0, out=out)
 
-    background = nn.Background()
-    background.add([fail])
+    failing = nn.Batch([fail, add])
     assert started.wait(10)
-    background.add([add, add])
-    with pytest.raises(KeyError, match="background job on the helper"):
-        background.finish()
-    assert out.tolist() == [2.0, 2.0, 2.0]
+    later = nn.Batch([add, add])
+    later.finish()
+    with pytest.raises(KeyError, match="queued job on the helper"):
+        failing.finish()
+    assert out.tolist() == [3.0, 3.0, 3.0]
     nn.side_by_side([add] * 2)
-    background.add([add])
-    background.finish()
-    assert out.tolist() == [5.0, 5.0, 5.0]
-    assert not helper.background
+    nn.Batch([add]).finish()
+    assert out.tolist() == [6.0, 6.0, 6.0]
+    assert not helper.batches
 
 
 def test_background_jobs_run_on_the_caller_without_a_helper(monkeypatch):
     monkeypatch.setattr(nn, "_get_helper", lambda: None)
     ran = []
-    background = nn.Background()
-    background.add([functools.partial(lambda name: ran.append((name, running_thread())), name)
-                    for name in "ab"])
+    queued = nn.Batch([functools.partial(lambda name: ran.append((name, running_thread())), name)
+                       for name in "ab"])
     assert ran == []
-    background.finish()
+    queued.finish()
     assert ran == [("b", "caller"), ("a", "caller")]
 
 
@@ -1153,11 +1194,10 @@ def test_helper_keeps_no_array_of_finished_background_jobs(monkeypatch, helper):
         started.set()
         np.add(out, 1.0, out=out)
 
-    background = nn.Background()
-    background.add([functools.partial(add, out)])
+    queued = nn.Batch([functools.partial(add, out)])
     assert started.wait(10)
-    background.finish()
-    del out, background
+    queued.finish()
+    del out, queued
     assert alive() is None
 
 

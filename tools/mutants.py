@@ -194,9 +194,10 @@ MUTANTS = (
            "gradients are still to come from the projection's backward pass",
            ("tests/test_model.py::test_fit_on_two_threads_is_bitwise_one_thread",)),
     Mutant("background-before-pending-call", "src/shiftparse/nn.py",
-           "            while self.calls.empty() and self._background_job():\n",
-           "            while self._background_job():\n",
-           "the helper serves a pending side_by_side call before any more background jobs",
+           "    batch = Batch(jobs, first=True)\n",
+           "    batch = Batch(jobs)\n",
+           "a side_by_side call's batch goes in front of the queued ones, so the helper "
+           "serves it before any more queued jobs",
            ("tests/test_nn.py::test_side_by_side_call_runs_before_queued_background_jobs",)),
     Mutant("classifier-accumulates-in-reverse", "src/shiftparse/model.py",
            "            for (prefix, _, _), terms in zip(items, held):\n",
