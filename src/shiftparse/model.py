@@ -55,10 +55,8 @@ pass of that sentence's states. Where the items are large enough
 parser's are not), they are side_by_side jobs on both threads; smaller
 ones run one by one on the caller. Either way the gradients are added in
 sentence order. An item that finds every item before it added adds its
-own as it goes. Any other adds at once only the rows of the table's
-gradient that it alone selects, a sentence's own encoder rows, and holds
-the rest (the upper layer's gradients, the sums for the biases, the rows
-of absent and label slots, which other sentences select too) until every
+own as it goes. Any other holds all of its gradients (the upper layer's,
+the sums for the biases, its rows of the table's gradient) until every
 item has run; then what is held is added, item by item. nn's helper
 takes jobs from the front, so it never holds; the caller takes them from
 the back, and on one CPU runs them all in order, holding nothing. So
@@ -453,25 +451,26 @@ class _EncoderModel:
                         cache, dscores, dtable, st[prefix + ".b1"].grad,
                         st[prefix + ".w2"].grad, st[prefix + ".b2"].grad, terms)
 
-    def _score_all(self, n: int, tables, rows, dtables, scored) -> float:
+    def _score_all(self, tables, rows, dtables, scored) -> float:
         """The loss of the states _replay lists under the heads' tables,
-        which hold the rows rows of a table over n encoder rows; accumulates
-        the gradients of the tables (dtables) and of the heads' b1 and upper
+        which hold the rows rows of the whole tables; accumulates the
+        gradients of the tables (dtables) and of the heads' b1 and upper
         layer. Each sentence's states under each head are one item
         (_score), and the items' losses and gradients are added in sentence
         order, so every sum has the bits of a loop over the items.
 
         Where the items' hidden layers take nn.CLASSIFIER_JOB_BYTES each on
         average, the items are side_by_side jobs; smaller ones run one by one
-        on the caller. Either way each item adds what it can at once, and
-        what it holds is added here, in item order, once all have run."""
+        on the caller. Either way an item adds its gradients at once or
+        holds them all, and what items hold is added here, in item order,
+        once all have run."""
         st = self.store
         items = [(prefix, ids, np.array(gold)) for heads in scored
                  for prefix, ids, gold in heads if gold]
         # per item its loss and the terms it holds, and how many items from
         # the front have added all their gradients
         losses, held, added = [0.0] * len(items), [None] * len(items), [0]
-        jobs = [partial(self._score, n, tables, rows, dtables, items, losses, held, added, i)
+        jobs = [partial(self._score, tables, rows, dtables, items, losses, held, added, i)
                 for i in range(len(items))]
         hidden_bytes = sum(len(ids) for _, ids, _ in items) * self.config.hidden * st.dtype.itemsize
         with nn.scratch():
@@ -489,22 +488,20 @@ class _EncoderModel:
             loss += item_loss
         return loss
 
-    def _score(self, n: int, tables, rows, dtables, items, losses, held, added, i):
+    def _score(self, tables, rows, dtables, items, losses, held, added, i):
         """_score_all's item i, (head, table rows of the whole table, gold
         outputs): its loss into losses[i], its gradients into dtables and the
-        heads' gradients. Where every item before it has added all of its
-        own, it adds them as it goes, and then counts itself in added[0].
-        Else it adds only the rows of the table's gradient at its sentence's
-        own encoder rows, which no other item selects, and holds the rest in
-        held[i], taken from the caller's scope, for _score_all to add in
-        order. nn's helper takes items from the front, so only the caller
-        holds, and on one thread no item does."""
+        heads' gradients. Where every item before it has added its own, it
+        adds them as it goes, and then counts itself in added[0]. Else it
+        adds nothing and holds all of them in held[i], taken from the
+        caller's scope, for _score_all to add in order. nn's helper takes
+        items from the front, so only the caller holds, and on one thread
+        no item does."""
         prefix, ids, gold = items[i]
         terms = None
         if added[0] != i:
             w2 = self.store[prefix + ".w2"].value
-            terms = held[i] = nn.MlpTerms(np.count_nonzero(self._shared_rows(n, np.unique(ids))),
-                                          *w2.shape, w2.dtype, self._shared_rows(n, rows[prefix]))
+            terms = held[i] = nn.MlpTerms(len(np.unique(ids)), *w2.shape, w2.dtype)
         with nn.scratch():
             ids = np.searchsorted(rows[prefix], ids)
             scores, cache = self._mlp_forward(prefix, tables, ids)
@@ -664,14 +661,6 @@ class _EncoderModel:
         labels = np.arange(label_at, label_at + self.label_slots * n_labels)
         return np.union1d(ids[:, :len(self.position_families)], labels)
 
-    def _shared_rows(self, n: int, ids) -> np.ndarray:
-        """Which of the rows ids of a table over n encoder rows states of
-        more than one sentence may select: the absent rows and the label
-        slots' blocks. A position slot's encoder rows belong to one
-        sentence each."""
-        stride, label_at, _ = self._layout(n)
-        return (ids >= label_at) | (ids % stride >= n)
-
     @staticmethod
     def _slot_blocks(groups, rows):
         """Per classifier slot that rows, sorted rows of the table _project
@@ -789,7 +778,7 @@ class _EncoderModel:
                       for prefix in self.space.heads}
             dtables = {prefix: nn.take_zeros(table.shape, table.dtype)
                        for prefix, table in tables.items()}
-            loss = self._score_all(n, tables, rows, dtables, scored)
+            loss = self._score_all(tables, rows, dtables, scored)
             first, *others = self.space.heads
             self._project_rows_backward(first, groups, rows[first], dtables[first], dinputs)
             for prefix in others:
@@ -822,7 +811,8 @@ class _EncoderModel:
         second copy of the model; a caller copies it to keep an earlier one."""
         own = self._snapshot
         if own is not None and own is self.best_params:
-            self.store.copy_values(own)
+            for p in self.store:
+                np.copyto(own[p.name], p.value)
         else:
             own = self._snapshot = {p.name: p.value.copy() for p in self.store}
         return own

@@ -48,13 +48,15 @@ ids in one gather; each row is summed the same way. The backward pass
 accumulates each row's pre-activation gradient into the table gradient at
 the rows it selected, as one counts-matrix GEMM over the distinct
 selected rows only, so a large table (e.g. one stacked over a minibatch)
-costs no more than the rows actually used. It can also hold back what it
-would add (MlpTerms) for a later add in a fixed order.
+costs no more than the rows actually used. Instead of adding, a call can
+hold all it would add (MlpTerms) for a later add, so that calls run on
+two threads are added in a fixed order.
 
 Independent matrix work runs side by side on two threads, the "streams"
 of Appleyard et al. 2016: both threads take the jobs of a Batch,
 ADADELTA's chunks, model.py's per-slot first-layer GEMMs, or its
-classifier's per-sentence forward, loss and backward passes. In a
+classifier's per-sentence forward, loss and backward passes, whose
+gradients it adds in sentence order. In a
 Bi-LSTM layer, the helper takes whole GEMMs that overlap the other
 direction's step loop: forward, the backward direction's input GEMM
 while the caller runs the forward direction; backward, the forward
@@ -143,10 +145,6 @@ GATHER_CHUNK_BYTES = 256 * 1024
 # update one by one and 6.0-6.3 ms as jobs; constituency training's, about
 # 800 KB each, 24 and 18 ms (2-core Xeon VM, one BLAS thread)
 CLASSIFIER_JOB_BYTES = 256 * 1024
-# ParamStore.copy_values copies in chunks of this many values: the 68 MB of
-# a default-size constituency model take 2.3-2.4 ms on two threads, against
-# 2.8 ms in 256 KB chunks and 4.4 ms on one thread
-_COPY_CHUNK_VALUES = 128 * 1024
 
 
 def _check_finite(name, arr):
@@ -168,7 +166,8 @@ class Batch:
     goes on); with no helper (one CPU) it is put nowhere. finish() runs on
     the caller, from the back, the jobs the helper has not taken, waits for
     the one it runs, takes the batch off the list, and raises the error a
-    job raised. cancel() drops the jobs not started and waits for the one
+    job raised; once a job has raised, on either thread, it starts no
+    other. cancel() drops the jobs not started and waits for the one
     running, as after an error nothing more may start. Jobs must be pure
     numpy calls that release the GIL and write only memory that no other
     job reads or writes, nor the caller before finish() returns, so the
@@ -221,7 +220,7 @@ class Batch:
 
     def finish(self):
         try:
-            while True:
+            while self.error is None:
                 try:
                     job = self.jobs.pop()
                 except IndexError:
@@ -511,12 +510,6 @@ class ParamStore:
         for p in self:
             p.grad[...] = 0.0
 
-    def copy_values(self, out: dict[str, np.ndarray]):
-        """out[name][...] = value for every parameter, out's arrays being
-        C-contiguous, in chunk jobs on both threads."""
-        side_by_side([functools.partial(_copy, *views) for p in self
-                      for views in _chunks((out[p.name], p.value), _COPY_CHUNK_VALUES)])
-
     @contextlib.contextmanager
     def update(self, rho: float, eps: float, l2: float):
         """The scope of one training update, ended by one adadelta_step(rho,
@@ -633,11 +626,6 @@ def _touched_rows(p: Param, declared):
     if 2 * np.count_nonzero(p.grad[:, 0]) >= len(p.value):
         return None
     return np.flatnonzero(p.grad.any(axis=1))
-
-
-def _copy(out, value):
-    """out[...] = value"""
-    np.copyto(out, value)
 
 
 def _decay(eg2, ed2, rho):
@@ -1018,15 +1006,29 @@ def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2, terms=None)
     gradient at every row of w1 it selected.
 
     Given terms, an MlpTerms taken for this call (passed positionally), it
-    adds to dw1 only at the rows that terms.shared leaves out, which no
-    other call selects, and writes everything else it would add into terms:
+    adds nothing and writes all it would add into terms instead:
     terms.add(dw1, db1, dw2, db2) adds that later, by the same ops. So calls
     that run on two threads can be added in a fixed order."""
-    x = cache[0]
+    x, pre, hid = cache
     with scratch():
         used, inverse = np.unique(x.ravel(), return_inverse=True)
         own = terms if terms is not None else MlpTerms(len(used), *w2.shape, dscores.dtype)
-        _mlp_terms(w2, cache, dscores, used, inverse, dw1, own)
+        np.matmul(hid.T, dscores, out=own.dw2)
+        np.add.reduce(dscores, axis=0, out=own.db2)
+        with scratch():
+            dpre = np.matmul(dscores, w2.T, out=take(pre.shape, pre.dtype))    # dhid
+            dpre *= np.greater(pre, 0.0, out=take(pre.shape, bool))
+            np.add.reduce(dpre, axis=0, out=own.db1)
+            # counts[r, i]: how often row i selected the r-th distinct selected
+            # row of w1; as a GEMM this is far faster than np.add.at over the
+            # (m, slots, hidden) scatter, and it spans only the selected rows,
+            # so its cost does not grow with the table
+            m = len(x)
+            weights = take_zeros((len(used), m), dpre.dtype)
+            np.add.at(weights.reshape(-1), (inverse.reshape(x.shape) * m + np.arange(m)[:, None]),
+                      1.0)
+            np.matmul(weights, dpre, out=own.drows)
+        own.used = used
         if terms is None:
             own.add(dw1, db1, dw2, db2)
 
@@ -1034,82 +1036,39 @@ def mlp_backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2, terms=None)
 class MlpTerms:
     """What an mlp_backward call adds to the gradients, held until add():
     the product for dW2, the sums for db2 and db1, and the products for the
-    rows of dw1 that other calls may select too, with those rows. shared
-    marks such rows of dw1 (a boolean mask; None marks them all). Its arrays
-    are taken on construction, for that many rows at most."""
+    rows of dw1 it selected, with those rows. Its arrays are taken on
+    construction, for that many rows of dw1."""
 
-    __slots__ = ("dw2", "db2", "db1", "drows", "used", "shared")
+    __slots__ = ("dw2", "db2", "db1", "drows", "used")
 
-    def __init__(self, rows: int, hidden: int, classes: int, dtype, shared=None):
+    def __init__(self, rows: int, hidden: int, classes: int, dtype):
         self.dw2 = take((hidden, classes), dtype)
         self.db2 = take((classes,), dtype)
         self.db1 = take((hidden,), dtype)
         self.drows = take((rows, hidden), dtype)
         self.used = None
-        self.shared = shared
 
     def add(self, dw1, db1, dw2, db2):
         """dW2 += hid^T dscores, db2 += sum(dscores), db1 += sum(dpre) and
-        dw1[used] += counts dpre at the rows held, as mlp_backward adds them."""
+        dw1[used] += counts dpre, as mlp_backward adds them."""
         dw2 += self.dw2
         db2 += self.db2
         db1 += self.db1
-        _scatter_add(dw1, self.used, self.drows[:len(self.used)])
+        _scatter_add(dw1, self.used, self.drows)
 
 
-def _scatter_add(out, rows, values, at=None):
-    """out[rows] += values[at], or values itself without at, for sorted
-    distinct rows, GATHER_CHUNK_BYTES of rows at a time"""
+def _scatter_add(out, rows, values):
+    """out[rows] += values for sorted distinct rows, GATHER_CHUNK_BYTES of
+    rows at a time"""
     step = max(1, GATHER_CHUNK_BYTES // (math.prod(out.shape[1:]) * out.itemsize))
     with scratch():
         summed = take((min(step, len(rows)),) + out.shape[1:], out.dtype)
-        picked = None if at is None else take(summed.shape, values.dtype)
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
             part = summed[:len(chunk)]
             np.take(out, chunk, axis=0, out=part, mode="clip")
-            if at is None:
-                part += values[start:start + step]
-            else:
-                part += np.take(values, at[start:start + step], axis=0,
-                                out=picked[:len(chunk)], mode="clip")
+            part += values[start:start + step]
             out[chunk] = part
-
-
-def _mlp_terms(w2, cache, dscores, used, inverse, dw1, terms):
-    """mlp_backward's products and sums, into terms, or into dw1 at the rows
-    terms.shared leaves out; used and inverse are np.unique's of the ids."""
-    x, pre, hid = cache
-    np.matmul(hid.T, dscores, out=terms.dw2)
-    np.add.reduce(dscores, axis=0, out=terms.db2)
-    # the table rows' products, and then, where some go to dw1, their own
-    # buffer, which outlives dpre
-    if terms.shared is None:
-        product = terms.drows[:len(used)]
-    else:
-        product = take((len(used), pre.shape[1]), pre.dtype)
-    with scratch():
-        dpre = np.matmul(dscores, w2.T, out=take(pre.shape, pre.dtype))    # dhid
-        dpre *= np.greater(pre, 0.0, out=take(pre.shape, bool))
-        np.add.reduce(dpre, axis=0, out=terms.db1)
-        # counts[r, i]: how often row i selected the r-th distinct selected
-        # row of w1; as a GEMM this is far faster than np.add.at over the
-        # (m, slots, hidden) scatter, and it spans only the selected rows,
-        # so its cost does not grow with the table
-        m = len(x)
-        weights = take_zeros((len(used), m), dpre.dtype)
-        np.add.at(weights.reshape(-1), (inverse.reshape(x.shape) * m + np.arange(m)[:, None]),
-                  1.0)
-        np.matmul(weights, dpre, out=product)
-    if terms.shared is None:
-        terms.used = used
-        return
-    held = terms.shared[used]
-    own = np.flatnonzero(~held)
-    _scatter_add(dw1, used[own], product, own)
-    held = np.flatnonzero(held)
-    np.take(product, held, axis=0, out=terms.drows[:len(held)])
-    terms.used = used[held]
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from shiftparse import nn, synth
 from shiftparse.headrules import assign_heads
 
 from conftest import running_thread
+from test_nn import reference_lstm_forward
 
 
 def small_dep_setup(hierarchical=True, layers=2, use_tags=True, seed=3, precision="float64"):
@@ -467,6 +468,40 @@ def _minibatch(task, precision="float64"):
     return model, [(t, model._oracle(t)) for t in trees]
 
 
+@pytest.mark.parametrize("task", ["dep", "const"])
+def test_encoder_is_each_sentences_plain_bilstm(task):
+    # _encode of a packed minibatch of uneven sentences against a plain
+    # Bi-LSTM per sentence, made of the per-step reference cell: in each
+    # layer the forward direction runs over the sentence and the backward
+    # one over its reverse, and layer 2 reads layer 1's two directions side
+    # by side. A direction that reads the wrong way, or whose outputs land
+    # in the other direction's order, keeps forward and backward consistent
+    # and so passes the gradient check, but not this
+    model, batch = _minibatch(task)
+    cfg, st, vocab = model.config, model.store, model.vocab
+    assert cfg.layers == 2 and cfg.use_tags and st.dtype == np.float64
+    sentences = [tree.sentence for tree, _ in batch]
+    assert [len(s) for s in sentences] == [7, 2, 11, 5]
+    enc, _ = model._encode(sentences, False, None)
+    want = []
+    for sentence in sentences:
+        x = np.concatenate([st["emb.word"].value[[vocab.form_id(t.form) for t in sentence.tokens]],
+                            st["emb.tag"].value[[vocab.tag_id(t.tag) for t in sentence.tokens]]],
+                           axis=1)
+        layers = []
+        for layer in (1, 2):
+            (wf, bf), (wb, bb) = [(st["lstm%d.%s.w" % (layer, d)].value,
+                                   st["lstm%d.%s.b" % (layer, d)].value) for d in ("fwd", "bwd")]
+            hf, _ = reference_lstm_forward(wf, bf, x)
+            hb, _ = reference_lstm_forward(wb, bb, x[::-1])
+            x = np.concatenate([hf, hb[::-1]], axis=1)
+            layers.append(x)
+        want.append(np.concatenate(layers, axis=1))
+    want = np.concatenate(want)
+    assert enc.shape == want.shape
+    assert np.abs(enc - want).max() < 1e-12
+
+
 def _whole_table_classify(model, enc, scored):
     """model._classify over whole first-layer tables, every row of every
     slot as decoding builds them: the reference for training's tables,
@@ -586,30 +621,29 @@ def test_classifier_on_two_threads_is_bitwise_one_thread(task, precision, monkey
     # have found an item before them not yet added and held their terms,
     # which are added in sentence order once all have run. dep:
     # hierarchical, the label head scoring labeled states only; const: flat,
-    # with label slots. Sentences of uneven lengths share absent rows, and
-    # for const label rows, of the tables.
+    # with label slots. Sentences of uneven lengths select some of the same
+    # table rows (absent rows, and for const label rows), whose gradients
+    # round differently when added out of order.
     model, batch = _minibatch(task, precision)
     n = sum(len(tree.sentence) for tree, _ in batch)
     enc = np.random.default_rng(5).standard_normal((n, model.enc_dims)).astype(precision)
     scored = model._replay(batch, n)
+    label_at = model._layout(n)[1]
     for prefix in model.space.heads:
         selected = [np.unique(ids) for heads in scored for head, ids, gold in heads
                     if head == prefix and gold]
         common = np.intersect1d(selected[0], selected[2])
-        assert model._shared_rows(n, common).any()
-        if model.label_slots:
-            assert model._shared_rows(n, common).sum() > len(model.families)
+        assert len(common) > 0
+        assert (common >= label_at).any() == bool(model.label_slots)
     held, holding = [], threading.Event()
+    backward = nn.mlp_backward
 
-    class Counted(nn.MlpTerms):
-        __slots__ = ()
-
-        def __init__(self, rows, hidden, classes, dtype, shared=None):
-            if shared is not None:     # an item's terms, held for a later add
-                held.append(rows)
-                if len(held) == 2:
-                    holding.set()
-            super().__init__(rows, hidden, classes, dtype, shared)
+    def counted(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2, terms=None):
+        if terms is not None:   # an item's terms, held for a later add
+            held.append(terms)
+        backward(w1, b1, w2, b2, cache, dscores, dw1, db1, dw2, db2, terms)
+        if len(held) >= 2:
+            holding.set()
 
     score = _EncoderModel._score
 
@@ -618,7 +652,7 @@ def test_classifier_on_two_threads_is_bitwise_one_thread(task, precision, monkey
             assert holding.wait(10), "two classifier items did not hold their terms in 10 s"
         score(*args)
 
-    monkeypatch.setattr(nn, "MlpTerms", Counted)
+    monkeypatch.setattr(nn, "mlp_backward", counted)
     monkeypatch.setattr(nn, "_get_helper", lambda: None)
     results = []
     for run in ("items one by one", "jobs on one thread", "jobs on two threads"):

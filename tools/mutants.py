@@ -208,8 +208,8 @@ MUTANTS = (
            ("tests/test_model.py::test_classifier_on_two_threads_is_bitwise_one_thread",)),
     Mutant("classifier-holds-nothing", "src/shiftparse/model.py",
            "        if added[0] != i:\n", "        if False:\n",
-           "a classifier item that finds an item before it not yet added holds what it "
-           "adds to rows and sums the items share; added at once, they go in out of "
+           "a classifier item that finds an item before it not yet added holds all it "
+           "would add; added at once, the rows and sums that items share go in out of "
            "sentence order",
            ("tests/test_model.py::test_classifier_on_two_threads_is_bitwise_one_thread",)),
     Mutant("helper-scratch-in-callers-workspace", "src/shiftparse/nn.py",
@@ -223,13 +223,31 @@ MUTANTS = (
            "each thread runs its ADADELTA chunks through scratch rows of its own; rows that "
            "both threads write at once mix two chunks' values",
            ("tests/test_nn.py::test_adadelta_in_place_update_is_bitwise_the_formula",
-            "tests/test_nn.py::test_adadelta_on_two_threads_is_bitwise_one_thread")),
+            "tests/test_nn.py::test_adadelta_on_two_threads_is_bitwise_one_thread",
+            "tests/test_nn.py::"
+            "test_adadelta_outside_a_workspace_takes_cache_aligned_scratch_rows")),
     Mutant("classifier-gather-drops-last-chunk", "src/shiftparse/nn.py",
            "            for start in range(0, len(x), rows):\n",
            "            for start in range(0, len(x) - rows, rows):\n",
            "training's gather-sum of the selected w1 rows covers every chunk of states, "
            "the last and shorter one too",
            ("tests/test_nn.py::test_mlp_forward_chunks_keep_the_single_gather_bits",)),
+    Mutant("finish-runs-jobs-after-an-error", "src/shiftparse/nn.py",
+           "            while self.error is None:\n", "            while True:\n",
+           "once a job of a batch has raised, finish starts none of the batch's other jobs",
+           ("tests/test_nn.py::"
+            "test_background_job_error_is_raised_by_finish_and_the_helper_goes_on",)),
+    Mutant("backward-direction-runs-forward", "src/shiftparse/model.py",
+           "return sizes, (first + steps, first + lengths[sentence] - 1 - steps)",
+           "return sizes, (first + steps, first + steps)",
+           "the backward LSTM direction reads each sentence from its last word; read left "
+           "to right, forward and backward still agree, so the gradient check holds",
+           ("tests/test_model.py::test_encoder_is_each_sentences_plain_bilstm",)),
+    Mutant("backward-outputs-in-forward-order", "src/shiftparse/model.py",
+           "            x[bwd, units:] = hb\n", "            x[fwd, units:] = hb\n",
+           "the backward direction's output of a word is the one its packed row computed "
+           "for that word; in forward order each word gets another word's right context",
+           ("tests/test_model.py::test_encoder_is_each_sentences_plain_bilstm",)),
     Mutant("const-accepts-recall-csv", "src/shiftparse/cli.py",
            '"punct_tags", "recall_by_length", "max_bucket"', '"punct_tags", "max_bucket"',
            "eval --task const rejects --recall-by-length, which only dep writes",
